@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mrp import ConvergenceError, FeatureMap, MarkovRewardProcess, \
-    exact_solution, stationary_distribution
+    exact_solution
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def emphasized_geometry(mrp: MarkovRewardProcess, f_values) -> EmphasizedGeometr
     if f.shape != (mrp.n_states,) or np.any(f <= 0.0) or np.any(~np.isfinite(f)):
         raise ValueError("emphasis vector must be positive, finite and match "
                          "the state count")
-    d = stationary_distribution(mrp)
+    d = mrp.stationary
     return EmphasizedGeometry(f=f, d=d, lam_diag=f * d * f)
 
 

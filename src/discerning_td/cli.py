@@ -115,9 +115,25 @@ def cmd_run(args) -> int:
     return 0
 
 
+SWEEP_KEYS = ("task", "runs", "steps", "eval_every", "base_seed", "out",
+              "algorithms")
+SWEEP_ENTRY_KEYS = ("algorithm", "lambda", "alpha")
+
+
+def _require_keys(mapping, keys, where: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    for key in keys:
+        if key not in mapping:
+            raise ValueError(f"{where} is missing key {key!r}")
+
+
 def cmd_sweep(args) -> int:
     with open(args.config, "r", encoding="utf-8") as handle:
         spec = json.load(handle)
+    _require_keys(spec, SWEEP_KEYS, "sweep config")
+    for i, entry in enumerate(spec["algorithms"]):
+        _require_keys(entry, SWEEP_ENTRY_KEYS, f"sweep config algorithms[{i}]")
     cells = []
     for entry in spec["algorithms"]:
         emphasis_spec = entry.get("emphasis", {"kind": "constant"})

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mrp import FeatureMap, MarkovRewardProcess, stationary_distribution
+from .mrp import FeatureMap, MarkovRewardProcess
 
 DEFAULT_EPSILON_FLOOR = 1e-3
 
@@ -118,7 +118,7 @@ def long_run_count_inverse(mrp: MarkovRewardProcess,
                            epsilon_floor: float = DEFAULT_EPSILON_FLOOR):
     """Limit of the count-inverse emphasis: visitation shares converge to the
     stationary distribution of the restart chain."""
-    share = stationary_distribution(mrp)
+    share = mrp.stationary
     return _scale_sqrt_floor(1.0 / share, epsilon_floor)
 
 

@@ -2,8 +2,10 @@
 simulation of the learners, measurement records, aggregation and file
 emission.
 
-Runs are batched per hyperparameter cell: every run owns its own seed
-stream, so results are independent of how runs are batched, and adding an
+A sweep steps every run of every hyperparameter cell in one loop: each row
+holds its own cell's step size, trace decay and learner coefficients.
+Every run owns its own seed stream, drawn in bounded step chunks, so
+results are independent of how runs and cells are batched, and adding an
 algorithm to a config never perturbs the streams of the others.
 """
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import exact_solution, projection
-from .emphasis import EmphasisKind
+from .emphasis import EmphasisKind, init_emphasis_state
 from .learners import Algorithm, AlgoConfig, DecayingAlpha
 from .mrp import FeatureMap, MarkovRewardProcess, make_boyan_chain, \
     make_feature_map, make_noisy_chain, make_random_walk
@@ -28,6 +30,10 @@ AGGREGATE_COLUMNS = ("task", "algorithm", "lambda", "alpha", "emphasis_kind",
 # Sweep grids used when the CLI is not given explicit ones.
 DEFAULT_ALPHA_GRID = tuple(2.0 ** -k for k in range(7, -1, -1))
 DEFAULT_LAMBDA_GRID = (0.0, 0.4, 0.8, 0.9, 0.95, 1.0)
+
+# Values held per part of the random stream (transition uniforms, restart
+# uniforms, noise normals) while simulating, across all rows.
+DRAW_BUDGET = 65_536
 
 
 def resolve_task(name: str):
@@ -107,11 +113,11 @@ class AggregateRecord:
 
 @dataclass
 class SimulationOutput:
-    """Result of one batched cell simulation."""
+    """Result of one batched simulation, one row per seed stream."""
 
     eval_steps: np.ndarray
-    curves: np.ndarray         # (n_runs, n_eval_points)
-    final_theta: np.ndarray    # (n_runs, n_features)
+    curves: np.ndarray         # (n_rows, n_eval_points)
+    final_theta: np.ndarray    # (n_rows, n_features)
     theta_history: np.ndarray | None = None
 
 
@@ -141,41 +147,93 @@ def run_seed_sequences(task: str, config: AlgoConfig, base_seed: int,
             for run in range(n_runs)]
 
 
-def _static_emphasis_values(config: AlgoConfig, mrp: MarkovRewardProcess):
-    from .emphasis import init_emphasis_state
-    return init_emphasis_state(config.emphasis, mrp).values
+def _row_selector(mask: np.ndarray):
+    """Index of the rows in ``mask``: a full slice when it holds every row,
+    None when it holds none."""
+    if mask.all():
+        return slice(None)
+    if not mask.any():
+        return None
+    return np.flatnonzero(mask)
 
 
 def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
-                    config: AlgoConfig, seed_seqs, steps: int,
-                    eval_every: int = 0,
+                    config, seed_seqs, steps: int, eval_every: int = 0,
                     record_theta: bool = False) -> SimulationOutput:
     """Simulate a continuing episodic stream for every seed in parallel.
 
+    ``config`` is one ``AlgoConfig`` for every row, or a sequence of them,
+    one per seed stream, so that the rows of many hyperparameter cells step
+    together in one loop.  All five learners are the one trace update
+    ``e <- c_decay*e + c_in*phi(s)``, ``theta <- theta + alpha*delta*c_out*e``
+    with per-row coefficients:
+
+    ======  ============  =====  =====
+    row     c_decay       c_in   c_out
+    ======  ============  =====  =====
+    TD      gl            1      1
+    DTD     gl            w      w
+    ETD     gl            M      1
+    PTD     gl*(1-w)      w      1
+    TDW     gl            w      1
+    ======  ============  =====  =====
+
+    where gl = gamma*lam, w is the row's emphasis at the visited state and
+    M = lam + (1-lam)*F is the follow-on emphasis.  Rows never mix: a
+    diverged row leaves every other row unchanged.  A ``DecayingAlpha``
+    step size is accepted for a single config only.
+
     Episodes restart from the initial distribution whenever the chain exits;
     the step budget counts transitions across episodes.  Each seed stream
-    draws one uniform for the initial state and then, per step, one
-    transition uniform, one restart uniform and one noise normal, so a run's
-    trajectory depends only on its own seed.  Non-finite error measurements
-    (diverged cells) are recorded as +inf.
+    draws one uniform for the initial state and then ``steps`` transition
+    uniforms, ``steps`` restart uniforms and ``steps`` noise normals, so a
+    row's trajectory depends only on its own seed.  The three parts are
+    read by three generators positioned on the stream, in step chunks of at
+    most ``DRAW_BUDGET`` values per part across all rows.  Non-finite error
+    measurements (diverged rows) are recorded as +inf.
     """
-    n_runs = len(seed_seqs)
+    n_rows = len(seed_seqs)
+    if isinstance(config, AlgoConfig):
+        configs = [config] * n_rows
+        schedule = config.alpha if isinstance(config.alpha, DecayingAlpha) \
+            else None
+    else:
+        configs = list(config)
+        if len(configs) != n_rows:
+            raise ValueError("need one config per seed stream")
+        if any(isinstance(c.alpha, DecayingAlpha) for c in configs):
+            raise ValueError("decaying step sizes need a single config")
+        schedule = None
     n = mrp.n_states
     k = feature_map.n_features
-    u_init = np.empty(n_runs)
-    u_trans = np.empty((n_runs, steps))
-    u_restart = np.empty((n_runs, steps))
-    z_noise = np.empty((n_runs, steps))
-    for i, seq in enumerate(seed_seqs):
-        rng = np.random.default_rng(seq)
-        u_init[i] = rng.random()
-        u_trans[i] = rng.random(steps)
-        u_restart[i] = rng.random(steps)
-        z_noise[i] = rng.standard_normal(steps)
-
     gamma = mrp.discount
-    lam = config.lam
+
+    def rows_of(values, member):
+        return np.array([v is member for v in values], dtype=bool)
+
+    algos = [c.algorithm for c in configs]
+    kinds = [c.emphasis.kind for c in configs]
+    lam = np.array([c.lam for c in configs], dtype=np.float64)
     glam = gamma * lam
+    eps = np.array([c.emphasis.epsilon_floor for c in configs])
+    is_dtd = rows_of(algos, Algorithm.DTD)
+    is_etd = rows_of(algos, Algorithm.ETD)
+    is_ptd = rows_of(algos, Algorithm.PTD)
+    any_dtd, any_etd, any_ptd = is_dtd.any(), is_etd.any(), is_ptd.any()
+    weighted = ~(is_etd | rows_of(algos, Algorithm.TD))
+    counted = weighted & rows_of(kinds, EmphasisKind.COUNT_INVERSE)
+    adaptive = weighted & rows_of(kinds, EmphasisKind.ABS_EXPECTED_TD_ERROR)
+    static = weighted & ~counted & ~adaptive
+    any_static = static.any()
+    # Static emphasis per row and state; 1 on rows that take none.
+    w_table = np.ones((n_rows, n))
+    tables = {}
+    for row in np.flatnonzero(static):
+        spec = configs[row].emphasis
+        if id(spec) not in tables:
+            tables[id(spec)] = init_emphasis_state(spec, mrp).values
+        w_table[row] = tables[id(spec)]
+
     p = mrp.transition
     cum_p = np.cumsum(p, axis=1)
     cum_init = np.cumsum(mrp.initial_dist)
@@ -192,100 +250,128 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     else:
         base_pad = None
 
+    # Stream positions: [init | transitions | restarts | noise].
+    chunk = max(1, min(steps, DRAW_BUDGET // max(n_rows, 1)))
+    u_init = np.empty(n_rows)
+    trans_gens, restart_gens, noise_gens = [], [], []
+    for i, seq in enumerate(seed_seqs):
+        gen = np.random.Generator(np.random.PCG64(seq))
+        u_init[i] = gen.random()
+        trans_gens.append(gen.random)
+        restart_gens.append(np.random.Generator(
+            np.random.PCG64(seq).advance(1 + steps)).random)
+        if has_noise:
+            noise_gens.append(np.random.Generator(
+                np.random.PCG64(seq).advance(1 + 2 * steps)).standard_normal)
+    u_trans = np.empty((n_rows, chunk))
+    u_restart = np.empty((n_rows, chunk))
+    z_noise = np.empty((n_rows, chunk)) if has_noise else None
+    buffers = [(trans_gens, u_trans), (restart_gens, u_restart)]
+    if has_noise:
+        buffers.append((noise_gens, z_noise))
+
     if eval_every > 0:
         sol = exact_solution(mrp)
         d = sol.d_pi
         proj_t = projection(feature_map, d).T
 
-    algo = config.algorithm
-    eps = config.emphasis.epsilon_floor
-    needs_weight = algo in (Algorithm.DTD, Algorithm.PTD, Algorithm.TDW)
-    kind = config.emphasis.kind
-    count_mode = needs_weight and kind is EmphasisKind.COUNT_INVERSE
-    adaptive_mode = needs_weight and kind is EmphasisKind.ABS_EXPECTED_TD_ERROR
-    static_w = None
-    if needs_weight and not (count_mode or adaptive_mode):
-        static_w = _static_emphasis_values(config, mrp)
-    counts = np.zeros((n_runs, n)) if count_mode else None
+    count_rows = _row_selector(counted)
+    adaptive_rows = _row_selector(adaptive)
+    if count_rows is not None:
+        eps_count = eps[count_rows][:, None]
+        counts = np.zeros((len(eps_count), n))
+        count_local = np.arange(len(eps_count))
+    if adaptive_rows is not None:
+        eps_adaptive = eps[adaptive_rows][:, None]
+        adaptive_local = np.arange(len(eps_adaptive))
+    glam_col = glam[:, None]
 
-    if isinstance(config.alpha, DecayingAlpha):
-        alphas = config.alpha.value(np.arange(steps, dtype=np.float64))
+    if schedule is not None:
+        alphas = schedule.value(np.arange(steps, dtype=np.float64))
     else:
         alphas = None
-        alpha_const = float(config.alpha)
+        alpha_rows = np.array([c.alpha for c in configs], dtype=np.float64)
 
     if eval_every > 0:
         eval_steps = np.arange(eval_every, steps + 1, eval_every)
     else:
         eval_steps = np.empty(0, dtype=np.int64)
-    curves = np.full((n_runs, len(eval_steps)), np.inf)
-    theta_hist = np.empty((steps, n_runs, k)) if record_theta else None
+    curves = np.full((n_rows, len(eval_steps)), np.inf)
+    theta_hist = np.empty((steps, n_rows, k)) if record_theta else None
 
-    rows = np.arange(n_runs)
+    rows = np.arange(n_rows)
     s = np.minimum((u_init[:, None] >= cum_init[None, :]).sum(axis=1), n - 1)
-    theta = np.zeros((n_runs, k))
-    trace = np.zeros((n_runs, k))
-    followon = np.zeros(n_runs)
+    theta = np.zeros((n_rows, k))
+    trace = np.zeros((n_rows, k))
+    followon = np.zeros(n_rows)
     eval_idx = 0
 
     with np.errstate(all="ignore"):
         for t in range(steps):
-            if count_mode:
-                counts[rows, s] += 1.0
+            c = t % chunk
+            if c == 0:
+                width = min(chunk, steps - t)
+                for gens, buf in buffers:
+                    for i, draw in enumerate(gens):
+                        draw(out=buf[i, :width])
+
+            if any_static:
+                w = w_table[rows, s]
+            else:
+                w = np.ones(n_rows)
+            if count_rows is not None:
+                counts[count_local, s[count_rows]] += 1.0
                 imputed = np.where(counts > 0.0, counts, 1.0)
                 share = imputed / imputed.sum(axis=1, keepdims=True)
                 raw = 1.0 / share
                 scaled = raw / raw.max(axis=1, keepdims=True)
-                w = np.maximum(np.sqrt(scaled), eps)[rows, s]
-            elif adaptive_mode:
-                v_all = theta @ phi_t
+                w[count_rows] = np.maximum(np.sqrt(scaled), eps_count)[
+                    count_local, s[count_rows]]
+            if adaptive_rows is not None:
+                v_all = theta[adaptive_rows] @ phi_t
                 raw = np.abs(r_pi[None, :] + gamma * (v_all @ p_t) - v_all)
                 peak = raw.max(axis=1, keepdims=True)
-                vals = np.where(peak > 0.0,
-                                np.maximum(np.sqrt(raw / peak), eps), 1.0)
-                w = vals[rows, s]
-            elif needs_weight:
-                w = static_w[s]
+                vals = np.where(peak > 0.0, np.maximum(np.sqrt(raw / peak),
+                                                       eps_adaptive), 1.0)
+                w[adaptive_rows] = vals[adaptive_local, s[adaptive_rows]]
 
-            nxt = (u_trans[:, t][:, None] >= cum_p[s]).sum(axis=1)
+            nxt = (u_trans[:, c][:, None] >= cum_p[s]).sum(axis=1)
             term = nxt == n
             if base_pad is not None:
                 reward = base_pad[s, nxt]
             else:
                 reward = r_pi[s]
             if has_noise:
-                reward = reward + sigma[s] * z_noise[:, t]
+                reward = reward + sigma[s] * z_noise[:, c]
             phi_s = phi[s]
             phi_n = phi_pad[nxt]
             delta = reward + gamma * np.einsum("bk,bk->b", phi_n, theta) \
                 - np.einsum("bk,bk->b", phi_s, theta)
-            alpha = alpha_const if alphas is None else alphas[t]
+            alpha = alpha_rows if alphas is None else alphas[t]
 
-            if algo is Algorithm.TD:
-                trace = glam * trace + phi_s
-                theta = theta + (alpha * delta)[:, None] * trace
-            elif algo is Algorithm.DTD:
-                trace = glam * trace + w[:, None] * phi_s
-                theta = theta + ((alpha * delta) * w)[:, None] * trace
-            elif algo is Algorithm.ETD:
+            if any_etd:
                 followon = gamma * followon + 1.0
                 m = lam + (1.0 - lam) * followon
-                trace = glam * trace + m[:, None] * phi_s
-                theta = theta + (alpha * delta)[:, None] * trace
-            elif algo is Algorithm.PTD:
-                trace = (glam * (1.0 - w))[:, None] * trace \
-                    + w[:, None] * phi_s
-                theta = theta + (alpha * delta)[:, None] * trace
-            else:  # TDW
-                trace = glam * trace + w[:, None] * phi_s
-                theta = theta + (alpha * delta)[:, None] * trace
+                c_in = np.where(is_etd, m, w)
+            else:
+                c_in = w
+            if any_ptd:
+                c_decay = np.where(is_ptd, glam * (1.0 - w),
+                                   glam)[:, None]
+            else:
+                c_decay = glam_col
+            step = alpha * delta
+            if any_dtd:
+                step = np.where(is_dtd, step * w, step)
+            trace = c_decay * trace + c_in[:, None] * phi_s
+            theta = theta + step[:, None] * trace
 
             if record_theta:
                 theta_hist[t] = theta
 
             if term.any():
                 restart = np.minimum(
-                    (u_restart[:, t][:, None] >= cum_init[None, :]).sum(axis=1),
+                    (u_restart[:, c][:, None] >= cum_init[None, :]).sum(axis=1),
                     n - 1)
                 s = np.where(term, restart, nxt)
                 trace[term] = 0.0
@@ -309,28 +395,35 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
 def run_experiment(config: ExperimentConfig, environment=None):
     """Simulate every configured cell and return the measurement records.
 
+    All cells step together in one ``simulate_curves`` call, their rows in
+    cell-major order, so the records come out cell by cell and run by run.
     ``environment`` overrides the named task with an explicit
     (mrp, feature_map) pair; the task string still labels the records.
     Deterministic for a fixed config and base seed.
     """
     mrp, fm = environment if environment is not None else resolve_task(config.task)
-    records = []
+    if any(isinstance(algo.alpha, DecayingAlpha) for algo in config.algorithms):
+        raise ValueError("experiment records require constant step sizes")
+    runs = config.runs
+    configs, seqs = [], []
     for algo in config.algorithms:
-        if isinstance(algo.alpha, DecayingAlpha):
-            raise ValueError("experiment records require constant step sizes")
-        seqs = run_seed_sequences(config.task, algo, config.base_seed,
-                                  config.runs)
-        out = simulate_curves(mrp, fm, algo, seqs, config.steps,
-                              config.eval_every)
+        configs.extend([algo] * runs)
+        seqs.extend(run_seed_sequences(config.task, algo, config.base_seed,
+                                       runs))
+    out = simulate_curves(mrp, fm, configs, seqs, config.steps,
+                          config.eval_every)
+    records = []
+    for cell, algo in enumerate(config.algorithms):
         label = emphasis_label(algo)
-        for run in range(config.runs):
+        for run in range(runs):
             seed = config.base_seed + run
+            curve = out.curves[cell * runs + run]
             for j, step in enumerate(out.eval_steps):
                 records.append(CurveRecord(
                     task=config.task, algorithm=algo.algorithm.value,
                     lam=float(algo.lam), alpha=float(algo.alpha),
                     emphasis_kind=label, seed=seed, step=int(step),
-                    mspbe=float(out.curves[run, j])))
+                    mspbe=float(curve[j])))
     return records
 
 

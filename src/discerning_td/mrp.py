@@ -7,6 +7,7 @@ taken from the restart chain, in which terminal mass is redirected to the
 initial distribution.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -112,6 +113,14 @@ class MarkovRewardProcess:
     def restart_matrix(self) -> np.ndarray:
         """Transition matrix with terminal mass redirected to initial_dist."""
         return self.transition + np.outer(self.exit_probs(), self.initial_dist)
+
+    @functools.cached_property
+    def stationary(self) -> np.ndarray:
+        """``stationary_distribution(self)``, solved once per chain and
+        returned read-only: the chain is immutable."""
+        d = stationary_distribution(self)
+        d.flags.writeable = False
+        return d
 
 
 @dataclass(frozen=True)
@@ -226,7 +235,7 @@ def true_value(mrp: MarkovRewardProcess) -> np.ndarray:
 
 
 def exact_solution(mrp: MarkovRewardProcess) -> ExactSolution:
-    d = stationary_distribution(mrp)
+    d = mrp.stationary
     if abs(d.sum() - 1.0) > 1e-10:
         raise ChainStructureError("stationary distribution does not sum to 1")
     return ExactSolution(d_pi=d, true_value=true_value(mrp))

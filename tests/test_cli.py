@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from discerning_td import load_records, make_random_walk, save_environment
+from discerning_td import mrp as mrp_module
 from discerning_td.cli import main, parse_emphasis
 from discerning_td.emphasis import EmphasisKind
 
@@ -117,6 +118,42 @@ class TestSweepCommand:
                          ("DTD", 0.5, 0.1), ("DTD", 0.5, 0.2)}
         assert {r.seed for r in records} == {3, 4}
 
+    @staticmethod
+    def _config(tmp_path):
+        return {
+            "task": "RW5_LEFT",
+            "algorithms": [{"algorithm": "TD", "lambda": 0.5, "alpha": 0.1}],
+            "runs": 2, "steps": 100, "eval_every": 50, "base_seed": 3,
+            "out": str(tmp_path / "sweep.csv"),
+        }
+
+    def _run(self, tmp_path, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        return main(["sweep", "--config", str(path)])
+
+    @pytest.mark.parametrize("key", ["task", "runs", "steps", "eval_every",
+                                     "base_seed", "out", "algorithms"])
+    def test_missing_top_level_key(self, tmp_path, capsys, key):
+        config = self._config(tmp_path)
+        del config[key]
+        assert self._run(tmp_path, config) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("key", ["algorithm", "lambda", "alpha"])
+    def test_missing_entry_key(self, tmp_path, capsys, key):
+        config = self._config(tmp_path)
+        config["algorithms"].append({"algorithm": "DTD", "lambda": 0.5,
+                                     "alpha": 0.1})
+        del config["algorithms"][1][key]
+        assert self._run(tmp_path, config) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "algorithms[1]" in err and repr(key) in err
+        assert not (tmp_path / "sweep.csv").exists()
+
 
 class TestVerifyCommand:
     def test_filtered_check_passes(self, tmp_path, capsys):
@@ -166,6 +203,22 @@ class TestFixedPointCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["residual"] < 1e-10
         assert len(payload["theta_star"]) == 3
+
+    @pytest.mark.parametrize("emphasis", ["count_inverse", "abs_expected_td"])
+    def test_one_stationary_solve_per_call(self, capsys, monkeypatch,
+                                           emphasis):
+        calls = []
+        solve = mrp_module.stationary_distribution
+
+        def counted(mrp):
+            calls.append(mrp)
+            return solve(mrp)
+
+        monkeypatch.setattr(mrp_module, "stationary_distribution", counted)
+        for _ in range(2):
+            assert main(["fixed-point", "--task", "BOYAN13", "--emphasis",
+                         emphasis, "--lambda", "0.5"]) == 0
+        assert len(calls) == 2
 
     def test_kappa_report(self, capsys):
         code = main(["fixed-point", "--task", "BOYAN13",

@@ -18,7 +18,8 @@ from discerning_td import (
     select_best,
     simulate_curves,
 )
-from discerning_td.harness import run_seed_sequences
+from discerning_td import harness
+from discerning_td.harness import emphasis_label, run_seed_sequences
 from discerning_td.mrp import TERMINAL
 
 
@@ -149,6 +150,151 @@ class TestSimulateCurves:
         seqs = run_seed_sequences("BOYAN13", config, 0, 2)
         out = simulate_curves(mrp, fm, config, seqs, 2000, eval_every=500)
         assert np.all(out.curves[:, -1] >= 0.0)  # inf is fine, nan is not
+
+
+def mixed_cells(n_states):
+    """Every learner under every emphasis kind, with varied lambda/alpha."""
+    kinds = [EmphasisSpec("constant", constant=0.7),
+             EmphasisSpec("table", table=np.linspace(0.2, 1.5, n_states)),
+             EmphasisSpec("noise_prior"), EmphasisSpec("count_inverse"),
+             EmphasisSpec("abs_expected_td", epsilon_floor=0.01)]
+    lams = (0.0, 0.5, 0.9, 1.0)
+    alphas = (0.02, 0.05, 0.1)
+    cells = []
+    for i, algo in enumerate(Algorithm):
+        for j, emphasis in enumerate(kinds):
+            cells.append(AlgoConfig(algo, lam=lams[(i + j) % 4],
+                                    alpha=alphas[(2 * i + j) % 3],
+                                    emphasis=emphasis))
+    return cells
+
+
+def batched(task, cells, runs, base_seed=0):
+    """Per-row configs and seed streams of ``cells`` in cell-major order."""
+    configs, seqs = [], []
+    for cell in cells:
+        configs.extend([cell] * runs)
+        seqs.extend(run_seed_sequences(task, cell, base_seed, runs))
+    return configs, seqs
+
+
+def assert_cells_match(out, task, cells, runs, steps, eval_every, skip=()):
+    """Each cell's rows of a batched run equal that cell's own call."""
+    mrp, fm = resolve_task(task)
+    for i, cell in enumerate(cells):
+        if i in skip:
+            continue
+        rows = slice(i * runs, (i + 1) * runs)
+        seqs = run_seed_sequences(task, cell, 0, runs)
+        solo = simulate_curves(mrp, fm, cell, seqs, steps, eval_every)
+        np.testing.assert_array_equal(out.curves[rows], solo.curves)
+        np.testing.assert_array_equal(out.final_theta[rows],
+                                      solo.final_theta)
+
+
+class TestCellBatching:
+    @pytest.mark.parametrize("task", ["RW5_LEFT", "NOISY10:1"])
+    def test_mixed_rows_match_single_cells(self, task):
+        mrp, fm = resolve_task(task)
+        cells = mixed_cells(mrp.n_states)
+        configs, seqs = batched(task, cells, runs=3)
+        out = simulate_curves(mrp, fm, configs, seqs, 300, 50)
+        assert out.curves.shape == (3 * len(cells), 6)
+        assert_cells_match(out, task, cells, 3, 300, 50)
+
+    @pytest.mark.parametrize("budget", [None, 350])
+    def test_draws_span_several_chunks(self, monkeypatch, budget):
+        # 50 rows draw in chunks of budget // 50 steps and end on a partial
+        # chunk; the reference draws every step in one chunk
+        task, runs, steps = "NOISY10:1", 25, 3000
+        if budget is not None:
+            monkeypatch.setattr(harness, "DRAW_BUDGET", budget)
+        chunk = harness.DRAW_BUDGET // (2 * runs)
+        assert steps > 2 * chunk and steps % chunk != 0
+        mrp, fm = resolve_task(task)
+        cells = [AlgoConfig(Algorithm.DTD, lam=0.9, alpha=0.05,
+                            emphasis=EmphasisSpec("noise_prior")),
+                 AlgoConfig(Algorithm.TD, lam=0.5, alpha=0.02)]
+        configs, seqs = batched(task, cells, runs)
+        out = simulate_curves(mrp, fm, configs, seqs, steps, 500)
+        monkeypatch.setattr(harness, "DRAW_BUDGET", 2 * runs * steps)
+        whole = simulate_curves(mrp, fm, configs, seqs, steps, 500)
+        np.testing.assert_array_equal(out.curves, whole.curves)
+        np.testing.assert_array_equal(out.final_theta, whole.final_theta)
+
+    def test_rows_read_the_documented_stream(self, monkeypatch):
+        # gamma = 0, tabular TD(0) at alpha 1 sets theta[s] to each sampled
+        # reward, so theta's history replays the stream: one start uniform,
+        # then steps transition uniforms, restart uniforms and noise normals
+        from discerning_td import MarkovRewardProcess, make_feature_map
+        p = np.array([[0.3, 0.3, 0.2], [0.2, 0.3, 0.3], [0.3, 0.2, 0.2]])
+        rho = np.array([0.5, 0.3, 0.2])
+        r_bar = np.array([1.0, 2.0, 3.0])
+        sigma = np.array([0.5, 1.0, 1.5])
+        mrp = MarkovRewardProcess(3, p, r_bar, sigma, rho, 0.0)
+        fm = make_feature_map("tabular", 3)
+        config = AlgoConfig(Algorithm.TD, lam=0.0, alpha=1.0)
+        seqs = run_seed_sequences("X", config, 0, 3)
+        steps = 500
+        monkeypatch.setattr(harness, "DRAW_BUDGET", 3 * 7)
+        out = simulate_curves(mrp, fm, config, seqs, steps, record_theta=True)
+        for row, seq in enumerate(seqs):
+            rng = np.random.default_rng(seq)
+            u_init = rng.random()
+            u_trans, u_restart = rng.random(steps), rng.random(steps)
+            z = rng.standard_normal(steps)
+            state = min(int(np.searchsorted(np.cumsum(rho), u_init, "right")),
+                        2)
+            theta = np.zeros(3)
+            for t in range(steps):
+                theta[state] += r_bar[state] + sigma[state] * z[t] \
+                    - theta[state]
+                np.testing.assert_array_equal(out.theta_history[t, row],
+                                              theta)
+                nxt = int(np.searchsorted(np.cumsum(p[state]), u_trans[t],
+                                          "right"))
+                state = nxt if nxt < 3 else min(int(np.searchsorted(
+                    np.cumsum(rho), u_restart[t], "right")), 2)
+
+    def test_diverged_row_leaves_neighbours_unchanged(self):
+        # TD(1) at alpha 8 overflows to NaN weights within the run
+        mrp, fm = resolve_task("BOYAN13")
+        cells = [AlgoConfig(Algorithm.DTD, lam=0.9, alpha=0.01,
+                            emphasis=EmphasisSpec("abs_expected_td")),
+                 AlgoConfig(Algorithm.TD, lam=1.0, alpha=8.0),
+                 AlgoConfig(Algorithm.PTD, lam=0.5, alpha=0.02,
+                            emphasis=EmphasisSpec("count_inverse"))]
+        configs, seqs = batched("BOYAN13", cells, runs=2)
+        out = simulate_curves(mrp, fm, configs, seqs, 2000, 500)
+        assert not np.any(np.isfinite(out.final_theta[2:4]))
+        assert np.all(np.isinf(out.curves[2:4, -1]))
+        assert np.all(np.isfinite(out.curves[[0, 1, 4, 5]]))
+        assert_cells_match(out, "BOYAN13", cells, 2, 2000, 500, skip=(1,))
+
+    def test_config_count_must_match_seeds(self):
+        mrp, fm = resolve_task("RW5_LEFT")
+        config = AlgoConfig(Algorithm.TD, lam=0.5, alpha=0.1)
+        seqs = run_seed_sequences("RW5_LEFT", config, 0, 3)
+        with pytest.raises(ValueError, match="one config per seed"):
+            simulate_curves(mrp, fm, [config] * 2, seqs, 100)
+
+    def test_run_experiment_matches_per_cell_loop(self):
+        task = "RW5_LEFT"
+        mrp, fm = resolve_task(task)
+        cells = mixed_cells(mrp.n_states)[::3]
+        config = small_config(task=task, algorithms=cells, runs=3, steps=300,
+                              base_seed=4)
+        expected = []
+        for cell in cells:
+            seqs = run_seed_sequences(task, cell, 4, 3)
+            out = simulate_curves(mrp, fm, cell, seqs, 300, 50)
+            for run in range(3):
+                for j, step in enumerate(out.eval_steps):
+                    expected.append(CurveRecord(
+                        task, cell.algorithm.value, cell.lam, cell.alpha,
+                        emphasis_label(cell), 4 + run, int(step),
+                        float(out.curves[run, j])))
+        assert run_experiment(config) == expected
 
 
 class TestRunExperiment:

@@ -80,6 +80,14 @@ class TestStationaryDistribution:
         with pytest.raises(ChainStructureError):
             stationary_distribution(flip)
 
+    def test_cached_per_chain_and_read_only(self):
+        mrp, _ = make_random_walk(5, "left")
+        d = mrp.stationary
+        assert d is mrp.stationary
+        np.testing.assert_array_equal(d, stationary_distribution(mrp))
+        assert not d.flags.writeable
+        assert exact_solution(mrp).d_pi is d
+
     def test_single_recurrent_state(self):
         solo = MarkovRewardProcess(1, [[1.0]], [0.0], [0.0], [1.0], 0.9)
         np.testing.assert_allclose(stationary_distribution(solo), [1.0])
