@@ -13,11 +13,11 @@ from .analysis import compute_A_b, contraction_condition, dtd_operator, \
     dtd_operator_matrix, emphasized_geometry, fixed_point, induced_norm, \
     lambda_weighted_norm, per_equivalence, projection
 from .emphasis import EmphasisKind, EmphasisSpec, emphasis_abs_expected_td, \
-    emphasis_from_counts, emphasis_from_noise
+    emphasis_from_counts, emphasis_from_noise, long_run_count_inverse
 from .harness import resolve_task, run_seed_sequences, simulate_curves
 from .learners import Algorithm, AlgoConfig, new_run, run_episode
-from .mrp import MarkovRewardProcess, make_boyan_chain, make_feature_map, \
-    stationary_distribution, true_value
+from .mrp import FeatureMap, MarkovRewardProcess, make_boyan_chain, \
+    make_feature_map, start_states, stationary_distribution, true_value
 from .returns import ReturnParams, Trajectory, dae, discerning_return_interp, \
     discerning_return_tdsum, identity_check, simulate_trajectory
 
@@ -114,6 +114,24 @@ def random_trajectory(rng, n_states, max_len=30, terminal=True) -> Trajectory:
     return Trajectory(states=states, rewards=rewards)
 
 
+def _restart_stream(mrp, rng, n_chains, steps, noise):
+    """Yield ``(t, s, nxt, z)`` for each step of ``n_chains`` restart-chain
+    streams: the states before and after the transition (``n_states`` at an
+    exit) and the step's reward-noise normals (None unless ``noise``).
+    Draws transition, restart, optional noise and start variates, in that
+    order."""
+    n = mrp.n_states
+    cum_p = mrp.transition_cdf
+    u_trans = rng.random((n_chains, steps))
+    u_restart = rng.random((n_chains, steps))
+    z_noise = rng.standard_normal((n_chains, steps)) if noise else None
+    s = start_states(mrp, rng.random(n_chains))
+    for t in range(steps):
+        nxt = (u_trans[:, t][:, None] >= cum_p[s]).sum(axis=1)
+        yield t, s, nxt, z_noise[:, t] if noise else None
+        s = np.where(nxt == n, start_states(mrp, u_restart[:, t]), nxt)
+
+
 def monte_carlo_A_b(mrp, feature_map, f_state, lam, total_steps, seed,
                     n_chains=20, burn_in=1_000):
     """Empirical averages of the per-step update matrix e (gamma*phi' -
@@ -121,41 +139,21 @@ def monte_carlo_A_b(mrp, feature_map, f_state, lam, total_steps, seed,
     reset at episode boundaries.  Independent simulation oracle for the
     closed-form expected-update system."""
     rng = np.random.default_rng(seed)
-    n = mrp.n_states
     k = feature_map.n_features
     steps_per = int(np.ceil(total_steps / n_chains)) + burn_in
     gamma = mrp.discount
     glam = gamma * lam
-    p = mrp.transition
-    cum_p = np.cumsum(p, axis=1)
-    cum_init = np.cumsum(mrp.initial_dist)
     phi = feature_map.phi
     phi_pad = np.vstack([phi, np.zeros((1, k))])
     sigma = mrp.reward_noise_std
-    if mrp.transition_reward is not None:
-        base_pad = np.hstack([mrp.transition_reward,
-                              mrp.terminal_reward[:, None]])
-    else:
-        base_pad = None
     f_state = np.asarray(f_state, dtype=np.float64)
 
-    u_trans = rng.random((n_chains, steps_per))
-    u_restart = rng.random((n_chains, steps_per))
-    z_noise = rng.standard_normal((n_chains, steps_per))
-    u_init = rng.random(n_chains)
-    s = np.minimum((u_init[:, None] >= cum_init[None, :]).sum(axis=1), n - 1)
     trace = np.zeros((n_chains, k))
     a_sum = np.zeros((k, k))
     b_sum = np.zeros(k)
     counted = 0
-    for t in range(steps_per):
-        nxt = (u_trans[:, t][:, None] >= cum_p[s]).sum(axis=1)
-        term = nxt == n
-        if base_pad is not None:
-            reward = base_pad[s, nxt]
-        else:
-            reward = mrp.expected_reward[s]
-        reward = reward + sigma[s] * z_noise[:, t]
+    for t, s, nxt, z in _restart_stream(mrp, rng, n_chains, steps_per, True):
+        reward = mrp.move_rewards[s, nxt] + sigma[s] * z
         phi_s = phi[s]
         phi_n = phi_pad[nxt]
         f_here = f_state[s]
@@ -165,14 +163,7 @@ def monte_carlo_A_b(mrp, feature_map, f_state, lam, total_steps, seed,
                                gamma * phi_n - phi_s)
             b_sum += (trace * (reward * f_here)[:, None]).sum(axis=0)
             counted += n_chains
-        if term.any():
-            restart = np.minimum(
-                (u_restart[:, t][:, None] >= cum_init[None, :]).sum(axis=1),
-                n - 1)
-            s = np.where(term, restart, nxt)
-            trace[term] = 0.0
-        else:
-            s = nxt
+        trace[nxt == mrp.n_states] = 0.0
     return a_sum / counted, b_sum / counted
 
 
@@ -180,27 +171,11 @@ def empirical_visit_frequencies(mrp, total_steps, seed, n_chains=50,
                                 burn_in=1_000):
     """Visit frequencies of the restart stream after burn-in."""
     rng = np.random.default_rng(seed)
-    n = mrp.n_states
     steps_per = int(np.ceil(total_steps / n_chains)) + burn_in
-    cum_p = np.cumsum(mrp.transition, axis=1)
-    cum_init = np.cumsum(mrp.initial_dist)
-    u_trans = rng.random((n_chains, steps_per))
-    u_restart = rng.random((n_chains, steps_per))
-    u_init = rng.random(n_chains)
-    s = np.minimum((u_init[:, None] >= cum_init[None, :]).sum(axis=1), n - 1)
-    counts = np.zeros(n)
-    for t in range(steps_per):
+    counts = np.zeros(mrp.n_states)
+    for t, s, _, _ in _restart_stream(mrp, rng, n_chains, steps_per, False):
         if t >= burn_in:
-            counts += np.bincount(s, minlength=n)
-        nxt = (u_trans[:, t][:, None] >= cum_p[s]).sum(axis=1)
-        term = nxt == n
-        if term.any():
-            restart = np.minimum(
-                (u_restart[:, t][:, None] >= cum_init[None, :]).sum(axis=1),
-                n - 1)
-            s = np.where(term, restart, nxt)
-        else:
-            s = nxt
+            counts += np.bincount(s, minlength=mrp.n_states)
     return counts / counts.sum()
 
 
@@ -521,7 +496,8 @@ def check_operator_update_consistency():
     for _ in range(5):
         mrp = random_ergodic_mrp(rng)
         k = int(rng.integers(2, mrp.n_states))
-        cases.append((mrp, _fm(rng.normal(0.0, 1.0, (mrp.n_states, k)))))
+        cases.append((mrp, FeatureMap(rng.normal(0.0, 1.0,
+                                                 (mrp.n_states, k)))))
     for mrp, fm in cases:
         f_random = rng.uniform(0.2, 1.5, mrp.n_states)
         f_const = np.full(mrp.n_states, float(rng.uniform(0.3, 1.5)))
@@ -572,11 +548,6 @@ def check_operator_fixed_point():
                    "point of the operator")
 
 
-def _fm(phi):
-    from .mrp import FeatureMap
-    return FeatureMap(phi)
-
-
 def check_fixed_point_tabular():
     rng = np.random.default_rng(21)
     worst = 0.0
@@ -595,7 +566,6 @@ def check_fixed_point_tabular():
 
 
 def check_expected_update_monte_carlo():
-    from .emphasis import long_run_count_inverse
     mrp, fm = resolve_task("RW5_MIDDLE")
     f = long_run_count_inverse(mrp)
     lam = 0.8
@@ -640,7 +610,7 @@ def check_negative_definite():
         mrp = random_ergodic_mrp(rng)
         lam = float(rng.choice([0.0, 0.3, 0.7]))
         k = int(rng.integers(2, mrp.n_states + 1))
-        fm = _fm(rng.normal(0.0, 1.0, (mrp.n_states, k)))
+        fm = FeatureMap(rng.normal(0.0, 1.0, (mrp.n_states, k)))
         f = scale_emphasis_to_contract(
             mrp, rng.uniform(0.3, 1.5, mrp.n_states), lam)
         report = contraction_condition(mrp, f, lam)

@@ -137,17 +137,12 @@ def cmd_sweep(args) -> int:
     cells = []
     for entry in spec["algorithms"]:
         emphasis_spec = entry.get("emphasis", {"kind": "constant"})
-        eps = float(emphasis_spec.get("epsilon_floor", 1e-3))
-        kind = EmphasisKind(emphasis_spec["kind"])
-        if kind is EmphasisKind.TABLE:
-            emphasis = EmphasisSpec(kind, table=np.array(
-                emphasis_spec["table"], dtype=float), epsilon_floor=eps)
-        elif kind is EmphasisKind.CONSTANT:
-            emphasis = EmphasisSpec(
-                kind, constant=float(emphasis_spec.get("constant", 1.0)),
-                epsilon_floor=eps)
-        else:
-            emphasis = EmphasisSpec(kind, epsilon_floor=eps)
+        table = emphasis_spec.get("table")
+        emphasis = EmphasisSpec(
+            emphasis_spec["kind"],
+            constant=float(emphasis_spec.get("constant", 1.0)),
+            table=None if table is None else np.array(table, dtype=float),
+            epsilon_floor=float(emphasis_spec.get("epsilon_floor", 1e-3)))
         lams = entry["lambda"]
         alphas = entry["alpha"]
         lams = lams if isinstance(lams, list) else [lams]

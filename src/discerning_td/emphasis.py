@@ -65,30 +65,37 @@ class EmphasisState:
     visit_counts: np.ndarray | None = None
 
 
-def _scale_sqrt_floor(raw: np.ndarray, epsilon_floor: float) -> np.ndarray:
-    """Shared normalization: scale by the max, square-root, floor."""
-    peak = raw.max()
-    if peak == 0.0:
-        return np.ones_like(raw)
-    return np.maximum(np.sqrt(raw / peak), epsilon_floor)
+def _scale_sqrt_floor(raw: np.ndarray, epsilon_floor) -> np.ndarray:
+    """Shared normalization, row by row: scale by the row's max,
+    square-root, floor.  A row whose max is not positive (all zero, or NaN
+    from diverged weights) gets uniform weight 1."""
+    peak = raw.max(axis=-1, keepdims=True)
+    scored = peak > 0.0
+    scaled = raw / np.where(scored, peak, 1.0)
+    return np.where(scored, np.maximum(np.sqrt(scaled), epsilon_floor), 1.0)
+
+
+def count_inverse_rows(counts: np.ndarray, epsilon_floor) -> np.ndarray:
+    """Unchecked core of :func:`emphasis_from_counts`: float counts of shape
+    (n,) or (B, n), a floor that is a scalar or a (B, 1) column."""
+    imputed = np.where(counts > 0.0, counts, 1.0)
+    share = imputed / imputed.sum(axis=-1, keepdims=True)
+    return _scale_sqrt_floor(1.0 / share, epsilon_floor)
 
 
 def emphasis_from_counts(counts, epsilon_floor: float = DEFAULT_EPSILON_FLOOR):
-    """Inverse normalized visitation counts, scaled and square-rooted.
+    """Inverse normalized visitation counts, scaled and square-rooted; one
+    count vector, or a (B, n) array normalized row by row.
 
     States never visited are imputed a count of one before normalizing so
     they receive maximal attention.  All-zero counts yield uniform weight 1.
     """
     counts = np.asarray(counts, dtype=np.float64)
-    if counts.ndim != 1 or counts.size == 0:
-        raise ValueError("counts must be a nonempty vector")
+    if counts.ndim not in (1, 2) or counts.size == 0:
+        raise ValueError("counts must be a nonempty vector or matrix")
     if np.any(counts < 0.0):
         raise ValueError("counts must be nonnegative")
-    if not counts.any():
-        return np.ones_like(counts)
-    imputed = np.where(counts > 0.0, counts, 1.0)
-    share = imputed / imputed.sum()
-    return _scale_sqrt_floor(1.0 / share, epsilon_floor)
+    return count_inverse_rows(counts, epsilon_floor)
 
 
 def emphasis_from_noise(sigma, epsilon_floor: float = DEFAULT_EPSILON_FLOOR):
@@ -100,18 +107,29 @@ def emphasis_from_noise(sigma, epsilon_floor: float = DEFAULT_EPSILON_FLOOR):
     return _scale_sqrt_floor(np.exp(-sigma), epsilon_floor)
 
 
+def abs_expected_td_rows(mrp: MarkovRewardProcess, feature_map: FeatureMap,
+                         theta: np.ndarray, epsilon_floor) -> np.ndarray:
+    """Unchecked core of :func:`emphasis_abs_expected_td`: weights of shape
+    (k,) or (B, k), a floor that is a scalar or a (B, 1) column."""
+    v = theta @ feature_map.phi.T
+    raw = np.abs(mrp.expected_reward
+                 + mrp.discount * (v @ mrp.transition.T) - v)
+    return _scale_sqrt_floor(raw, epsilon_floor)
+
+
 def emphasis_abs_expected_td(mrp: MarkovRewardProcess, feature_map: FeatureMap,
                              theta: np.ndarray,
                              epsilon_floor: float = DEFAULT_EPSILON_FLOOR):
-    """Absolute expected one-step error under the true dynamics at ``theta``,
-    normalized through the shared pipeline.
+    """Absolute expected one-step error under the true dynamics at ``theta``
+    (one weight vector, or a (B, k) array of them), normalized through the
+    shared pipeline row by row.
 
     When the current estimate is exactly self-consistent everywhere the raw
     score vanishes and the emphasis is uniform 1.
     """
-    v = feature_map.phi @ np.asarray(theta, dtype=np.float64)
-    raw = np.abs(mrp.expected_reward + mrp.discount * (mrp.transition @ v) - v)
-    return _scale_sqrt_floor(raw, epsilon_floor)
+    return abs_expected_td_rows(mrp, feature_map,
+                                np.asarray(theta, dtype=np.float64),
+                                epsilon_floor)
 
 
 def long_run_count_inverse(mrp: MarkovRewardProcess,

@@ -4,9 +4,9 @@ emission.
 
 A sweep steps every run of every hyperparameter cell in one loop: each row
 holds its own cell's step size, trace decay and learner coefficients.
-Every run owns its own seed stream, drawn in bounded step chunks, so
-results are independent of how runs and cells are batched, and adding an
-algorithm to a config never perturbs the streams of the others.
+Every run owns its own seed stream, drawn in bounded step chunks, so a
+row's trajectory does not depend on how runs and cells are batched, and
+adding an algorithm to a config never perturbs the streams of the others.
 """
 
 import enum
@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import exact_solution, projection
-from .emphasis import EmphasisKind, init_emphasis_state
-from .learners import Algorithm, AlgoConfig, DecayingAlpha
+from .emphasis import EmphasisKind, abs_expected_td_rows, \
+    count_inverse_rows, init_emphasis_state
+from .learners import AlgoConfig, DecayingAlpha, TraceKernel
 from .mrp import FeatureMap, MarkovRewardProcess, make_boyan_chain, \
-    make_feature_map, make_noisy_chain, make_random_walk
+    make_feature_map, make_noisy_chain, make_random_walk, start_states
 
 CURVE_COLUMNS = ("task", "algorithm", "lambda", "alpha", "emphasis_kind",
                  "seed", "step", "mspbe")
@@ -122,8 +123,8 @@ class SimulationOutput:
 
 
 def emphasis_label(config: AlgoConfig) -> str:
-    """Emphasis recorded per cell: TD and ETD take no emphasis input."""
-    if config.algorithm in (Algorithm.TD, Algorithm.ETD):
+    """Emphasis recorded per cell: "none" for learners that ignore it."""
+    if not config.algorithm.takes_emphasis:
         return "none"
     return config.emphasis.kind.value
 
@@ -147,16 +148,6 @@ def run_seed_sequences(task: str, config: AlgoConfig, base_seed: int,
             for run in range(n_runs)]
 
 
-def _row_selector(mask: np.ndarray):
-    """Index of the rows in ``mask``: a full slice when it holds every row,
-    None when it holds none."""
-    if mask.all():
-        return slice(None)
-    if not mask.any():
-        return None
-    return np.flatnonzero(mask)
-
-
 def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
                     config, seed_seqs, steps: int, eval_every: int = 0,
                     record_theta: bool = False) -> SimulationOutput:
@@ -164,22 +155,8 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
 
     ``config`` is one ``AlgoConfig`` for every row, or a sequence of them,
     one per seed stream, so that the rows of many hyperparameter cells step
-    together in one loop.  All five learners are the one trace update
-    ``e <- c_decay*e + c_in*phi(s)``, ``theta <- theta + alpha*delta*c_out*e``
-    with per-row coefficients:
-
-    ======  ============  =====  =====
-    row     c_decay       c_in   c_out
-    ======  ============  =====  =====
-    TD      gl            1      1
-    DTD     gl            w      w
-    ETD     gl            M      1
-    PTD     gl*(1-w)      w      1
-    TDW     gl            w      1
-    ======  ============  =====  =====
-
-    where gl = gamma*lam, w is the row's emphasis at the visited state and
-    M = lam + (1-lam)*F is the follow-on emphasis.  Rows never mix: a
+    together in one loop.  Each step is one ``learners.TraceKernel`` step,
+    whose docstring holds the per-learner coefficients.  Rows never mix: a
     diverged row leaves every other row unchanged.  A ``DecayingAlpha``
     step size is accepted for a single config only.
 
@@ -189,8 +166,12 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     uniforms, ``steps`` restart uniforms and ``steps`` noise normals, so a
     row's trajectory depends only on its own seed.  The three parts are
     read by three generators positioned on the stream, in step chunks of at
-    most ``DRAW_BUDGET`` values per part across all rows.  Non-finite error
-    measurements (diverged rows) are recorded as +inf.
+    most ``DRAW_BUDGET`` values per part across all rows.  A row's weights
+    and curve are the same in any batch, except that on chains of ten or
+    more states a one-row call can differ in the last bit, in its curve and
+    under adaptive emphasis, because numpy multiplies a single row by the
+    matrix-vector path.  Non-finite error measurements (diverged rows) are
+    recorded as +inf.
     """
     n_rows = len(seed_seqs)
     if isinstance(config, AlgoConfig):
@@ -207,25 +188,16 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     n = mrp.n_states
     k = feature_map.n_features
     gamma = mrp.discount
+    kernel = TraceKernel(configs, gamma)
 
-    def rows_of(values, member):
-        return np.array([v is member for v in values], dtype=bool)
-
-    algos = [c.algorithm for c in configs]
-    kinds = [c.emphasis.kind for c in configs]
-    lam = np.array([c.lam for c in configs], dtype=np.float64)
-    glam = gamma * lam
+    kinds = np.array([c.emphasis.kind for c in configs], dtype=object)
     eps = np.array([c.emphasis.epsilon_floor for c in configs])
-    is_dtd = rows_of(algos, Algorithm.DTD)
-    is_etd = rows_of(algos, Algorithm.ETD)
-    is_ptd = rows_of(algos, Algorithm.PTD)
-    any_dtd, any_etd, any_ptd = is_dtd.any(), is_etd.any(), is_ptd.any()
-    weighted = ~(is_etd | rows_of(algos, Algorithm.TD))
-    counted = weighted & rows_of(kinds, EmphasisKind.COUNT_INVERSE)
-    adaptive = weighted & rows_of(kinds, EmphasisKind.ABS_EXPECTED_TD_ERROR)
-    static = weighted & ~counted & ~adaptive
+    counted = kernel.weighted & (kinds == EmphasisKind.COUNT_INVERSE)
+    adaptive = kernel.weighted & (kinds == EmphasisKind.ABS_EXPECTED_TD_ERROR)
+    static = kernel.weighted & ~counted & ~adaptive
     any_static = static.any()
-    # Static emphasis per row and state; 1 on rows that take none.
+    # Static emphasis per row and state; count and adaptive rows overwrite
+    # theirs every step.
     w_table = np.ones((n_rows, n))
     tables = {}
     for row in np.flatnonzero(static):
@@ -234,21 +206,12 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
             tables[id(spec)] = init_emphasis_state(spec, mrp).values
         w_table[row] = tables[id(spec)]
 
-    p = mrp.transition
-    cum_p = np.cumsum(p, axis=1)
-    cum_init = np.cumsum(mrp.initial_dist)
+    cum_p = mrp.transition_cdf
     phi = feature_map.phi
     phi_pad = np.vstack([phi, np.zeros((1, k))])
-    phi_t = phi.T
-    p_t = p.T
     r_pi = mrp.expected_reward
     sigma = mrp.reward_noise_std
     has_noise = bool(sigma.any())
-    if mrp.transition_reward is not None:
-        base_pad = np.hstack([mrp.transition_reward,
-                              mrp.terminal_reward[:, None]])
-    else:
-        base_pad = None
 
     # Stream positions: [init | transitions | restarts | noise].
     chunk = max(1, min(steps, DRAW_BUDGET // max(n_rows, 1)))
@@ -271,36 +234,33 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
         buffers.append((noise_gens, z_noise))
 
     if eval_every > 0:
-        sol = exact_solution(mrp)
-        d = sol.d_pi
+        d = exact_solution(mrp).d_pi
         proj_t = projection(feature_map, d).T
+        eval_steps = np.arange(eval_every, steps + 1, eval_every)
+    else:
+        eval_steps = np.empty(0, dtype=np.int64)
 
-    count_rows = _row_selector(counted)
-    adaptive_rows = _row_selector(adaptive)
-    if count_rows is not None:
+    count_rows = np.flatnonzero(counted)
+    adaptive_rows = np.flatnonzero(adaptive)
+    if count_rows.size:
         eps_count = eps[count_rows][:, None]
         counts = np.zeros((len(eps_count), n))
         count_local = np.arange(len(eps_count))
-    if adaptive_rows is not None:
+    if adaptive_rows.size:
         eps_adaptive = eps[adaptive_rows][:, None]
         adaptive_local = np.arange(len(eps_adaptive))
-    glam_col = glam[:, None]
 
     if schedule is not None:
         alphas = schedule.value(np.arange(steps, dtype=np.float64))
     else:
-        alphas = None
-        alpha_rows = np.array([c.alpha for c in configs], dtype=np.float64)
+        alphas = np.broadcast_to([c.alpha for c in configs], (steps, n_rows))
 
-    if eval_every > 0:
-        eval_steps = np.arange(eval_every, steps + 1, eval_every)
-    else:
-        eval_steps = np.empty(0, dtype=np.int64)
     curves = np.full((n_rows, len(eval_steps)), np.inf)
     theta_hist = np.empty((steps, n_rows, k)) if record_theta else None
 
     rows = np.arange(n_rows)
-    s = np.minimum((u_init[:, None] >= cum_init[None, :]).sum(axis=1), n - 1)
+    unit = np.ones(n_rows)
+    s = start_states(mrp, u_init)
     theta = np.zeros((n_rows, k))
     trace = np.zeros((n_rows, k))
     followon = np.zeros(n_rows)
@@ -318,70 +278,38 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
             if any_static:
                 w = w_table[rows, s]
             else:
-                w = np.ones(n_rows)
-            if count_rows is not None:
+                w = unit  # count and adaptive rows rewrite theirs below
+            if count_rows.size:
                 counts[count_local, s[count_rows]] += 1.0
-                imputed = np.where(counts > 0.0, counts, 1.0)
-                share = imputed / imputed.sum(axis=1, keepdims=True)
-                raw = 1.0 / share
-                scaled = raw / raw.max(axis=1, keepdims=True)
-                w[count_rows] = np.maximum(np.sqrt(scaled), eps_count)[
+                w[count_rows] = count_inverse_rows(counts, eps_count)[
                     count_local, s[count_rows]]
-            if adaptive_rows is not None:
-                v_all = theta[adaptive_rows] @ phi_t
-                raw = np.abs(r_pi[None, :] + gamma * (v_all @ p_t) - v_all)
-                peak = raw.max(axis=1, keepdims=True)
-                vals = np.where(peak > 0.0, np.maximum(np.sqrt(raw / peak),
-                                                       eps_adaptive), 1.0)
-                w[adaptive_rows] = vals[adaptive_local, s[adaptive_rows]]
+            if adaptive_rows.size:
+                w[adaptive_rows] = abs_expected_td_rows(
+                    mrp, feature_map, theta[adaptive_rows], eps_adaptive)[
+                    adaptive_local, s[adaptive_rows]]
 
             nxt = (u_trans[:, c][:, None] >= cum_p[s]).sum(axis=1)
             term = nxt == n
-            if base_pad is not None:
-                reward = base_pad[s, nxt]
-            else:
-                reward = r_pi[s]
+            reward = mrp.move_rewards[s, nxt]
             if has_noise:
                 reward = reward + sigma[s] * z_noise[:, c]
-            phi_s = phi[s]
-            phi_n = phi_pad[nxt]
-            delta = reward + gamma * np.einsum("bk,bk->b", phi_n, theta) \
-                - np.einsum("bk,bk->b", phi_s, theta)
-            alpha = alpha_rows if alphas is None else alphas[t]
-
-            if any_etd:
-                followon = gamma * followon + 1.0
-                m = lam + (1.0 - lam) * followon
-                c_in = np.where(is_etd, m, w)
-            else:
-                c_in = w
-            if any_ptd:
-                c_decay = np.where(is_ptd, glam * (1.0 - w),
-                                   glam)[:, None]
-            else:
-                c_decay = glam_col
-            step = alpha * delta
-            if any_dtd:
-                step = np.where(is_dtd, step * w, step)
-            trace = c_decay * trace + c_in[:, None] * phi_s
-            theta = theta + step[:, None] * trace
+            theta, trace, followon = kernel.step(
+                theta, trace, followon, phi[s], phi_pad[nxt], reward, w,
+                alphas[t])
 
             if record_theta:
                 theta_hist[t] = theta
 
             if term.any():
-                restart = np.minimum(
-                    (u_restart[:, c][:, None] >= cum_init[None, :]).sum(axis=1),
-                    n - 1)
-                s = np.where(term, restart, nxt)
+                s = np.where(term, start_states(mrp, u_restart[:, c]), nxt)
                 trace[term] = 0.0
                 followon[term] = 0.0
             else:
                 s = nxt
 
             if eval_idx < len(eval_steps) and t + 1 == eval_steps[eval_idx]:
-                v_all = theta @ phi_t
-                tv = r_pi[None, :] + gamma * (v_all @ p_t)
+                v_all = theta @ phi.T
+                tv = r_pi[None, :] + gamma * (v_all @ mrp.transition.T)
                 err = v_all - tv @ proj_t
                 vals = np.sqrt(np.einsum("bn,n,bn->b", err, d, err))
                 curves[:, eval_idx] = np.where(np.isfinite(vals), vals, np.inf)

@@ -1,12 +1,12 @@
-"""Online linear prediction algorithms over a shared eligibility-trace core.
+"""Online linear prediction algorithms over one eligibility-trace update.
 
-All updates share the one-step error delta = R + gamma * v(S') - v(S) with
-v(TERMINAL) = 0 and differ only in how the trace is built and whether the
-update is re-weighted at the visited state.
+All five learners share the one-step error delta = R + gamma * v(S') - v(S)
+with v(TERMINAL) = 0 and the trace update of :class:`TraceKernel`; they
+differ only in its coefficients.  The kernel steps a batch of runs at once
+(``harness.simulate_curves``); ``run_episode`` drives it one run at a time.
 """
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +26,11 @@ class Algorithm(str, enum.Enum):
 
     def __str__(self) -> str:
         return self.value
+
+    @property
+    def takes_emphasis(self) -> bool:
+        """TD and ETD ignore the emphasis function."""
+        return self not in (Algorithm.TD, Algorithm.ETD)
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,12 @@ class AlgoConfig:
         object.__setattr__(self, "algorithm", Algorithm(self.algorithm))
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must lie in [0, 1]")
+        spec = self.emphasis
+        if self.algorithm is Algorithm.PTD and (
+                spec.kind is EmphasisKind.CONSTANT and spec.constant > 1.0
+                or spec.kind is EmphasisKind.TABLE and spec.table.max() > 1.0):
+            raise ValueError("PTD preferences (emphasis values) must lie in "
+                             "[0, 1]")
         if isinstance(self.alpha, DecayingAlpha):
             return
         alpha = float(self.alpha)
@@ -88,128 +99,89 @@ def reset_episode(learner: LearnerState) -> None:
     learner.followon = 0.0
 
 
-def _phi(feature_map: FeatureMap, state: int) -> np.ndarray:
-    if state == TERMINAL:
-        return np.zeros(feature_map.n_features)
-    return feature_map.phi[state]
+def _rows_of(values, member):
+    """Rows holding ``member``: None for no row, True for every row, else a
+    mask."""
+    mask = np.array([v is member for v in values], dtype=bool)
+    if not mask.any():
+        return None
+    return True if mask.all() else mask
 
 
-def _delta(reward, gamma, phi_s, phi_next, theta) -> float:
-    if not math.isfinite(reward):
-        raise ValueError("non-finite reward")
-    return reward + gamma * float(phi_next @ theta) - float(phi_s @ theta)
+def _select(rows, a, b):
+    """``a`` on ``rows`` (True for every row, else a mask), ``b`` elsewhere."""
+    return a if rows is True else np.where(rows, a, b)
 
 
-def td_lambda_step(state, reward, next_state, learner: LearnerState,
-                   config: AlgoConfig, mrp: MarkovRewardProcess,
-                   feature_map: FeatureMap) -> LearnerState:
-    """Accumulating trace: e = gamma*lam*e + phi; theta += alpha*delta*e."""
-    gamma = mrp.discount
-    phi_s = _phi(feature_map, state)
-    phi_n = _phi(feature_map, next_state)
-    delta = _delta(reward, gamma, phi_s, phi_n, learner.theta)
-    alpha = config.alpha_at(learner.step_count)
-    learner.trace = (gamma * config.lam) * learner.trace + phi_s
-    learner.theta = learner.theta + (alpha * delta) * learner.trace
-    learner.step_count += 1
-    return learner
+class TraceKernel:
+    """One step of a batch of learners, one row per run.
 
+    Every learner is the trace update ``e <- c_decay*e + c_in*phi(s)``,
+    ``theta <- theta + alpha*delta*c_out*e`` with per-row coefficients:
 
-def dtd_step(state, reward, next_state, f_value: float, learner: LearnerState,
-             config: AlgoConfig, mrp: MarkovRewardProcess,
-             feature_map: FeatureMap) -> LearnerState:
-    """Emphasis-weighted trace and update:
-    e = gamma*lam*e + f*phi; theta += alpha*delta*e*f."""
-    if not (math.isfinite(f_value) and f_value > 0.0):
-        raise ValueError("emphasis value must be positive and finite")
-    gamma = mrp.discount
-    phi_s = _phi(feature_map, state)
-    phi_n = _phi(feature_map, next_state)
-    delta = _delta(reward, gamma, phi_s, phi_n, learner.theta)
-    alpha = config.alpha_at(learner.step_count)
-    learner.trace = (gamma * config.lam) * learner.trace + f_value * phi_s
-    learner.theta = learner.theta + (alpha * delta * f_value) * learner.trace
-    learner.step_count += 1
-    return learner
+    ======  ============  =====  =====
+    row     c_decay       c_in   c_out
+    ======  ============  =====  =====
+    TD      gl            1      1
+    DTD     gl            w      w
+    ETD     gl            M      1
+    PTD     gl*(1-w)      w      1
+    TDW     gl            w      1
+    ======  ============  =====  =====
 
+    where gl = gamma*lam, w is the row's emphasis at the visited state and
+    M = lam + (1-lam)*F is the follow-on emphasis, F <- gamma*F + 1.  TD and
+    ETD rows ignore w; ``weighted`` marks the rows that read it.  The
+    products keep the grouping ``(alpha*delta)*w`` and ``gl*(1-w)``, and
+    each row's coefficients are selected, never blended by 0/1 masks, so a
+    diverged row's NaN stays in its row.
+    """
 
-def etd_step(state, reward, next_state, learner: LearnerState,
-             config: AlgoConfig, mrp: MarkovRewardProcess,
-             feature_map: FeatureMap) -> LearnerState:
-    """Follow-on weighted trace with unit interest:
-    F = gamma*F + 1; M = lam + (1-lam)*F; e = gamma*lam*e + M*phi."""
-    gamma = mrp.discount
-    phi_s = _phi(feature_map, state)
-    phi_n = _phi(feature_map, next_state)
-    delta = _delta(reward, gamma, phi_s, phi_n, learner.theta)
-    alpha = config.alpha_at(learner.step_count)
-    learner.followon = gamma * learner.followon + 1.0
-    m = config.lam + (1.0 - config.lam) * learner.followon
-    learner.trace = (gamma * config.lam) * learner.trace + m * phi_s
-    learner.theta = learner.theta + (alpha * delta) * learner.trace
-    learner.step_count += 1
-    return learner
+    def __init__(self, configs, gamma: float):
+        algos = [c.algorithm for c in configs]
+        self.gamma = gamma
+        self.lam = np.array([c.lam for c in configs], dtype=np.float64)
+        self.glam = gamma * self.lam
+        takes = [a.takes_emphasis for a in algos]
+        self.weighted = np.array(takes, dtype=bool)
+        self._unweighted = _rows_of(takes, False)
+        self._ones = np.ones(len(configs))
+        self._glam_col = self.glam[:, None]
+        self._dtd = _rows_of(algos, Algorithm.DTD)
+        self._etd = _rows_of(algos, Algorithm.ETD)
+        self._ptd = _rows_of(algos, Algorithm.PTD)
 
-
-def ptd_step(state, reward, next_state, beta_value: float,
-             learner: LearnerState, config: AlgoConfig,
-             mrp: MarkovRewardProcess, feature_map: FeatureMap) -> LearnerState:
-    """Preference-gated trace: e = gamma*lam*(1-beta)*e + beta*phi."""
-    if not (math.isfinite(beta_value) and 0.0 <= beta_value <= 1.0):
-        raise ValueError("preference value must lie in [0, 1]")
-    gamma = mrp.discount
-    phi_s = _phi(feature_map, state)
-    phi_n = _phi(feature_map, next_state)
-    delta = _delta(reward, gamma, phi_s, phi_n, learner.theta)
-    alpha = config.alpha_at(learner.step_count)
-    learner.trace = (gamma * config.lam * (1.0 - beta_value)) * learner.trace \
-        + beta_value * phi_s
-    learner.theta = learner.theta + (alpha * delta) * learner.trace
-    learner.step_count += 1
-    return learner
-
-
-def tdw_step(state, reward, next_state, w_value: float, learner: LearnerState,
-             config: AlgoConfig, mrp: MarkovRewardProcess,
-             feature_map: FeatureMap) -> LearnerState:
-    """Selective trace without the update re-weighting:
-    e = gamma*lam*e + w*phi; theta += alpha*delta*e."""
-    if not (math.isfinite(w_value) and w_value >= 0.0):
-        raise ValueError("trace weight must be nonnegative and finite")
-    gamma = mrp.discount
-    phi_s = _phi(feature_map, state)
-    phi_n = _phi(feature_map, next_state)
-    delta = _delta(reward, gamma, phi_s, phi_n, learner.theta)
-    alpha = config.alpha_at(learner.step_count)
-    learner.trace = (gamma * config.lam) * learner.trace + w_value * phi_s
-    learner.theta = learner.theta + (alpha * delta) * learner.trace
-    learner.step_count += 1
-    return learner
-
-
-def _apply_step(state, reward, next_state, weight, learner, config, mrp,
-                feature_map):
-    algo = config.algorithm
-    if algo is Algorithm.TD:
-        return td_lambda_step(state, reward, next_state, learner, config,
-                              mrp, feature_map)
-    if algo is Algorithm.DTD:
-        return dtd_step(state, reward, next_state, weight, learner, config,
-                        mrp, feature_map)
-    if algo is Algorithm.ETD:
-        return etd_step(state, reward, next_state, learner, config, mrp,
-                        feature_map)
-    if algo is Algorithm.PTD:
-        return ptd_step(state, reward, next_state, weight, learner, config,
-                        mrp, feature_map)
-    return tdw_step(state, reward, next_state, weight, learner, config, mrp,
-                    feature_map)
+    def step(self, theta, trace, followon, phi_s, phi_n, reward, w, alpha):
+        """Advance every row by one transition and return the new
+        ``(theta, trace, followon)``.  ``theta``, ``trace``, ``phi_s`` and
+        ``phi_n`` (zero at the terminal sink) are (B, k); the others are
+        (B,) or scalars."""
+        delta = reward + self.gamma * np.einsum("bk,bk->b", phi_n, theta) \
+            - np.einsum("bk,bk->b", phi_s, theta)
+        if self._unweighted is not None:
+            w = _select(self._unweighted, self._ones, w)
+        c_in = w
+        if self._etd is not None:
+            followon = self.gamma * followon + 1.0
+            c_in = _select(self._etd,
+                           self.lam + (1.0 - self.lam) * followon, w)
+        c_decay = self._glam_col
+        if self._ptd is not None:
+            c_decay = _select(self._ptd, self.glam * (1.0 - w),
+                              self.glam)[:, None]
+        step = alpha * delta
+        if self._dtd is not None:
+            step = _select(self._dtd, step * w, step)
+        trace = c_decay * trace + c_in[:, None] * phi_s
+        theta = theta + step[:, None] * trace
+        return theta, trace, followon
 
 
 def run_episode(mrp: MarkovRewardProcess, feature_map: FeatureMap,
                 config: AlgoConfig, emphasis_state: EmphasisState,
                 learner: LearnerState, rng, step_budget: int):
-    """Run the configured algorithm for one episode.
+    """Run the configured algorithm for one episode: a one-row
+    :class:`TraceKernel` fed by ``sample_transition``.
 
     The trace resets at the episode start, count-based emphasis records each
     visit and adaptive emphasis is refreshed from the current weights before
@@ -223,21 +195,29 @@ def run_episode(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     if step_budget == 0:
         return learner, emphasis_state, 0
     reset_episode(learner)
+    kernel = TraceKernel([config], mrp.discount)
+    theta, trace = learner.theta[None, :], learner.trace[None, :]
+    followon = np.array([learner.followon])
     state = sample_initial_state(mrp, rng)
     steps_used = 0
     while steps_used < step_budget:
         if emphasis_state.kind is EmphasisKind.COUNT_INVERSE:
             update_counts(state, emphasis_state)
         elif emphasis_state.kind is EmphasisKind.ABS_EXPECTED_TD_ERROR:
-            refresh_adaptive(emphasis_state, mrp, feature_map, learner.theta)
-        weight = float(emphasis_state.values[state])
+            refresh_adaptive(emphasis_state, mrp, feature_map, theta[0])
         reward, next_state = sample_transition(mrp, state, rng)
-        _apply_step(state, reward, next_state, weight, learner, config, mrp,
-                    feature_map)
+        theta, trace, followon = kernel.step(
+            theta, trace, followon, feature_map.phi[state][None, :],
+            feature_map.feature(next_state)[None, :], reward,
+            emphasis_state.values[state:state + 1],
+            config.alpha_at(learner.step_count))
+        learner.step_count += 1
         steps_used += 1
         if next_state == TERMINAL:
             break
         state = next_state
+    learner.theta, learner.trace = theta[0], trace[0]
+    learner.followon = float(followon[0])
     return learner, emphasis_state, steps_used
 
 

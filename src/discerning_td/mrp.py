@@ -9,7 +9,7 @@ initial distribution.
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +48,10 @@ def _as_array(name, value, shape, allow_none=False):
 class MarkovRewardProcess:
     """On-policy finite chain: sub-stochastic transitions, expected rewards,
     per-state Gaussian reward noise, initial distribution and discount.
+    ``transition_cdf`` and ``initial_cdf`` hold the cumulative rows that
+    every sampler inverts, and ``move_rewards`` the base reward of every
+    move, ``n_states x (n_states + 1)`` with the exit to the terminal sink
+    last.
 
     ``transition_reward``/``terminal_reward`` optionally attach deterministic
     base rewards to individual moves (e.g. a payout only when entering a
@@ -64,6 +68,9 @@ class MarkovRewardProcess:
     discount: float
     transition_reward: np.ndarray | None = None
     terminal_reward: np.ndarray | None = None
+    transition_cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    initial_cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    move_rewards: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = int(self.n_states)
@@ -105,6 +112,15 @@ class MarkovRewardProcess:
         object.__setattr__(self, "discount", gamma)
         object.__setattr__(self, "transition_reward", tr)
         object.__setattr__(self, "terminal_reward", term_r)
+        object.__setattr__(self, "transition_cdf", np.cumsum(p, axis=1))
+        object.__setattr__(self, "initial_cdf", np.cumsum(rho))
+        if tr is None:  # every move pays its source's expected reward
+            moves = np.repeat(r[:, None], n + 1, axis=1)
+        else:
+            moves = np.hstack([tr, term_r[:, None]])
+        object.__setattr__(self, "move_rewards", moves)
+        for table in (self.transition_cdf, self.initial_cdf, moves):
+            table.flags.writeable = False
 
     def exit_probs(self) -> np.ndarray:
         """Per-state probability of exiting to the terminal sink."""
@@ -168,10 +184,6 @@ class ExactSolution:
 
     d_pi: np.ndarray
     true_value: np.ndarray
-
-    @property
-    def D(self) -> np.ndarray:
-        return self.d_pi
 
 
 def _power_iteration(p_restart: np.ndarray) -> np.ndarray:
@@ -250,23 +262,24 @@ def sample_transition(mrp: MarkovRewardProcess, state: int, rng):
     """
     if not 0 <= state < mrp.n_states:
         raise ValueError(f"state {state} out of range")
-    cum = np.cumsum(mrp.transition[state])
-    nxt = int(np.searchsorted(cum, rng.random(), side="right"))
-    terminal = nxt >= mrp.n_states
-    if mrp.transition_reward is not None:
-        base = (mrp.terminal_reward[state] if terminal
-                else mrp.transition_reward[state, nxt])
-    else:
-        base = mrp.expected_reward[state]
-    reward = base + mrp.reward_noise_std[state] * rng.standard_normal()
-    return float(reward), (TERMINAL if terminal else nxt)
+    nxt = int(np.searchsorted(mrp.transition_cdf[state], rng.random(),
+                              side="right"))
+    reward = mrp.move_rewards[state, nxt] \
+        + mrp.reward_noise_std[state] * rng.standard_normal()
+    return float(reward), (TERMINAL if nxt == mrp.n_states else nxt)
+
+
+def start_states(mrp: MarkovRewardProcess, u):
+    """Start states for the uniforms ``u`` (a scalar or an array) by
+    inverse CDF of the initial distribution.  Every simulator draws its
+    episode starts and restarts here."""
+    return np.minimum((np.asarray(u)[..., None] >= mrp.initial_cdf)
+                      .sum(axis=-1), mrp.n_states - 1)
 
 
 def sample_initial_state(mrp: MarkovRewardProcess, rng) -> int:
     """Draw a start state from the initial distribution (one uniform)."""
-    cum = np.cumsum(mrp.initial_dist)
-    return min(int(np.searchsorted(cum, rng.random(), side="right")),
-               mrp.n_states - 1)
+    return int(start_states(mrp, rng.random()))
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +417,7 @@ def make_feature_map(kind: str, n_states: int) -> FeatureMap:
 
 
 def mrp_to_dict(mrp: MarkovRewardProcess) -> dict:
-    return {
+    out = {
         "n_states": mrp.n_states,
         "transition": mrp.transition.tolist(),
         "expected_reward": mrp.expected_reward.tolist(),
@@ -412,9 +425,15 @@ def mrp_to_dict(mrp: MarkovRewardProcess) -> dict:
         "initial_dist": mrp.initial_dist.tolist(),
         "discount": mrp.discount,
     }
+    if mrp.transition_reward is not None:
+        out["transition_reward"] = mrp.transition_reward.tolist()
+        out["terminal_reward"] = mrp.terminal_reward.tolist()
+    return out
 
 
 def mrp_from_dict(data: dict) -> MarkovRewardProcess:
+    """Inverse of :func:`mrp_to_dict`; the attached-reward keys are
+    optional."""
     return MarkovRewardProcess(
         n_states=int(data["n_states"]),
         transition=data["transition"],
@@ -422,6 +441,8 @@ def mrp_from_dict(data: dict) -> MarkovRewardProcess:
         reward_noise_std=data["reward_noise_std"],
         initial_dist=data["initial_dist"],
         discount=float(data["discount"]),
+        transition_reward=data.get("transition_reward"),
+        terminal_reward=data.get("terminal_reward"),
     )
 
 

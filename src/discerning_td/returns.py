@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mrp import TERMINAL, FeatureMap, MarkovRewardProcess, sample_transition
+from .mrp import TERMINAL, FeatureMap, MarkovRewardProcess, \
+    sample_initial_state, sample_transition
 
 __all__ = [
     "Trajectory", "ReturnParams", "simulate_trajectory", "n_step_return",
@@ -90,9 +91,7 @@ class ReturnParams:
 def simulate_trajectory(mrp: MarkovRewardProcess, rng,
                         max_steps: int = 100_000) -> Trajectory:
     """Roll out one episode (or a truncated rollout of ``max_steps``)."""
-    cum = np.cumsum(mrp.initial_dist)
-    state = min(int(np.searchsorted(cum, rng.random(), side="right")),
-                mrp.n_states - 1)
+    state = sample_initial_state(mrp, rng)
     states = [state]
     rewards = []
     for _ in range(max_steps):

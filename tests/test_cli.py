@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from discerning_td import load_records, make_random_walk, save_environment
+from discerning_td import load_records, make_random_walk, resolve_task, \
+    save_environment
 from discerning_td import mrp as mrp_module
+from discerning_td.checks import TASK_NAMES
 from discerning_td.cli import main, parse_emphasis
 from discerning_td.emphasis import EmphasisKind
 
@@ -86,6 +88,19 @@ class TestRunCommand:
         argv = run_args(tmp_path) + ["--env-file", str(env_path)]
         assert main(argv) == 0
 
+    @pytest.mark.parametrize("task", TASK_NAMES)
+    def test_saved_task_runs_like_named_task(self, tmp_path, task):
+        mrp, fm = resolve_task(task)
+        env_path = tmp_path / "env.json"
+        save_environment(env_path, mrp, fm)
+        overrides = {"--task": task, "--algo": ["TD", "DTD"],
+                     "--emphasis": "count_inverse", "--runs": "3"}
+        assert main(run_args(tmp_path, "named.csv", **overrides)) == 0
+        assert main(run_args(tmp_path, "saved.csv", **overrides)
+                    + ["--env-file", str(env_path)]) == 0
+        assert (tmp_path / "saved.csv").read_bytes() == \
+            (tmp_path / "named.csv").read_bytes()
+
     def test_dtd_with_emphasis(self, tmp_path):
         argv = run_args(tmp_path, **{"--algo": ["TD", "DTD"],
                                      "--emphasis": "count_inverse"})
@@ -117,6 +132,25 @@ class TestSweepCommand:
         assert cells == {("TD", 0.0, 0.1), ("TD", 0.5, 0.1),
                          ("DTD", 0.5, 0.1), ("DTD", 0.5, 0.2)}
         assert {r.seed for r in records} == {3, 4}
+
+    @pytest.mark.parametrize("text, entry", [
+        ("constant:0.5", {"kind": "constant", "constant": 0.5}),
+        ("table:0.2,0.4,0.6,0.8,1", {"kind": "table",
+                                     "table": [0.2, 0.4, 0.6, 0.8, 1.0]}),
+        ("count_inverse", {"kind": "count_inverse", "epsilon_floor": 0.001}),
+    ])
+    def test_emphasis_entry_matches_run_spec(self, tmp_path, text, entry):
+        run_argv = run_args(tmp_path, "run.csv", **{
+            "--algo": ["PTD", "DTD"], "--emphasis": text})
+        assert main(run_argv) == 0
+        config = {
+            "task": "RW5_MIDDLE", "runs": 2, "steps": 200, "eval_every": 100,
+            "base_seed": 0, "out": str(tmp_path / "sweep.csv"),
+            "algorithms": [{"algorithm": a, "lambda": 0.5, "alpha": 0.1,
+                            "emphasis": entry} for a in ("PTD", "DTD")]}
+        assert self._run(tmp_path, config) == 0
+        assert (tmp_path / "sweep.csv").read_bytes() == \
+            (tmp_path / "run.csv").read_bytes()
 
     @staticmethod
     def _config(tmp_path):

@@ -9,11 +9,13 @@ from discerning_td import (
     emphasis_from_noise,
     init_emphasis_state,
     long_run_count_inverse,
+    make_boyan_chain,
     make_random_walk,
     stationary_distribution,
     true_value,
     update_counts,
 )
+from discerning_td.emphasis import count_inverse_rows
 
 
 class TestSpecValidation:
@@ -120,6 +122,43 @@ class TestAdaptive:
         a = emphasis_abs_expected_td(mrp, fm, theta)
         b = emphasis_abs_expected_td(mrp, fm, theta.copy())
         np.testing.assert_array_equal(a, b)
+
+
+class TestRowWise:
+    def test_count_rows_match_single_vectors(self):
+        counts = np.array([[3, 0, 5], [0, 0, 0], [1, 4, 2], [9, 9, 1]])
+        rows = emphasis_from_counts(counts, epsilon_floor=0.3)
+        for row, vector in zip(rows, counts):
+            np.testing.assert_array_equal(
+                row, emphasis_from_counts(vector, epsilon_floor=0.3))
+
+    def test_floor_per_row(self):
+        counts = np.array([[10_000.0, 1.0], [10_000.0, 1.0]])
+        f = count_inverse_rows(counts, np.array([[0.5], [0.01]]))
+        np.testing.assert_array_equal(f, [[0.5, 1.0], [0.01, 1.0]])
+
+    def test_rejects_higher_rank_counts(self):
+        with pytest.raises(ValueError):
+            emphasis_from_counts(np.ones((2, 2, 2)))
+
+    def test_adaptive_rows_match_single_vectors(self):
+        mrp, fm = make_boyan_chain()
+        thetas = np.random.default_rng(9).normal(0.0, 5.0, (6, 4))
+        rows = emphasis_abs_expected_td(mrp, fm, thetas, epsilon_floor=0.01)
+        for row, theta in zip(rows, thetas):
+            # matrix-matrix and matrix-vector products may differ in the
+            # last bit
+            np.testing.assert_allclose(
+                row, emphasis_abs_expected_td(mrp, fm, theta, 0.01),
+                rtol=1e-13, atol=0.0)
+
+    def test_diverged_row_gets_uniform_weight(self):
+        mrp, fm = make_random_walk(5, "middle")
+        thetas = np.array([[np.nan] * 5, [0.0] * 5])
+        f = emphasis_abs_expected_td(mrp, fm, thetas)
+        np.testing.assert_array_equal(f[0], np.ones(5))
+        np.testing.assert_array_equal(
+            f[1], emphasis_abs_expected_td(mrp, fm, np.zeros(5)))
 
 
 class TestPipelineRoundTrip:

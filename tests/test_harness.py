@@ -155,7 +155,7 @@ class TestSimulateCurves:
 def mixed_cells(n_states):
     """Every learner under every emphasis kind, with varied lambda/alpha."""
     kinds = [EmphasisSpec("constant", constant=0.7),
-             EmphasisSpec("table", table=np.linspace(0.2, 1.5, n_states)),
+             EmphasisSpec("table", table=np.linspace(0.2, 1.0, n_states)),
              EmphasisSpec("noise_prior"), EmphasisSpec("count_inverse"),
              EmphasisSpec("abs_expected_td", epsilon_floor=0.01)]
     lams = (0.0, 0.5, 0.9, 1.0)

@@ -12,14 +12,29 @@ from discerning_td import (
     init_learner_state,
     make_feature_map,
     make_random_walk,
+    TraceKernel,
     new_run,
     run_episode,
 )
-from discerning_td.learners import dtd_step, etd_step, ptd_step, \
-    td_lambda_step, tdw_step
+from discerning_td.cli import main as cli_main
 
 FM2 = make_feature_map("tabular", 2)
 FM3 = make_feature_map("tabular", 3)
+
+
+def kernel_step(state, reward, next_state, w, learner, config, mrp,
+                feature_map):
+    """One TraceKernel step of a single learner, with emphasis ``w`` at
+    ``state``."""
+    theta, trace, followon = TraceKernel([config], mrp.discount).step(
+        learner.theta[None, :], learner.trace[None, :],
+        np.array([learner.followon]), feature_map.phi[state][None, :],
+        feature_map.feature(next_state)[None, :], reward, np.array([w]),
+        config.alpha_at(learner.step_count))
+    learner.theta, learner.trace = theta[0], trace[0]
+    learner.followon = float(followon[0])
+    learner.step_count += 1
+    return learner
 
 
 def chain2(gamma=1.0, reward=1.0):
@@ -62,10 +77,10 @@ class TestTdStep:
         mrp = chain2()
         config = td_config(0.5, 0.1)
         learner = init_learner_state(2)
-        td_lambda_step(0, 1.0, 1, learner, config, mrp, FM2)
+        kernel_step(0, 1.0, 1, 1.0, learner, config, mrp, FM2)
         np.testing.assert_allclose(learner.trace, [1.0, 0.0])
         np.testing.assert_allclose(learner.theta, [0.1, 0.0])
-        td_lambda_step(1, 1.0, TERMINAL, learner, config, mrp, FM2)
+        kernel_step(1, 1.0, TERMINAL, 1.0, learner, config, mrp, FM2)
         # delta = 1 + 0 - 0 = 1; trace = (0.5, 1); theta += 0.1 * trace
         np.testing.assert_allclose(learner.trace, [0.5, 1.0])
         np.testing.assert_allclose(learner.theta, [0.15, 0.1])
@@ -75,15 +90,19 @@ class TestTdStep:
         config = td_config(0.0, 0.2)
         learner = init_learner_state(2)
         learner.theta = np.array([1.0, 2.0])
-        td_lambda_step(0, 1.0, 1, learner, config, mrp, FM2)
+        kernel_step(0, 1.0, 1, 1.0, learner, config, mrp, FM2)
         delta = 1.0 + 0.9 * 2.0 - 1.0
         np.testing.assert_allclose(learner.theta, [1.0 + 0.2 * delta, 2.0])
 
     def test_rejects_non_finite_reward(self):
-        learner = init_learner_state(2)
-        with pytest.raises(ValueError):
-            td_lambda_step(0, float("nan"), 1, learner, td_config(0.5, 0.1),
-                           chain2(), FM2)
+        # the step takes rewards from a chain, which refuses non-finite ones
+        with pytest.raises(ValueError, match="non-finite"):
+            chain2(reward=float("nan"))
+        with pytest.raises(ValueError, match="non-finite"):
+            MarkovRewardProcess(
+                2, [[0.0, 1.0], [0.0, 0.0]], [1.0, 1.0], [0.0, 0.0],
+                [1.0, 0.0], 1.0, transition_reward=[[0.0, 1.0], [0.0, 0.0]],
+                terminal_reward=[0.0, float("inf")])
 
 
 class TestDtdStep:
@@ -98,8 +117,8 @@ class TestDtdStep:
         for _ in range(200):
             reward = float(rng.normal())
             nxt = int(rng.integers(0, 5))
-            td_lambda_step(state, reward, nxt, a, config, mrp, fm)
-            dtd_step(state, reward, nxt, 1.0, b, dtd_config, mrp, fm)
+            kernel_step(state, reward, nxt, 1.0, a, config, mrp, fm)
+            kernel_step(state, reward, nxt, 1.0, b, dtd_config, mrp, fm)
             assert np.array_equal(a.theta, b.theta)
             assert np.array_equal(a.trace, b.trace)
             state = nxt
@@ -109,21 +128,24 @@ class TestDtdStep:
         mrp = chain2(gamma=0.9)
         config = AlgoConfig(Algorithm.DTD, lam=0.0, alpha=0.1)
         learner = init_learner_state(2)
-        dtd_step(0, 1.0, 1, 2.0, learner, config, mrp, FM2)
+        kernel_step(0, 1.0, 1, 2.0, learner, config, mrp, FM2)
         assert learner.theta[0] == pytest.approx(4 * 0.1 * 1.0)
 
     def test_first_step_trace(self):
         mrp = chain2()
         learner = init_learner_state(2)
-        dtd_step(0, 1.0, 1, 0.7, learner,
-                 AlgoConfig(Algorithm.DTD, 0.9, 0.1), mrp, FM2)
+        kernel_step(0, 1.0, 1, 0.7, learner,
+                    AlgoConfig(Algorithm.DTD, 0.9, 0.1), mrp, FM2)
         np.testing.assert_allclose(learner.trace, [0.7, 0.0])
 
     def test_rejects_nonpositive_emphasis(self):
-        learner = init_learner_state(2)
-        with pytest.raises(ValueError):
-            dtd_step(0, 1.0, 1, 0.0, learner,
-                     AlgoConfig(Algorithm.DTD, 0.5, 0.1), chain2(), FM2)
+        # DTD weights come from an EmphasisSpec, which refuses them
+        for bad in (dict(kind="constant", constant=0.0),
+                    dict(kind="constant", constant=float("nan")),
+                    dict(kind="table", table=[1.0, 0.0])):
+            with pytest.raises(ValueError, match="positive"):
+                AlgoConfig(Algorithm.DTD, 0.5, 0.1,
+                           emphasis=EmphasisSpec(**bad))
 
 
 class TestEtdStep:
@@ -137,7 +159,7 @@ class TestEtdStep:
         config = AlgoConfig(Algorithm.ETD, lam=0.5, alpha=0.1)
         learner = init_learner_state(n)
         for step, (s, nxt) in enumerate([(0, 1), (1, 2), (2, TERMINAL)]):
-            etd_step(s, 1.0, nxt, learner, config, mrp3, fm)
+            kernel_step(s, 1.0, nxt, 1.0, learner, config, mrp3, fm)
             expected_f = sum(0.9 ** k for k in range(step + 1))
             assert learner.followon == pytest.approx(expected_f, abs=1e-15)
 
@@ -152,8 +174,8 @@ class TestEtdStep:
         for _ in range(100):
             reward = float(rng.normal())
             nxt = int(rng.integers(0, 5))
-            etd_step(state, reward, nxt, a, cfg_etd, mrp, fm)
-            td_lambda_step(state, reward, nxt, b, cfg_td, mrp, fm)
+            kernel_step(state, reward, nxt, 1.0, a, cfg_etd, mrp, fm)
+            kernel_step(state, reward, nxt, 1.0, b, cfg_td, mrp, fm)
             np.testing.assert_allclose(a.theta, b.theta, atol=1e-15)
             state = nxt
 
@@ -163,9 +185,9 @@ class TestEtdStep:
         a = init_learner_state(2)
         b = init_learner_state(2)
         for s, nxt in ((0, 1), (1, TERMINAL)):
-            etd_step(s, 1.0, nxt, a, AlgoConfig(Algorithm.ETD, 0.4, 0.1),
-                     mrp, FM2)
-            td_lambda_step(s, 1.0, nxt, b, td_config(0.4, 0.1), mrp, FM2)
+            kernel_step(s, 1.0, nxt, 1.0, a,
+                        AlgoConfig(Algorithm.ETD, 0.4, 0.1), mrp, FM2)
+            kernel_step(s, 1.0, nxt, 1.0, b, td_config(0.4, 0.1), mrp, FM2)
         np.testing.assert_allclose(a.theta, b.theta, atol=1e-16)
 
 
@@ -179,10 +201,10 @@ class TestPtdStep:
         for _ in range(100):
             reward = float(rng.normal())
             nxt = int(rng.integers(0, 5))
-            ptd_step(state, reward, nxt, 1.0, a,
-                     AlgoConfig(Algorithm.PTD, 0.9, 0.1), mrp, fm)
-            td_lambda_step(state, reward, nxt, b, td_config(0.0, 0.1), mrp,
-                           fm)
+            kernel_step(state, reward, nxt, 1.0, a,
+                        AlgoConfig(Algorithm.PTD, 0.9, 0.1), mrp, fm)
+            kernel_step(state, reward, nxt, 1.0, b, td_config(0.0, 0.1), mrp,
+                        fm)
             np.testing.assert_allclose(a.theta, b.theta, atol=1e-16)
             state = nxt
 
@@ -190,25 +212,38 @@ class TestPtdStep:
         mrp = chain2()
         learner = init_learner_state(2)
         for s, nxt in ((0, 1), (1, TERMINAL)):
-            ptd_step(s, 1.0, nxt, 0.0, learner,
-                     AlgoConfig(Algorithm.PTD, 0.9, 0.5), mrp, FM2)
+            kernel_step(s, 1.0, nxt, 0.0, learner,
+                        AlgoConfig(Algorithm.PTD, 0.9, 0.5), mrp, FM2)
         np.testing.assert_array_equal(learner.theta, np.zeros(2))
 
     def test_half_preference_trace_hand_roll(self):
         mrp = chain2(gamma=0.8)
         config = AlgoConfig(Algorithm.PTD, lam=0.5, alpha=0.1)
         learner = init_learner_state(2)
-        ptd_step(0, 1.0, 1, 0.5, learner, config, mrp, FM2)
+        kernel_step(0, 1.0, 1, 0.5, learner, config, mrp, FM2)
         np.testing.assert_allclose(learner.trace, [0.5, 0.0])
-        ptd_step(1, 1.0, TERMINAL, 0.5, learner, config, mrp, FM2)
+        kernel_step(1, 1.0, TERMINAL, 0.5, learner, config, mrp, FM2)
         # decay = 0.8 * 0.5 * (1 - 0.5) = 0.2
         np.testing.assert_allclose(learner.trace, [0.1, 0.5])
 
-    def test_preference_range_checked(self):
-        learner = init_learner_state(2)
-        with pytest.raises(ValueError):
-            ptd_step(0, 1.0, 1, 1.2, learner,
-                     AlgoConfig(Algorithm.PTD, 0.5, 0.1), chain2(), FM2)
+    def test_preference_range_checked(self, tmp_path, capsys):
+        # AlgoConfig refuses preferences above 1, for the episode API, the
+        # batched sweep and the CLI alike; other learners keep them
+        for spec in (EmphasisSpec("constant", constant=1.2),
+                     EmphasisSpec("table", table=[0.5, 1.2])):
+            with pytest.raises(ValueError, match="PTD preferences"):
+                AlgoConfig(Algorithm.PTD, 0.5, 0.1, emphasis=spec)
+            AlgoConfig(Algorithm.DTD, 0.5, 0.1, emphasis=spec)
+        AlgoConfig(Algorithm.PTD, 0.5, 0.1,
+                   emphasis=EmphasisSpec("table", table=[0.5, 1.0]))
+        code = cli_main(["run", "--task", "RW5_MIDDLE", "--algo", "PTD",
+                         "--emphasis", "constant:2", "--lambda", "0.5",
+                         "--alpha", "0.1", "--runs", "1", "--steps", "10",
+                         "--eval-every", "10",
+                         "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: PTD preferences")
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestTdwStep:
@@ -221,10 +256,10 @@ class TestTdwStep:
         for _ in range(100):
             reward = float(rng.normal())
             nxt = int(rng.integers(0, 5))
-            tdw_step(state, reward, nxt, 1.0, a,
-                     AlgoConfig(Algorithm.TDW, 0.8, 0.1), mrp, fm)
-            td_lambda_step(state, reward, nxt, b, td_config(0.8, 0.1), mrp,
-                           fm)
+            kernel_step(state, reward, nxt, 1.0, a,
+                        AlgoConfig(Algorithm.TDW, 0.8, 0.1), mrp, fm)
+            kernel_step(state, reward, nxt, 1.0, b, td_config(0.8, 0.1), mrp,
+                        fm)
             assert np.array_equal(a.theta, b.theta)
             state = nxt
 
@@ -235,10 +270,10 @@ class TestTdwStep:
         w = 0.5
         a = init_learner_state(2)
         b = init_learner_state(2)
-        tdw_step(0, 1.0, 1, w, a, AlgoConfig(Algorithm.TDW, 0.0, 0.1), mrp,
-                 FM2)
-        dtd_step(0, 1.0, 1, w, b, AlgoConfig(Algorithm.DTD, 0.0, 0.1), mrp,
-                 FM2)
+        kernel_step(0, 1.0, 1, w, a, AlgoConfig(Algorithm.TDW, 0.0, 0.1), mrp,
+                    FM2)
+        kernel_step(0, 1.0, 1, w, b, AlgoConfig(Algorithm.DTD, 0.0, 0.1), mrp,
+                    FM2)
         assert a.theta[0] == pytest.approx(0.1 * w)
         assert b.theta[0] == pytest.approx(0.1 * w * w)
 
@@ -371,7 +406,7 @@ class TestEmphasisScaling:
         for _ in range(500):
             reward = float(rng.normal())
             nxt = int(rng.integers(0, 5))
-            dtd_step(state, reward, nxt, scale, a, cfg_d, mrp, fm)
-            td_lambda_step(state, reward, nxt, b, cfg_t, mrp, fm)
+            kernel_step(state, reward, nxt, scale, a, cfg_d, mrp, fm)
+            kernel_step(state, reward, nxt, 1.0, b, cfg_t, mrp, fm)
             assert np.max(np.abs(a.theta - b.theta)) <= 1e-15
             state = nxt

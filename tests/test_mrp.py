@@ -19,7 +19,7 @@ from discerning_td import (
     stationary_distribution,
     true_value,
 )
-from discerning_td.mrp import mrp_from_dict, mrp_to_dict
+from discerning_td.mrp import mrp_from_dict, mrp_to_dict, start_states
 
 # chi-square critical value, 1 dof, p = 0.001
 CHI2_CRIT_1DOF = 10.828
@@ -71,6 +71,10 @@ class TestValidation:
             mrp.transition[0, 0] = 1.0
         with pytest.raises(ValueError):
             fm.phi[0, 0] = 2.0
+        for derived in (mrp.transition_cdf, mrp.initial_cdf,
+                        mrp.move_rewards):
+            with pytest.raises(ValueError):
+                derived[0] = 0.0
 
 
 class TestStationaryDistribution:
@@ -213,6 +217,22 @@ class TestSampleTransition:
         assert mrp.expected_reward[4] == 0.5
 
 
+class TestStartStates:
+    def test_inverse_cdf_of_initial_distribution(self):
+        mrp = MarkovRewardProcess(3, np.zeros((3, 3)), np.zeros(3),
+                                  np.zeros(3), [0.5, 0.3, 0.2], 1.0)
+        u = np.array([0.0, 0.49, 0.5, 0.79, 0.8, 0.99])
+        np.testing.assert_array_equal(start_states(mrp, u),
+                                      [0, 0, 1, 1, 2, 2])
+        assert start_states(mrp, 0.6) == 1
+
+    def test_rounded_cdf_end_clamps_to_last_state(self):
+        # ten shares of 0.1 sum to 0.9999999999999999
+        mrp, _ = make_noisy_chain(0.0)
+        assert np.cumsum(mrp.initial_dist)[-1] < 1.0
+        assert start_states(mrp, np.nextafter(1.0, 0.0)) == 9
+
+
 class TestConstructors:
     def test_walk_initial_distributions(self):
         for init, idx in (("left", 0), ("middle", 2), ("right", 4)):
@@ -276,7 +296,6 @@ class TestConstructors:
         mrp, _ = make_boyan_chain()
         sol = exact_solution(mrp)
         assert abs(sol.d_pi.sum() - 1.0) < 1e-10
-        np.testing.assert_array_equal(sol.D, sol.d_pi)
 
 
 class TestFeatureMaps:
@@ -323,6 +342,16 @@ class TestSerialization:
         np.testing.assert_array_equal(clone.expected_reward,
                                       mrp.expected_reward)
         assert clone.discount == mrp.discount
+
+    def test_round_trip_keeps_attached_rewards(self):
+        mrp, _ = make_random_walk(5, "left")
+        data = json.loads(json.dumps(mrp_to_dict(mrp)))
+        assert data["terminal_reward"] == [0.0, 0.0, 0.0, 0.0, 1.0]
+        clone = mrp_from_dict(data)
+        np.testing.assert_array_equal(clone.transition_reward,
+                                      mrp.transition_reward)
+        np.testing.assert_array_equal(clone.terminal_reward,
+                                      mrp.terminal_reward)
 
     def test_schema_keys(self):
         mrp, _ = make_noisy_chain(0.0)
