@@ -3,6 +3,11 @@ expressed as a named, deterministic check with a numeric margin.
 
 ``verify_all`` runs the registry (optionally filtered by substring) and
 returns one result per check; failures are reported, never raised.
+
+The two Monte Carlo oracles, ``monte_carlo_A_b`` and
+``empirical_visit_frequencies``, walk their restart chains with
+``mrp.restart_path``, the sampler of the sweep loop, and reduce the walk
+to statistics per chunk of steps rather than per step.
 """
 
 from dataclasses import dataclass, field
@@ -14,10 +19,12 @@ from .analysis import compute_A_b, contraction_condition, dtd_operator, \
     lambda_weighted_norm, per_equivalence, projection
 from .emphasis import EmphasisKind, EmphasisSpec, emphasis_abs_expected_td, \
     emphasis_from_counts, emphasis_from_noise, long_run_count_inverse
-from .harness import resolve_task, run_seed_sequences, simulate_curves
+from .harness import DRAW_BUDGET, resolve_task, run_seed_sequences, \
+    simulate_curves
 from .learners import Algorithm, AlgoConfig, new_run, run_episode
 from .mrp import FeatureMap, MarkovRewardProcess, make_boyan_chain, \
-    make_feature_map, start_states, stationary_distribution, true_value
+    make_feature_map, restart_path, start_states, stationary_distribution, \
+    transition_ranks, true_value
 from .returns import ReturnParams, Trajectory, dae, discerning_return_interp, \
     discerning_return_tdsum, identity_check, simulate_trajectory
 
@@ -115,21 +122,28 @@ def random_trajectory(rng, n_states, max_len=30, terminal=True) -> Trajectory:
 
 
 def _restart_stream(mrp, rng, n_chains, steps, noise):
-    """Yield ``(t, s, nxt, z)`` for each step of ``n_chains`` restart-chain
-    streams: the states before and after the transition (``n_states`` at an
-    exit) and the step's reward-noise normals (None unless ``noise``).
-    Draws transition, restart, optional noise and start variates, in that
-    order."""
-    n = mrp.n_states
-    cum_p = mrp.transition_cdf
-    u_trans = rng.random((n_chains, steps))
-    u_restart = rng.random((n_chains, steps))
-    z_noise = rng.standard_normal((n_chains, steps)) if noise else None
+    """Walk ``n_chains`` restart-chain streams for ``steps`` steps and
+    return ``(states, nexts, z)`` from :func:`mrp.restart_path`, time-major
+    ``(steps, n_chains)``, with the reward-noise normals ``z`` (None unless
+    ``noise`` and the chain has reward noise: a zero scale adds exactly
+    zero).  Draws transition, restart, optional noise and start variates,
+    in that order, each an ``(n_chains, steps)`` block; a block is drawn a
+    row at a time, the same values as one draw, and each row of uniforms
+    becomes small-integer codes before the next is drawn."""
+    small = np.min_scalar_type(mrp.n_states)
+    ranks = np.stack([transition_ranks(mrp, rng.random(steps))
+                      for _ in range(n_chains)])
+    restarts = np.stack([start_states(mrp, rng.random(steps)).astype(small)
+                         for _ in range(n_chains)])
+    keep = noise and mrp.reward_noise_std.any()
+    z_noise = np.empty((steps, n_chains)) if keep else None
+    for i in range(n_chains if noise else 0):
+        row = rng.standard_normal(steps)
+        if keep:
+            z_noise[:, i] = row
     s = start_states(mrp, rng.random(n_chains))
-    for t in range(steps):
-        nxt = (u_trans[:, t][:, None] >= cum_p[s]).sum(axis=1)
-        yield t, s, nxt, z_noise[:, t] if noise else None
-        s = np.where(nxt == n, start_states(mrp, u_restart[:, t]), nxt)
+    states, nexts, _ = restart_path(mrp, s, ranks, restarts)
+    return states, nexts, z_noise
 
 
 def monte_carlo_A_b(mrp, feature_map, f_state, lam, total_steps, seed,
@@ -137,33 +151,47 @@ def monte_carlo_A_b(mrp, feature_map, f_state, lam, total_steps, seed,
     """Empirical averages of the per-step update matrix e (gamma*phi' -
     phi)^T f and offset e R f over a long restart stream, with the trace
     reset at episode boundaries.  Independent simulation oracle for the
-    closed-form expected-update system."""
+    closed-form expected-update system.
+
+    The trace recursion runs step by step into a ``(L, n_chains, k)``
+    history of each chunk of steps; the sums are one product per chunk."""
     rng = np.random.default_rng(seed)
+    n = mrp.n_states
     k = feature_map.n_features
     steps_per = int(np.ceil(total_steps / n_chains)) + burn_in
     gamma = mrp.discount
-    glam = gamma * lam
     phi = feature_map.phi
     phi_pad = np.vstack([phi, np.zeros((1, k))])
-    sigma = mrp.reward_noise_std
     f_state = np.asarray(f_state, dtype=np.float64)
+    f_phi = f_state[:, None] * phi
 
-    trace = np.zeros((n_chains, k))
+    states, nexts, z = _restart_stream(mrp, rng, n_chains, steps_per, True)
+    chunk = max(1, DRAW_BUDGET // (n_chains * k))
+    hist = np.empty((chunk, n_chains, k))
+    carry = np.zeros((n_chains, k))  # the trace carried into the next step
     a_sum = np.zeros((k, k))
     b_sum = np.zeros(k)
-    counted = 0
-    for t, s, nxt, z in _restart_stream(mrp, rng, n_chains, steps_per, True):
-        reward = mrp.move_rewards[s, nxt] + sigma[s] * z
-        phi_s = phi[s]
-        phi_n = phi_pad[nxt]
+    for t0 in range(0, steps_per, chunk):
+        s, nxt = states[t0:t0 + chunk], nexts[t0:t0 + chunk]
+        h = hist[:len(s)]
+        step_in = f_phi[s]
+        # decay by gamma*lam; an exit resets the trace to zero
+        decay = np.where(nxt == n, 0.0, gamma * lam)[..., None]
+        for t in range(len(s)):
+            np.add(carry, step_in[t], out=h[t])
+            np.multiply(h[t], decay[t], out=carry)
+        lo = max(0, burn_in - t0)
+        if lo >= len(s):
+            continue
+        s, nxt, h = s[lo:], nxt[lo:], h[lo:]
+        reward = mrp.move_rewards[s, nxt]
+        if z is not None:
+            reward = reward + mrp.reward_noise_std[s] * z[t0 + lo:t0 + chunk]
         f_here = f_state[s]
-        trace = glam * trace + f_here[:, None] * phi_s
-        if t >= burn_in:
-            a_sum += np.einsum("bk,bj->kj", trace * f_here[:, None],
-                               gamma * phi_n - phi_s)
-            b_sum += (trace * (reward * f_here)[:, None]).sum(axis=0)
-            counted += n_chains
-        trace[nxt == mrp.n_states] = 0.0
+        a_sum += np.einsum("tbk,tbj->kj", h * f_here[..., None],
+                           gamma * phi_pad[nxt] - phi[s])
+        b_sum += np.einsum("tbk,tb->k", h, reward * f_here)
+    counted = (steps_per - burn_in) * n_chains
     return a_sum / counted, b_sum / counted
 
 
@@ -172,10 +200,8 @@ def empirical_visit_frequencies(mrp, total_steps, seed, n_chains=50,
     """Visit frequencies of the restart stream after burn-in."""
     rng = np.random.default_rng(seed)
     steps_per = int(np.ceil(total_steps / n_chains)) + burn_in
-    counts = np.zeros(mrp.n_states)
-    for t, s, _, _ in _restart_stream(mrp, rng, n_chains, steps_per, False):
-        if t >= burn_in:
-            counts += np.bincount(s, minlength=mrp.n_states)
+    states, _, _ = _restart_stream(mrp, rng, n_chains, steps_per, False)
+    counts = np.bincount(states[burn_in:].ravel(), minlength=mrp.n_states)
     return counts / counts.sum()
 
 

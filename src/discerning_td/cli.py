@@ -133,7 +133,10 @@ def cmd_sweep(args) -> int:
         spec = json.load(handle)
     _require_keys(spec, SWEEP_KEYS, "sweep config")
     for i, entry in enumerate(spec["algorithms"]):
-        _require_keys(entry, SWEEP_ENTRY_KEYS, f"sweep config algorithms[{i}]")
+        where = f"sweep config algorithms[{i}]"
+        _require_keys(entry, SWEEP_ENTRY_KEYS, where)
+        if "emphasis" in entry:
+            _require_keys(entry["emphasis"], ("kind",), f"{where}.emphasis")
     cells = []
     for entry in spec["algorithms"]:
         emphasis_spec = entry.get("emphasis", {"kind": "constant"})

@@ -21,7 +21,8 @@ from .emphasis import EmphasisKind, abs_expected_td_rows, \
     count_inverse_rows, init_emphasis_state
 from .learners import AlgoConfig, DecayingAlpha, TraceKernel
 from .mrp import FeatureMap, MarkovRewardProcess, make_boyan_chain, \
-    make_feature_map, make_noisy_chain, make_random_walk, start_states
+    make_feature_map, make_noisy_chain, make_random_walk, restart_path, \
+    start_states
 
 CURVE_COLUMNS = ("task", "algorithm", "lambda", "alpha", "emphasis_kind",
                  "seed", "step", "mspbe")
@@ -33,8 +34,10 @@ DEFAULT_ALPHA_GRID = tuple(2.0 ** -k for k in range(7, -1, -1))
 DEFAULT_LAMBDA_GRID = (0.0, 0.4, 0.8, 0.9, 0.95, 1.0)
 
 # Values held per part of the random stream (transition uniforms, restart
-# uniforms, noise normals) while simulating, across all rows.
+# uniforms, noise normals) while simulating, across all rows, unless that
+# leaves a chunk fewer than CHUNK_FLOOR steps.
 DRAW_BUDGET = 65_536
+CHUNK_FLOOR = 64
 
 
 def resolve_task(name: str):
@@ -165,13 +168,15 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     draws one uniform for the initial state and then ``steps`` transition
     uniforms, ``steps`` restart uniforms and ``steps`` noise normals, so a
     row's trajectory depends only on its own seed.  The three parts are
-    read by three generators positioned on the stream, in step chunks of at
-    most ``DRAW_BUDGET`` values per part across all rows.  A row's weights
-    and curve are the same in any batch, except that on chains of ten or
-    more states a one-row call can differ in the last bit, in its curve and
-    under adaptive emphasis, because numpy multiplies a single row by the
-    matrix-vector path.  Non-finite error measurements (diverged rows) are
-    recorded as +inf.
+    read by three generators positioned on the stream, in step chunks of
+    ``DRAW_BUDGET`` values per part across all rows, but never fewer than
+    ``CHUNK_FLOOR`` steps.  One ``mrp.restart_path`` call per chunk gives
+    every row's states before and after each step of the chunk.  A row's
+    weights and curve are the same in any batch, except that on chains of
+    ten or more states a one-row call can differ in the last bit, in its
+    curve and under adaptive emphasis, because numpy multiplies a single
+    row by the matrix-vector path.  Non-finite error measurements (diverged
+    rows) are recorded as +inf.
     """
     n_rows = len(seed_seqs)
     if isinstance(config, AlgoConfig):
@@ -206,7 +211,6 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
             tables[id(spec)] = init_emphasis_state(spec, mrp).values
         w_table[row] = tables[id(spec)]
 
-    cum_p = mrp.transition_cdf
     phi = feature_map.phi
     phi_pad = np.vstack([phi, np.zeros((1, k))])
     r_pi = mrp.expected_reward
@@ -214,7 +218,7 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     has_noise = bool(sigma.any())
 
     # Stream positions: [init | transitions | restarts | noise].
-    chunk = max(1, min(steps, DRAW_BUDGET // max(n_rows, 1)))
+    chunk = min(steps, max(CHUNK_FLOOR, DRAW_BUDGET // max(n_rows, 1)))
     u_init = np.empty(n_rows)
     trans_gens, restart_gens, noise_gens = [], [], []
     for i, seq in enumerate(seed_seqs):
@@ -260,7 +264,7 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
 
     rows = np.arange(n_rows)
     unit = np.ones(n_rows)
-    s = start_states(mrp, u_init)
+    s_end = start_states(mrp, u_init)  # the state after the last chunk
     theta = np.zeros((n_rows, k))
     trace = np.zeros((n_rows, k))
     followon = np.zeros(n_rows)
@@ -274,6 +278,11 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
                 for gens, buf in buffers:
                     for i, draw in enumerate(gens):
                         draw(out=buf[i, :width])
+                states, nexts, s_end = restart_path(
+                    mrp, s_end, u_trans[:, :width], u_restart[:, :width])
+                exits = nexts == n
+                exit_steps = exits.any(axis=1)
+            s, nxt = states[c], nexts[c]
 
             if any_static:
                 w = w_table[rows, s]
@@ -288,8 +297,6 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
                     mrp, feature_map, theta[adaptive_rows], eps_adaptive)[
                     adaptive_local, s[adaptive_rows]]
 
-            nxt = (u_trans[:, c][:, None] >= cum_p[s]).sum(axis=1)
-            term = nxt == n
             reward = mrp.move_rewards[s, nxt]
             if has_noise:
                 reward = reward + sigma[s] * z_noise[:, c]
@@ -300,12 +307,10 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
             if record_theta:
                 theta_hist[t] = theta
 
-            if term.any():
-                s = np.where(term, start_states(mrp, u_restart[:, c]), nxt)
+            if exit_steps[c]:
+                term = exits[c]
                 trace[term] = 0.0
                 followon[term] = 0.0
-            else:
-                s = nxt
 
             if eval_idx < len(eval_steps) and t + 1 == eval_steps[eval_idx]:
                 v_all = theta @ phi.T

@@ -188,6 +188,17 @@ class TestSweepCommand:
         assert "algorithms[1]" in err and repr(key) in err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_missing_emphasis_kind(self, tmp_path, capsys):
+        config = self._config(tmp_path)
+        config["algorithms"].append({"algorithm": "DTD", "lambda": 0.5,
+                                     "alpha": 0.1,
+                                     "emphasis": {"constant": 2}})
+        assert self._run(tmp_path, config) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: sweep config algorithms[1].emphasis is "
+                       "missing key 'kind'\n")
+        assert not (tmp_path / "sweep.csv").exists()
+
 
 class TestVerifyCommand:
     def test_filtered_check_passes(self, tmp_path, capsys):

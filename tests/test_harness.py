@@ -20,6 +20,7 @@ from discerning_td import (
 )
 from discerning_td import harness
 from discerning_td.harness import emphasis_label, run_seed_sequences
+from discerning_td.mrp import restart_path
 from discerning_td.mrp import TERMINAL
 
 
@@ -209,6 +210,7 @@ class TestCellBatching:
         task, runs, steps = "NOISY10:1", 25, 3000
         if budget is not None:
             monkeypatch.setattr(harness, "DRAW_BUDGET", budget)
+            monkeypatch.setattr(harness, "CHUNK_FLOOR", 1)
         chunk = harness.DRAW_BUDGET // (2 * runs)
         assert steps > 2 * chunk and steps % chunk != 0
         mrp, fm = resolve_task(task)
@@ -221,6 +223,30 @@ class TestCellBatching:
         whole = simulate_curves(mrp, fm, configs, seqs, steps, 500)
         np.testing.assert_array_equal(out.curves, whole.curves)
         np.testing.assert_array_equal(out.final_theta, whole.final_theta)
+
+    @pytest.mark.parametrize("budget, widths", [(4 * 100, [100, 50]),
+                                                (4 * 25, [64, 64, 22])])
+    def test_chunks_keep_the_step_floor(self, monkeypatch, budget, widths):
+        # 4 rows: a budget of 25 steps per chunk is raised to CHUNK_FLOOR
+        seen = []
+
+        def recording_path(mrp, s, u_trans, u_restart):
+            seen.append(u_trans.shape[1])
+            return restart_path(mrp, s, u_trans, u_restart)
+
+        monkeypatch.setattr(harness, "DRAW_BUDGET", budget)
+        monkeypatch.setattr(harness, "restart_path", recording_path)
+        mrp, fm = resolve_task("RW5_LEFT")
+        config = AlgoConfig(Algorithm.TD, lam=0.5, alpha=0.1)
+        out = simulate_curves(mrp, fm, config,
+                              run_seed_sequences("RW5_LEFT", config, 0, 4),
+                              150, 50)
+        assert harness.CHUNK_FLOOR == 64 and seen == widths
+        monkeypatch.setattr(harness, "DRAW_BUDGET", 4 * 150)
+        whole = simulate_curves(mrp, fm, config,
+                                run_seed_sequences("RW5_LEFT", config, 0, 4),
+                                150, 50)
+        np.testing.assert_array_equal(out.curves, whole.curves)
 
     def test_rows_read_the_documented_stream(self, monkeypatch):
         # gamma = 0, tabular TD(0) at alpha 1 sets theta[s] to each sampled
@@ -237,6 +263,7 @@ class TestCellBatching:
         seqs = run_seed_sequences("X", config, 0, 3)
         steps = 500
         monkeypatch.setattr(harness, "DRAW_BUDGET", 3 * 7)
+        monkeypatch.setattr(harness, "CHUNK_FLOOR", 1)
         out = simulate_curves(mrp, fm, config, seqs, steps, record_theta=True)
         for row, seq in enumerate(seqs):
             rng = np.random.default_rng(seq)

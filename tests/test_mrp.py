@@ -19,7 +19,11 @@ from discerning_td import (
     stationary_distribution,
     true_value,
 )
-from discerning_td.mrp import mrp_from_dict, mrp_to_dict, start_states
+from discerning_td.checks import TASK_NAMES, random_ergodic_mrp
+from discerning_td import mrp as mrp_module
+from discerning_td.harness import resolve_task
+from discerning_td.mrp import mrp_from_dict, mrp_to_dict, restart_path, \
+    start_states, transition_ranks
 
 # chi-square critical value, 1 dof, p = 0.001
 CHI2_CRIT_1DOF = 10.828
@@ -231,6 +235,144 @@ class TestStartStates:
         mrp, _ = make_noisy_chain(0.0)
         assert np.cumsum(mrp.initial_dist)[-1] < 1.0
         assert start_states(mrp, np.nextafter(1.0, 0.0)) == 9
+
+
+def reference_starts(mrp, u):
+    """Inverse CDF by counting the initial CDF entries at most ``u``."""
+    return np.minimum((np.asarray(u)[..., None] >= mrp.initial_cdf)
+                      .sum(axis=-1), mrp.n_states - 1)
+
+
+def reference_path(mrp, s, u_trans, u_restart):
+    """One step at a time: the next state counts the entries of
+    ``transition_cdf[s]`` at most the uniform, ``n_states`` being an exit,
+    and an exit restarts from ``reference_starts``."""
+    states, nexts = [], []
+    s = np.asarray(s)
+    for t in range(u_trans.shape[1]):
+        nxt = (u_trans[:, t][:, None] >= mrp.transition_cdf[s]).sum(axis=1)
+        states.append(s)
+        nexts.append(nxt)
+        s = np.where(nxt == mrp.n_states,
+                     reference_starts(mrp, u_restart[:, t]), nxt)
+    return np.array(states), np.array(nexts), s
+
+
+def edge_uniforms(mrp):
+    """0, every CDF entry exactly, and the largest double below 1."""
+    return np.unique(np.concatenate([
+        [0.0, np.nextafter(1.0, 0.0)], mrp.transition_cdf.ravel(),
+        mrp.initial_cdf]))
+
+
+def sparse_chain():
+    """Zero-probability moves repeat CDF values; rows end below one."""
+    p = np.array([[0.0, 0.3, 0.0, 0.7],
+                  [0.0, 0.0, 0.5, 0.0],
+                  [0.25, 0.0, 0.0, 0.25],
+                  [0.0, 0.0, 0.0, 0.0]])
+    return MarkovRewardProcess(4, p, np.zeros(4), np.zeros(4),
+                               [0.0, 0.6, 0.0, 0.4], 1.0)
+
+
+class TestRestartPath:
+    # a few chains walk as Python integers, wider batches by numpy steps
+    WIDTHS = (5, 40)
+
+    @pytest.fixture(params=WIDTHS)
+    def n_chains(self, request):
+        return request.param
+
+    def test_widths_cover_both_walks(self):
+        assert self.WIDTHS[0] <= mrp_module._FEW_CHAINS < self.WIDTHS[1]
+
+    def assert_matches_reference(self, mrp, rng, n_chains, steps=60,
+                                 extra=()):
+        u_trans = rng.random((n_chains, steps))
+        u_restart = rng.random((n_chains, steps))
+        # plant exact CDF values, u = 0 and the top double in both streams
+        extra = np.concatenate([edge_uniforms(mrp), extra])
+        cells = rng.choice(n_chains * steps, size=2 * len(extra),
+                           replace=False)
+        u_trans.flat[cells[:len(extra)]] = extra
+        u_restart.flat[cells[len(extra):]] = extra
+        s0 = start_states(mrp, rng.random(n_chains))
+        expected = reference_path(mrp, s0, u_trans, u_restart)
+        got = restart_path(mrp, s0, u_trans, u_restart)
+        for want, have in zip(expected, got):
+            np.testing.assert_array_equal(have, want)
+        assert got[0].shape == got[1].shape == (steps, n_chains)
+        assert got[0].dtype == np.min_scalar_type(mrp.n_states)
+        codes = restart_path(mrp, s0, transition_ranks(mrp, u_trans),
+                             start_states(mrp, u_restart))
+        for want, have in zip(expected, codes):
+            np.testing.assert_array_equal(have, want)
+        np.testing.assert_array_equal(start_states(mrp, u_restart),
+                                      reference_starts(mrp, u_restart))
+        return expected
+
+    @pytest.mark.parametrize("name", TASK_NAMES)
+    def test_named_tasks(self, name, n_chains):
+        mrp, _ = resolve_task(name)
+        states, nexts, _ = self.assert_matches_reference(
+            mrp, np.random.default_rng(3), n_chains)
+        assert np.any(nexts == mrp.n_states)  # exits and restarts happen
+
+    def test_random_ergodic_chains(self, n_chains):
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            self.assert_matches_reference(random_ergodic_mrp(rng), rng,
+                                          n_chains)
+
+    def test_zero_probability_moves_and_short_rows(self, n_chains):
+        mrp = sparse_chain()
+        cdf = mrp.transition_cdf
+        assert cdf[0, 0] == 0.0 and cdf[0, 1] == cdf[0, 2]  # repeated values
+        assert np.all(cdf[1:, -1] < 1.0)  # rows that can exit
+        states, nexts, _ = self.assert_matches_reference(
+            mrp, np.random.default_rng(5), n_chains, steps=200)
+        # zero-probability moves are never taken, even at u = 0
+        assert not np.isin(nexts[states == 0], [0, 2]).any()
+        assert np.all(np.isin(nexts[states == 1], [2, 4]))
+        assert np.all(nexts[states == 3] == 4)  # state 3 always exits
+
+    def test_rounded_cdf_ends(self, n_chains):
+        # rows of ten 1/11 shares leave an exit; ten initial shares of 0.1
+        # sum to just below one, so the top uniforms clamp to the last state
+        mrp, _ = make_noisy_chain(0.0)
+        assert mrp.transition_cdf[0, -1] < 1.0
+        assert mrp.initial_cdf[-1] < 1.0
+        top = np.nextafter(mrp.initial_cdf[-1], 1.0)
+        self.assert_matches_reference(mrp, np.random.default_rng(6),
+                                      n_chains, extra=[top])
+        assert start_states(mrp, top) == 9
+
+    @pytest.mark.parametrize("split", [1, 17, 59])
+    def test_chunk_boundary_carries_the_state(self, split, n_chains):
+        mrp, _ = resolve_task("BOYAN13")
+        rng = np.random.default_rng(7)
+        u_trans, u_restart = rng.random((2, n_chains, 60))
+        s0 = start_states(mrp, rng.random(n_chains))
+        whole = restart_path(mrp, s0, u_trans, u_restart)
+        first = restart_path(mrp, s0, u_trans[:, :split],
+                             u_restart[:, :split])
+        second = restart_path(mrp, first[2], u_trans[:, split:],
+                              u_restart[:, split:])
+        np.testing.assert_array_equal(
+            np.vstack([first[0], second[0]]), whole[0])
+        np.testing.assert_array_equal(
+            np.vstack([first[1], second[1]]), whole[1])
+        np.testing.assert_array_equal(second[2], whole[2])
+        np.testing.assert_array_equal(
+            whole[2], reference_path(mrp, s0, u_trans, u_restart)[2])
+
+    def test_table_is_built_on_first_use(self):
+        mrp, _ = make_random_walk(5, "left")
+        assert "step_table" not in vars(mrp)
+        restart_path(mrp, [0], np.zeros((1, 1)), np.zeros((1, 1)))
+        edges, table = mrp.step_table
+        np.testing.assert_array_equal(edges, [0.0, 0.5, 1.0])
+        assert table.shape == (len(edges) + 1, mrp.n_states)
 
 
 class TestConstructors:
