@@ -329,7 +329,6 @@ def restart_path(mrp: MarkovRewardProcess, s, u_trans, u_restart):
     """
     n = mrp.n_states
     _, table = mrp.step_table
-    u_trans, u_restart = np.asarray(u_trans), np.asarray(u_restart)
     n_chains, steps = u_trans.shape
     # time-major codes: offsets into the flat table and restart states,
     # filled a block of steps at a time so the searches' intp results stay
