@@ -130,10 +130,9 @@ def _restart_stream(mrp, rng, n_chains, steps, noise):
     in that order, each an ``(n_chains, steps)`` block; a block is drawn a
     row at a time, the same values as one draw, and each row of uniforms
     becomes small-integer codes before the next is drawn."""
-    small = np.min_scalar_type(mrp.n_states)
     ranks = np.stack([transition_ranks(mrp, rng.random(steps))
                       for _ in range(n_chains)])
-    restarts = np.stack([start_states(mrp, rng.random(steps)).astype(small)
+    restarts = np.stack([start_states(mrp, rng.random(steps))
                          for _ in range(n_chains)])
     keep = noise and mrp.reward_noise_std.any()
     z_noise = np.empty((steps, n_chains)) if keep else None

@@ -22,7 +22,7 @@ from .emphasis import EmphasisKind, abs_expected_td_rows, \
 from .learners import AlgoConfig, DecayingAlpha, TraceKernel
 from .mrp import FeatureMap, MarkovRewardProcess, make_boyan_chain, \
     make_feature_map, make_noisy_chain, make_random_walk, restart_path, \
-    start_states
+    start_states, transition_ranks
 
 CURVE_COLUMNS = ("task", "algorithm", "lambda", "alpha", "emphasis_kind",
                  "seed", "step", "mspbe")
@@ -170,13 +170,14 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     row's trajectory depends only on its own seed.  The three parts are
     read by three generators positioned on the stream, in step chunks of
     ``DRAW_BUDGET`` values per part across all rows, but never fewer than
-    ``CHUNK_FLOOR`` steps.  One ``mrp.restart_path`` call per chunk gives
-    every row's states before and after each step of the chunk.  A row's
-    weights and curve are the same in any batch, except that on chains of
-    ten or more states a one-row call can differ in the last bit, in its
-    curve and under adaptive emphasis, because numpy multiplies a single
-    row by the matrix-vector path.  Non-finite error measurements (diverged
-    rows) are recorded as +inf.
+    ``CHUNK_FLOOR`` steps.  Each chunk's uniforms become small-integer
+    codes (``mrp.transition_ranks``, ``mrp.start_states``), and one
+    ``mrp.restart_path`` call gives every row's states before and after
+    each step of the chunk.  A row's weights and curve are the same in any
+    batch, except that on chains of ten or more states a one-row call can
+    differ in the last bit, in its curve and under adaptive emphasis,
+    because numpy multiplies a single row by the matrix-vector path.
+    Non-finite error measurements (diverged rows) are recorded as +inf.
     """
     n_rows = len(seed_seqs)
     if isinstance(config, AlgoConfig):
@@ -230,12 +231,10 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
         if has_noise:
             noise_gens.append(np.random.Generator(
                 np.random.PCG64(seq).advance(1 + 2 * steps)).standard_normal)
-    u_trans = np.empty((n_rows, chunk))
-    u_restart = np.empty((n_rows, chunk))
+    # one part's uniforms at a time, coded before the next part is drawn
+    u_part = np.empty((n_rows, chunk))
     z_noise = np.empty((n_rows, chunk)) if has_noise else None
-    buffers = [(trans_gens, u_trans), (restart_gens, u_restart)]
-    if has_noise:
-        buffers.append((noise_gens, z_noise))
+    coders = [(trans_gens, transition_ranks), (restart_gens, start_states)]
 
     if eval_every > 0:
         d = exact_solution(mrp).d_pi
@@ -275,11 +274,14 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
             c = t % chunk
             if c == 0:
                 width = min(chunk, steps - t)
-                for gens, buf in buffers:
+                codes = []
+                for gens, code in coders:
                     for i, draw in enumerate(gens):
-                        draw(out=buf[i, :width])
-                states, nexts, s_end = restart_path(
-                    mrp, s_end, u_trans[:, :width], u_restart[:, :width])
+                        draw(out=u_part[i, :width])
+                    codes.append(code(mrp, u_part[:, :width]))
+                for i, draw in enumerate(noise_gens):
+                    draw(out=z_noise[i, :width])
+                states, nexts, s_end = restart_path(mrp, s_end, *codes)
                 exits = nexts == n
                 exit_steps = exits.any(axis=1)
             s, nxt = states[c], nexts[c]

@@ -18,10 +18,8 @@ TERMINAL = -1
 
 _POWER_TOL = 1e-13
 _POWER_CAP = 1_000_000
-# Uniforms coded per search while restart_path fills its tables, and the
-# widest batch that restart_path walks one chain at a time.
-_CODE_BLOCK = 8_192
-_FEW_CHAINS = 24
+# Largest count table that MarkovRewardProcess.step_table keeps, in entries.
+_TABLE_ENTRIES = 1 << 20
 
 
 class ChainStructureError(RuntimeError):
@@ -144,22 +142,34 @@ class MarkovRewardProcess:
 
     @functools.cached_property
     def step_table(self):
-        """``(edges, table)`` for :func:`restart_path`, built on first use:
-        ``edges`` are the distinct values of ``transition_cdf``, sorted, and
-        ``table[r, s]`` counts the entries of ``transition_cdf[s]`` at most
-        ``edges[r - 1]`` (none for ``r = 0``).  A uniform ``u`` with rank
-        ``r`` (the number of edges at most ``u``) therefore moves ``s`` to
-        ``table[r, s]``, which is ``(u >= transition_cdf[s]).sum()`` exactly,
-        ``n_states`` meaning an exit."""
+        """``(edges, keys, table)`` for :func:`restart_path`, built on first
+        use.  ``edges`` are the ``E`` distinct values of ``transition_cdf``,
+        sorted; the rank of a value is the number of edges at most it.
+        ``keys[s * n + j]`` is ``s * (E + 1)`` plus the rank of
+        ``transition_cdf[s, j]``; rows are non-decreasing, so the keys are
+        sorted, and for a uniform ``u`` of rank ``r``,
+        ``keys.searchsorted(s * (E + 1) + r, "right") - s * n`` counts the
+        entries of ``transition_cdf[s]`` at most ``u``: exactly
+        ``(u >= transition_cdf[s]).sum()``, the next state, ``n`` meaning an
+        exit.  ``table[r, s]`` holds that count for every rank and state
+        when it has at most ``_TABLE_ENTRIES`` entries, and is None
+        otherwise, so memory stays ``O(n^2)`` on dense chains."""
+        n = self.n_states
         edges = np.sort(self.transition_cdf, axis=None)
         edges = edges[np.append(True, edges[1:] != edges[:-1])]
-        counts = (self.transition_cdf[None, :, :]
-                  <= edges[:, None, None]).sum(axis=2)
-        table = np.vstack([np.zeros((1, self.n_states), dtype=counts.dtype),
-                           counts]).astype(np.min_scalar_type(self.n_states))
-        for arr in (edges, table):
-            arr.flags.writeable = False
-        return edges, table
+        width = len(edges) + 1
+        ranks = np.searchsorted(edges, self.transition_cdf, side="right")
+        keys = (np.arange(n)[:, None] * width + ranks).ravel()
+        table = None
+        if width * n <= _TABLE_ENTRIES:
+            table = np.empty((width, n), np.min_scalar_type(n))
+            every_rank = np.arange(width)
+            for s in range(n):
+                table[:, s] = np.searchsorted(ranks[s], every_rank, "right")
+        for arr in (edges, keys, table):
+            if arr is not None:
+                arr.flags.writeable = False
+        return edges, keys, table
 
 
 @dataclass(frozen=True)
@@ -297,75 +307,65 @@ def start_states(mrp: MarkovRewardProcess, u):
     inverse CDF of the initial distribution: the count of ``initial_cdf``
     entries at most ``u``, capped at the last state.  Searching all but the
     last entry applies that cap, which matters when rounding leaves the
-    CDF's end below one.  Every simulator draws its episode starts and
+    CDF's end below one.  States come in the smallest integer dtype that
+    holds ``n_states``.  Every simulator draws its episode starts and
     restarts here."""
-    return np.searchsorted(mrp.initial_cdf[:-1], u, side="right")
+    return np.searchsorted(mrp.initial_cdf[:-1], u, side="right").astype(
+        np.min_scalar_type(mrp.n_states))
 
 
 def transition_ranks(mrp: MarkovRewardProcess, u):
     """Rank of each transition uniform in ``u`` among the edges of
     ``mrp.step_table``: the small-integer code of the uniform that
     :func:`restart_path` reads."""
-    edges, _ = mrp.step_table
+    edges = mrp.step_table[0]
     return np.searchsorted(edges, u, side="right").astype(
         np.min_scalar_type(len(edges)))
 
 
-def restart_path(mrp: MarkovRewardProcess, s, u_trans, u_restart):
+def restart_path(mrp: MarkovRewardProcess, s, ranks, restarts):
     """Walk ``B`` restart chains through a chunk of ``L`` steps.
 
-    ``s`` holds the ``B`` states at the start of the chunk; ``u_trans`` and
-    ``u_restart`` are ``(B, L)`` transition and restart uniforms, or the
-    codes that :func:`transition_ranks` and :func:`start_states` make of
-    them.  Step ``t`` of chain ``b`` moves by inverse CDF of
-    ``u_trans[b, t]``, and where it exits, the chain restarts at
-    ``start_states(mrp, u_restart[b, t])``.
+    ``s`` holds the ``B`` states at the start of the chunk; ``ranks`` and
+    ``restarts`` are ``(B, L)`` codes of the chunk's transition and restart
+    uniforms, made by :func:`transition_ranks` and :func:`start_states`.
+    Step ``t`` of chain ``b`` moves by inverse CDF of its transition
+    uniform, and where it exits, the chain restarts at ``restarts[b, t]``.
 
     Returns ``(states, nexts, s_end)``: the ``(L, B)`` states before and
     after every step, ``n_states`` at an exit, and the ``B`` states after
     the chunk.  States come in the smallest integer dtype that holds
-    ``n_states``.  This is the one vectorized transition sampler;
+    ``n_states``.  A step is one gather from ``mrp.step_table``'s count
+    table, or one search among its keys where the chain has no table.
+    This is the one vectorized transition sampler;
     :func:`sample_transition` is the scalar one.
     """
     n = mrp.n_states
-    _, table = mrp.step_table
-    n_chains, steps = u_trans.shape
-    # time-major codes: offsets into the flat table and restart states,
-    # filled a block of steps at a time so the searches' intp results stay
-    # small
-    offsets = np.empty((steps, n_chains), np.min_scalar_type(table.size))
-    restarts = np.empty((steps, n_chains), table.dtype)
-    block = max(1, _CODE_BLOCK // max(n_chains, 1))
-    for lo in range(0, steps, block):
-        ranks, starts = u_trans[:, lo:lo + block], u_restart[:, lo:lo + block]
-        if ranks.dtype.kind == "f":
-            ranks = transition_ranks(mrp, ranks)
-        if starts.dtype.kind == "f":
-            starts = start_states(mrp, starts)
-        offsets[lo:lo + block] = ranks.T
-        restarts[lo:lo + block] = starts.T
-    offsets *= n
-    flat = table.ravel()
-    states = np.empty((steps + 1, n_chains), table.dtype)
-    nexts = np.empty((steps, n_chains), table.dtype)
+    edges, keys, table = mrp.step_table
+    small = np.min_scalar_type(n)
+    n_chains, steps = ranks.shape
+    restarts = np.ascontiguousarray(restarts.T, dtype=small)  # time-major
+    states = np.empty((steps + 1, n_chains), small)
+    nexts = np.empty((steps, n_chains), small)
     states[0] = s
-    if n_chains <= _FEW_CHAINS:
-        # a few chains walk faster as Python integers than by numpy calls
-        moves = flat.tolist()
-        for b in range(n_chains):
-            cur, path, taken = int(states[0, b]), [], []
-            for off, restart in zip(offsets[:, b].tolist(),
-                                    restarts[:, b].tolist()):
-                nxt = moves[off + cur]
-                cur = restart if nxt == n else nxt
-                taken.append(nxt)
-                path.append(cur)
-            nexts[:, b] = taken
-            states[1:, b] = path
-    else:
+    if table is not None:
+        # offsets of each step's rank row in the flat table
+        offsets = np.ascontiguousarray(
+            ranks.T, dtype=np.min_scalar_type(table.size))
+        offsets *= n
+        flat = table.ravel()
         for t in range(steps):
             nxt = flat.take(offsets[t] + states[t], out=nexts[t], mode="clip")
             states[t + 1] = np.where(nxt == n, restarts[t], nxt)
+    else:
+        ranks = np.ascontiguousarray(ranks.T)
+        width = len(edges) + 1
+        for t in range(steps):
+            s_t = states[t].astype(np.intp)
+            found = keys.searchsorted(s_t * width + ranks[t], side="right")
+            nxt = np.subtract(found, s_t * n, out=found)
+            states[t + 1] = np.where(nxt == n, restarts[t], nxt)
+            nexts[t] = nxt
     return states[:-1], nexts, states[-1]
 
 

@@ -230,9 +230,9 @@ class TestCellBatching:
         # 4 rows: a budget of 25 steps per chunk is raised to CHUNK_FLOOR
         seen = []
 
-        def recording_path(mrp, s, u_trans, u_restart):
-            seen.append(u_trans.shape[1])
-            return restart_path(mrp, s, u_trans, u_restart)
+        def recording_path(mrp, s, ranks, restarts):
+            seen.append(ranks.shape[1])
+            return restart_path(mrp, s, ranks, restarts)
 
         monkeypatch.setattr(harness, "DRAW_BUDGET", budget)
         monkeypatch.setattr(harness, "restart_path", recording_path)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,18 +276,21 @@ def sparse_chain():
                                [0.0, 0.6, 0.0, 0.4], 1.0)
 
 
-class TestRestartPath:
-    # a few chains walk as Python integers, wider batches by numpy steps
-    WIDTHS = (5, 40)
+def coded_path(mrp, s, u_trans, u_restart):
+    """``restart_path`` on the codes of the uniforms."""
+    return restart_path(mrp, s, transition_ranks(mrp, u_trans),
+                        start_states(mrp, u_restart))
 
-    @pytest.fixture(params=WIDTHS)
-    def n_chains(self, request):
+
+class TestRestartPath:
+    # chains with a count table walk by gathers, the others by key searches
+    @pytest.fixture(params=["table", "search"], autouse=True)
+    def walk(self, request, monkeypatch):
+        if request.param == "search":
+            monkeypatch.setattr(mrp_module, "_TABLE_ENTRIES", 0)
         return request.param
 
-    def test_widths_cover_both_walks(self):
-        assert self.WIDTHS[0] <= mrp_module._FEW_CHAINS < self.WIDTHS[1]
-
-    def assert_matches_reference(self, mrp, rng, n_chains, steps=60,
+    def assert_matches_reference(self, mrp, rng, n_chains=12, steps=60,
                                  extra=()):
         u_trans = rng.random((n_chains, steps))
         u_restart = rng.random((n_chains, steps))
@@ -298,45 +302,43 @@ class TestRestartPath:
         u_restart.flat[cells[len(extra):]] = extra
         s0 = start_states(mrp, rng.random(n_chains))
         expected = reference_path(mrp, s0, u_trans, u_restart)
-        got = restart_path(mrp, s0, u_trans, u_restart)
+        got = coded_path(mrp, s0, u_trans, u_restart)
         for want, have in zip(expected, got):
             np.testing.assert_array_equal(have, want)
         assert got[0].shape == got[1].shape == (steps, n_chains)
         assert got[0].dtype == np.min_scalar_type(mrp.n_states)
-        codes = restart_path(mrp, s0, transition_ranks(mrp, u_trans),
-                             start_states(mrp, u_restart))
-        for want, have in zip(expected, codes):
-            np.testing.assert_array_equal(have, want)
         np.testing.assert_array_equal(start_states(mrp, u_restart),
                                       reference_starts(mrp, u_restart))
         return expected
 
     @pytest.mark.parametrize("name", TASK_NAMES)
-    def test_named_tasks(self, name, n_chains):
+    def test_named_tasks(self, name, walk):
         mrp, _ = resolve_task(name)
         states, nexts, _ = self.assert_matches_reference(
-            mrp, np.random.default_rng(3), n_chains)
+            mrp, np.random.default_rng(3))
         assert np.any(nexts == mrp.n_states)  # exits and restarts happen
+        assert (mrp.step_table[2] is None) == (walk == "search")
 
+    @pytest.mark.parametrize("n_chains", [5, 40])
     def test_random_ergodic_chains(self, n_chains):
         rng = np.random.default_rng(4)
         for _ in range(10):
             self.assert_matches_reference(random_ergodic_mrp(rng), rng,
                                           n_chains)
 
-    def test_zero_probability_moves_and_short_rows(self, n_chains):
+    def test_zero_probability_moves_and_short_rows(self):
         mrp = sparse_chain()
         cdf = mrp.transition_cdf
         assert cdf[0, 0] == 0.0 and cdf[0, 1] == cdf[0, 2]  # repeated values
         assert np.all(cdf[1:, -1] < 1.0)  # rows that can exit
         states, nexts, _ = self.assert_matches_reference(
-            mrp, np.random.default_rng(5), n_chains, steps=200)
+            mrp, np.random.default_rng(5), steps=200)
         # zero-probability moves are never taken, even at u = 0
         assert not np.isin(nexts[states == 0], [0, 2]).any()
         assert np.all(np.isin(nexts[states == 1], [2, 4]))
         assert np.all(nexts[states == 3] == 4)  # state 3 always exits
 
-    def test_rounded_cdf_ends(self, n_chains):
+    def test_rounded_cdf_ends(self):
         # rows of ten 1/11 shares leave an exit; ten initial shares of 0.1
         # sum to just below one, so the top uniforms clamp to the last state
         mrp, _ = make_noisy_chain(0.0)
@@ -344,20 +346,20 @@ class TestRestartPath:
         assert mrp.initial_cdf[-1] < 1.0
         top = np.nextafter(mrp.initial_cdf[-1], 1.0)
         self.assert_matches_reference(mrp, np.random.default_rng(6),
-                                      n_chains, extra=[top])
+                                      extra=[top])
         assert start_states(mrp, top) == 9
 
     @pytest.mark.parametrize("split", [1, 17, 59])
-    def test_chunk_boundary_carries_the_state(self, split, n_chains):
+    def test_chunk_boundary_carries_the_state(self, split):
         mrp, _ = resolve_task("BOYAN13")
         rng = np.random.default_rng(7)
-        u_trans, u_restart = rng.random((2, n_chains, 60))
-        s0 = start_states(mrp, rng.random(n_chains))
-        whole = restart_path(mrp, s0, u_trans, u_restart)
-        first = restart_path(mrp, s0, u_trans[:, :split],
-                             u_restart[:, :split])
-        second = restart_path(mrp, first[2], u_trans[:, split:],
-                              u_restart[:, split:])
+        u_trans, u_restart = rng.random((2, 12, 60))
+        s0 = start_states(mrp, rng.random(12))
+        whole = coded_path(mrp, s0, u_trans, u_restart)
+        first = coded_path(mrp, s0, u_trans[:, :split],
+                           u_restart[:, :split])
+        second = coded_path(mrp, first[2], u_trans[:, split:],
+                            u_restart[:, split:])
         np.testing.assert_array_equal(
             np.vstack([first[0], second[0]]), whole[0])
         np.testing.assert_array_equal(
@@ -366,13 +368,37 @@ class TestRestartPath:
         np.testing.assert_array_equal(
             whole[2], reference_path(mrp, s0, u_trans, u_restart)[2])
 
-    def test_table_is_built_on_first_use(self):
+    def test_table_is_built_on_first_use(self, walk):
         mrp, _ = make_random_walk(5, "left")
         assert "step_table" not in vars(mrp)
-        restart_path(mrp, [0], np.zeros((1, 1)), np.zeros((1, 1)))
-        edges, table = mrp.step_table
+        coded_path(mrp, [0], np.zeros((1, 1)), np.zeros((1, 1)))
+        edges, keys, table = mrp.step_table
         np.testing.assert_array_equal(edges, [0.0, 0.5, 1.0])
-        assert table.shape == (len(edges) + 1, mrp.n_states)
+        assert keys.shape == (mrp.n_states ** 2,)
+        if walk == "table":
+            assert table.shape == (len(edges) + 1, mrp.n_states)
+        else:
+            assert table is None
+
+
+def test_dense_chain_keeps_restart_path_memory_small():
+    # 300 states with every move possible: about 90,000 distinct CDF
+    # values, so a count table over every rank and state would hold some
+    # 27 million entries; the key search needs O(n^2) memory instead
+    mrp = random_ergodic_mrp(np.random.default_rng(8), 300)
+    rng = np.random.default_rng(9)
+    u_trans, u_restart = rng.random((2, 50, 40))
+    s0 = start_states(mrp, rng.random(50))
+    tracemalloc.start()
+    try:
+        got = coded_path(mrp, s0, u_trans, u_restart)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mrp.step_table[2] is None
+    assert peak < 8 * 2 ** 20
+    for want, have in zip(reference_path(mrp, s0, u_trans, u_restart), got):
+        np.testing.assert_array_equal(have, want)
 
 
 class TestConstructors:
