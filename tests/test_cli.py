@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -198,6 +199,44 @@ class TestSweepCommand:
         assert err == ("error: sweep config algorithms[1].emphasis is "
                        "missing key 'kind'\n")
         assert not (tmp_path / "sweep.csv").exists()
+
+
+class TestGoldenBytes:
+    """sha256 of small sweep outputs, pinned when they were first written:
+    any change to how records are built, aggregated or written that moves
+    one byte fails here."""
+
+    def test_run_csv_with_diverged_cell(self, tmp_path):
+        out = tmp_path / "run.csv"
+        argv = ["run", "--task", "RW5_LEFT", "--algo", "TD", "DTD",
+                "--emphasis", "count_inverse", "--lambda", "0.9", "1.0",
+                "--alpha", "0.0625", "8", "--runs", "3", "--steps", "2000",
+                "--eval-every", "100", "--seed", "5", "--out", str(out)]
+        assert main(argv) == 0
+        data = out.read_bytes()
+        assert b",inf\n" in data
+        assert hashlib.sha256(data).hexdigest() == (
+            "8e415e0f105f1fbd2777721f93af0755f5f04d0c09fc473f7f9f9b5086dc4c0b")
+
+    def test_sweep_aggregate_json_of_ten_runs(self, tmp_path):
+        out = tmp_path / "agg.json"
+        config = {
+            "task": "BOYAN13", "runs": 10, "steps": 600, "eval_every": 100,
+            "base_seed": 3, "aggregate": True, "format": "json",
+            "out": str(out),
+            "algorithms": [
+                {"algorithm": "TD", "lambda": [0.5, 1.0],
+                 "alpha": [0.125, 8.0]},
+                {"algorithm": "DTD", "lambda": 0.9, "alpha": 0.0625,
+                 "emphasis": {"kind": "abs_expected_td"}}],
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(path)]) == 0
+        data = out.read_bytes()
+        assert b"Infinity" in data
+        assert hashlib.sha256(data).hexdigest() == (
+            "0b45b6666fc6471da08e92434c86168876fa1316233e3d3f40283f846ee63973")
 
 
 class TestVerifyCommand:
