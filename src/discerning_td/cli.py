@@ -13,8 +13,8 @@ from .checks import verify_all
 from .emphasis import EmphasisKind, EmphasisSpec, emphasis_abs_expected_td, \
     init_emphasis_state, long_run_count_inverse
 from .harness import DEFAULT_ALPHA_GRID, DEFAULT_LAMBDA_GRID, \
-    ExperimentConfig, aggregate_all, emit, resolve_task, run_experiment, \
-    select_best
+    ExperimentConfig, aggregate_all, check_csv_cells, emit, resolve_task, \
+    run_experiment, select_best
 from .learners import Algorithm, AlgoConfig
 from .mrp import load_environment
 
@@ -93,6 +93,28 @@ def _expand_cells(algos, lambdas, alphas, emphasis):
     return cells
 
 
+def _run_and_emit(config, out, fmt, aggregated, environment=None):
+    """Simulate ``config`` and write its curves or aggregates to ``out``.
+    A CSV field that would break its line is refused before simulating; a
+    run that ends with a non-finite MSPBE draws one warning on stderr."""
+    if str(fmt).lower() == "csv":
+        check_csv_cells(config.cells())
+    table = run_experiment(config, environment=environment)
+    diverged = table.diverged_runs()
+    if diverged:
+        cells = ", ".join(f"{algorithm} lambda={lam!r} alpha={alpha!r} "
+                          f"{kind} ({n})" for (_, algorithm, lam, alpha, kind),
+                          n in diverged.items())
+        print(f"warning: {sum(diverged.values())} of "
+              f"{len(table.run_starts())} runs ended with non-finite MSPBE: "
+              f"{cells}", file=sys.stderr)
+    if aggregated:
+        emit(aggregate_all(table), out, fmt=fmt, kind="aggregate")
+    else:
+        emit(table, out, fmt=fmt, kind="curve")
+    return table
+
+
 def cmd_run(args) -> int:
     emphasis = parse_emphasis(args.emphasis, args.epsilon_floor)
     config = ExperimentConfig(
@@ -102,13 +124,9 @@ def cmd_run(args) -> int:
         runs=args.runs, steps=args.steps, eval_every=args.eval_every,
         base_seed=args.seed)
     environment = load_environment(args.env_file) if args.env_file else None
-    records = run_experiment(config, environment=environment)
-    if args.aggregate:
-        emit(aggregate_all(records), args.out, fmt=args.format,
-             kind="aggregate")
-    else:
-        emit(records, args.out, fmt=args.format, kind="curve")
-    for key, best in sorted(select_best(records).items()):
+    table = _run_and_emit(config, args.out, args.format, args.aggregate,
+                          environment)
+    for key, best in sorted(select_best(table).items()):
         print(f"{key[0]} {key[1]}: best lambda={best.lam} alpha={best.alpha} "
               f"final_mspbe={best.score:.6f}")
     print(f"wrote {args.out}")
@@ -159,12 +177,8 @@ def cmd_sweep(args) -> int:
         task=spec["task"], algorithms=cells, runs=int(spec["runs"]),
         steps=int(spec["steps"]), eval_every=int(spec["eval_every"]),
         base_seed=int(spec["base_seed"]))
-    records = run_experiment(config)
-    fmt = spec.get("format", "csv")
-    if spec.get("aggregate", False):
-        emit(aggregate_all(records), spec["out"], fmt=fmt, kind="aggregate")
-    else:
-        emit(records, spec["out"], fmt=fmt, kind="curve")
+    _run_and_emit(config, spec["out"], spec.get("format", "csv"),
+                  spec.get("aggregate", False))
     print(f"wrote {spec['out']}")
     return 0
 

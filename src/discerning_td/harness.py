@@ -12,7 +12,9 @@ adding an algorithm to a config never perturbs the streams of the others.
 import enum
 import json
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -24,10 +26,10 @@ from .mrp import FeatureMap, MarkovRewardProcess, make_boyan_chain, \
     make_feature_map, make_noisy_chain, make_random_walk, restart_path, \
     start_states, transition_ranks
 
-CURVE_COLUMNS = ("task", "algorithm", "lambda", "alpha", "emphasis_kind",
-                 "seed", "step", "mspbe")
-AGGREGATE_COLUMNS = ("task", "algorithm", "lambda", "alpha", "emphasis_kind",
-                     "step", "mean_mspbe", "std_mspbe", "n_runs")
+CELL_COLUMNS = ("task", "algorithm", "lambda", "alpha", "emphasis_kind")
+CURVE_COLUMNS = CELL_COLUMNS + ("seed", "step", "mspbe")
+AGGREGATE_COLUMNS = CELL_COLUMNS + ("step", "mean_mspbe", "std_mspbe",
+                                    "n_runs")
 
 # Sweep grids used when the CLI is not given explicit ones.
 DEFAULT_ALPHA_GRID = tuple(2.0 ** -k for k in range(7, -1, -1))
@@ -81,6 +83,13 @@ class ExperimentConfig:
         if self.base_seed < 0:
             raise ValueError("base_seed must be nonnegative")
 
+    def cells(self):
+        """The record cell (task, algorithm, lambda, alpha, emphasis label)
+        of each configured algorithm, in config order."""
+        return [(self.task, algo.algorithm.value, float(algo.lam),
+                 float(algo.alpha), emphasis_label(algo))
+                for algo in self.algorithms]
+
 
 @dataclass(frozen=True)
 class CurveRecord:
@@ -113,6 +122,115 @@ class AggregateRecord:
     def __post_init__(self):
         if not self.std_mspbe >= 0.0:
             raise ValueError("std_mspbe must be nonnegative")
+
+
+class CurveTable(Sequence):
+    """Curve records in columns, in record order.
+
+    ``cells`` holds each distinct (task, algorithm, lambda, alpha, emphasis
+    label) once; the ``cell`` column indexes it, and the ``seed``, ``step``
+    and ``mspbe`` columns hold the rest of each record.  Any list of
+    records fits, ragged ones included.  The table is a read-only sequence
+    of ``CurveRecord``: its length is the record count, iteration and
+    indexing build the records, and it equals any sequence of the same
+    records.
+    """
+
+    def __init__(self, cells, cell, seed, step, mspbe):
+        self.cells = tuple(tuple(key) for key in cells)
+        if len(set(self.cells)) != len(self.cells):
+            raise ValueError("table cells must be distinct")
+        self.cell = np.asarray(cell, dtype=np.intp)
+        self.seed = np.asarray(seed, dtype=np.int64)
+        self.step = np.asarray(step, dtype=np.int64)
+        self.mspbe = np.asarray(mspbe, dtype=np.float64)
+        columns = (self.cell, self.seed, self.step, self.mspbe)
+        if any(col.shape != (len(self.cell),) for col in columns):
+            raise ValueError("table columns must be 1-D and of one length")
+        if not (self.mspbe >= 0.0).all():
+            raise ValueError("mspbe must be nonnegative")
+
+    @classmethod
+    def from_records(cls, records) -> "CurveTable":
+        """The table of a sequence of records (a table is returned as it
+        is); cells are numbered in order of first appearance."""
+        if isinstance(records, CurveTable):
+            return records
+        records = list(records)
+        index = {}
+        cell = [index.setdefault(_cell_of(rec), len(index))
+                for rec in records]
+        return cls(index, cell, [rec.seed for rec in records],
+                   [rec.step for rec in records],
+                   [rec.mspbe for rec in records])
+
+    def __len__(self) -> int:
+        return len(self.cell)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return CurveRecord(*self.cells[self.cell[i]], int(self.seed[i]),
+                           int(self.step[i]), float(self.mspbe[i]))
+
+    def __iter__(self):
+        return (CurveRecord(*row) for row in self.rows())
+
+    def rows(self):
+        """Each record's fields as a tuple, in ``CURVE_COLUMNS`` order."""
+        cells = self.cells
+        return ((*cells[c], seed, step, value) for c, seed, step, value in zip(
+            self.cell.tolist(), self.seed.tolist(), self.step.tolist(),
+            self.mspbe.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
+
+    def run_starts(self) -> np.ndarray:
+        """Index of the first record of each run: each maximal stretch of
+        records with one cell and one seed."""
+        return _group_starts(self.cell, self.seed)
+
+    def diverged_runs(self) -> dict:
+        """{cell: number of its runs whose last MSPBE is not finite}, for
+        the cells that have any, in cell order."""
+        starts = self.run_starts()
+        if not len(starts):
+            return {}
+        last = np.append(starts[1:], len(self)) - 1
+        bad = np.bincount(self.cell[last[~np.isfinite(self.mspbe[last])]],
+                          minlength=len(self.cells))
+        return {self.cells[c]: int(n) for c, n in enumerate(bad) if n}
+
+    def by_cell_step(self) -> dict:
+        """{cell: {step: its MSPBE values in record order}}, with cells
+        and each cell's steps in order of first appearance.  Each value
+        array is one contiguous slice, so numpy reduces it exactly as it
+        reduces the list of those values."""
+        order = np.lexsort((self.step, self.cell))  # stable: record order
+        cell, step = self.cell[order], self.step[order]
+        starts = _group_starts(cell, step)
+        ends = np.append(starts[1:], len(order)).tolist()
+        values = self.mspbe[order]
+        out = {}
+        for g in np.argsort(order[starts]).tolist():
+            start = int(starts[g])
+            out.setdefault(self.cells[cell[start]], {})[int(step[start])] = \
+                values[start:ends[g]]
+        return out
+
+
+def _group_starts(*columns) -> np.ndarray:
+    """Index of the first record and of each record where any of these
+    equal-length columns changes value."""
+    change = np.zeros(len(columns[0]), dtype=bool)
+    change[:1] = True
+    for col in columns:
+        change[1:] |= col[1:] != col[:-1]
+    return np.flatnonzero(change)
 
 
 @dataclass
@@ -174,9 +292,12 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     codes (``mrp.transition_ranks``, ``mrp.start_states``), and one
     ``mrp.restart_path`` call gives every row's states before and after
     each step of the chunk.  A row's weights and curve are the same in any
-    batch, except that on chains of ten or more states a one-row call can
-    differ in the last bit, in its curve and under adaptive emphasis,
-    because numpy multiplies a single row by the matrix-vector path.
+    batch, except in a one-row call on chains of ten or more states, which
+    numpy multiplies by its matrix-vector path.  Its curve can then differ
+    in the last bit, and under adaptive emphasis the difference feeds back
+    through θ and can grow: on BOYAN13 (DTD, λ 0.9, seed 0, 5000 steps) a
+    one-row call and row 0 of a two-row call differ in θ by 0.138 and in
+    the final MSPBE by 0.023 at α = 2⁻⁴, and in θ by 6e-13 at α = 2⁻⁶.
     Non-finite error measurements (diverged rows) are recorded as +inf.
     """
     n_rows = len(seed_seqs)
@@ -328,7 +449,7 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
 
 
 def run_experiment(config: ExperimentConfig, environment=None):
-    """Simulate every configured cell and return the measurement records.
+    """Simulate every configured cell and return its ``CurveTable``.
 
     All cells step together in one ``simulate_curves`` call, their rows in
     cell-major order, so the records come out cell by cell and run by run.
@@ -347,19 +468,14 @@ def run_experiment(config: ExperimentConfig, environment=None):
                                        runs))
     out = simulate_curves(mrp, fm, configs, seqs, config.steps,
                           config.eval_every)
-    records = []
-    for cell, algo in enumerate(config.algorithms):
-        label = emphasis_label(algo)
-        for run in range(runs):
-            seed = config.base_seed + run
-            curve = out.curves[cell * runs + run]
-            for j, step in enumerate(out.eval_steps):
-                records.append(CurveRecord(
-                    task=config.task, algorithm=algo.algorithm.value,
-                    lam=float(algo.lam), alpha=float(algo.alpha),
-                    emphasis_kind=label, seed=seed, step=int(step),
-                    mspbe=float(curve[j])))
-    return records
+    index = {}
+    cells = [index.setdefault(key, len(index)) for key in config.cells()]
+    n_points = len(out.eval_steps)
+    return CurveTable(
+        index, np.repeat(cells, runs * n_points),
+        np.tile(np.repeat(config.base_seed + np.arange(runs), n_points),
+                len(cells)),
+        np.tile(out.eval_steps, len(cells) * runs), out.curves.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -390,16 +506,12 @@ def _cell_of(record) -> tuple:
 def select_best(records, criterion=SelectionCriterion.FINAL_MSPBE):
     """Best hyperparameter cell per (task, algorithm): smallest mean score,
     ties broken by smaller alpha then smaller lambda."""
-    records = list(records)
-    if not records:
+    table = CurveTable.from_records(records)
+    if not len(table):
         raise ValueError("no records to select from")
     criterion = SelectionCriterion(criterion)
-    by_cell = {}
-    for rec in records:
-        by_cell.setdefault(_cell_of(rec), {}).setdefault(rec.step, []).append(
-            rec.mspbe)
     best = {}
-    for cell, by_step in by_cell.items():
+    for cell, by_step in table.by_cell_step().items():
         if criterion is SelectionCriterion.FINAL_MSPBE:
             score = float(np.mean(by_step[max(by_step)]))
         else:
@@ -415,23 +527,13 @@ def select_best(records, criterion=SelectionCriterion.FINAL_MSPBE):
     return {key: value[1] for key, value in best.items()}
 
 
-def aggregate(records):
-    """Mean and sample standard deviation across runs, per step, for records
-    that all belong to one hyperparameter cell."""
-    records = list(records)
-    if not records:
-        raise ValueError("no records to aggregate")
-    cells = {_cell_of(rec) for rec in records}
-    if len(cells) > 1:
-        raise ValueError("records span multiple hyperparameter cells")
-    task, algorithm, lam, alpha, kind = cells.pop()
-    by_step = {}
-    for rec in records:
-        by_step.setdefault(rec.step, []).append(rec.mspbe)
+def _aggregate_cell(cell, by_step):
+    task, algorithm, lam, alpha, kind = cell
     out = []
     for step in sorted(by_step):
-        values = np.asarray(by_step[step])
-        std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+        values = by_step[step]
+        with np.errstate(invalid="ignore"):  # inf - inf; reported as inf
+            std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
         if not np.isfinite(std):
             std = float("inf")
         out.append(AggregateRecord(
@@ -441,26 +543,28 @@ def aggregate(records):
     return out
 
 
+def aggregate(records):
+    """Mean and sample standard deviation across runs, per step, for records
+    that all belong to one hyperparameter cell."""
+    groups = CurveTable.from_records(records).by_cell_step()
+    if not groups:
+        raise ValueError("no records to aggregate")
+    if len(groups) > 1:
+        raise ValueError("records span multiple hyperparameter cells")
+    return _aggregate_cell(*groups.popitem())
+
+
 def aggregate_all(records):
     """Aggregate each hyperparameter cell separately, preserving the order
     in which cells first appear."""
-    groups = {}
-    for rec in records:
-        groups.setdefault(_cell_of(rec), []).append(rec)
-    out = []
-    for group in groups.values():
-        out.extend(aggregate(group))
-    return out
+    groups = CurveTable.from_records(records).by_cell_step()
+    return [agg for cell, by_step in groups.items()
+            for agg in _aggregate_cell(cell, by_step)]
 
 
 # ---------------------------------------------------------------------------
 # File emission
 # ---------------------------------------------------------------------------
-
-
-def _curve_row(rec: CurveRecord):
-    return [rec.task, rec.algorithm, rec.lam, rec.alpha, rec.emphasis_kind,
-            rec.seed, rec.step, rec.mspbe]
 
 
 def _aggregate_row(rec: AggregateRecord):
@@ -470,69 +574,127 @@ def _aggregate_row(rec: AggregateRecord):
 
 def _format_field(value) -> str:
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # numpy 2 reprs np.float64 as a call
     return str(value)
+
+
+def check_csv_cells(cells) -> None:
+    """Raise ``ValueError``, naming the column, if a text field of these
+    record cells holds a comma or a line break, which the CSV form of
+    :func:`emit` cannot write and :func:`load_records` could not read."""
+    for cell in cells:
+        for column, value in zip(CELL_COLUMNS, cell):
+            if isinstance(value, str) and any(c in value for c in ",\r\n"):
+                raise ValueError(f"CSV column {column!r} cannot hold "
+                                 f"{value!r}: it has a comma or line break")
+
+
+def _write_curve_csv(handle, table: CurveTable) -> None:
+    """One line per record; each cell's fields are formatted once, and
+    each run's seed once."""
+    prefixes = [",".join(map(_format_field, cell)) + ","
+                for cell in table.cells]
+    cells, seeds = table.cell.tolist(), table.seed.tolist()
+    steps, values = table.step.tolist(), table.mspbe.tolist()
+    starts = table.run_starts().tolist()
+    for start, end in zip(starts, starts[1:] + [len(table)]):
+        prefix = f"{prefixes[cells[start]]}{seeds[start]},"
+        handle.write("".join([f"{prefix}{step},{value!r}\n" for step, value
+                              in zip(steps[start:end], values[start:end])]))
 
 
 def emit(rows, path, fmt: str = "csv", kind: str | None = None) -> None:
     """Write records to ``path`` as CSV (fixed column order, one header row,
-    line-feed endings) or as a JSON array of flat objects."""
-    rows = list(rows)
+    line-feed endings) or as a JSON array of flat objects.  Curve records
+    come as a ``CurveTable`` or any sequence of ``CurveRecord``."""
+    if not isinstance(rows, CurveTable):
+        rows = list(rows)
     if kind is None:
         kind = "aggregate" if rows and isinstance(rows[0], AggregateRecord) \
             else "curve"
     if kind not in ("curve", "aggregate"):
         raise ValueError(f"unknown record kind {kind!r}")
-    columns = CURVE_COLUMNS if kind == "curve" else AGGREGATE_COLUMNS
-    to_row = _curve_row if kind == "curve" else _aggregate_row
     fmt = str(fmt).lower()
-    if fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(",".join(columns) + "\n")
-            for rec in rows:
-                handle.write(",".join(_format_field(v) for v in to_row(rec))
-                             + "\n")
-    elif fmt == "json":
-        payload = [dict(zip(columns, to_row(rec))) for rec in rows]
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
+    if kind == "curve":
+        table = CurveTable.from_records(rows)
+        columns, cells, rows = CURVE_COLUMNS, table.cells, table.rows()
+    else:
+        columns = AGGREGATE_COLUMNS
+        cells = {_cell_of(rec) for rec in rows}
+        rows = map(_aggregate_row, rows)
+    if fmt == "json":
+        payload = [dict(zip(columns, row)) for row in rows]
         with open(path, "w", encoding="utf-8", newline="") as handle:
             json.dump(payload, handle, indent=1)
             handle.write("\n")
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+        return
+    check_csv_cells(cells)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(columns) + "\n")
+        if kind == "curve":
+            _write_curve_csv(handle, table)
+        else:
+            for row in rows:
+                handle.write(",".join(map(_format_field, row)) + "\n")
 
 
-def _rows_from_file(path, fmt):
+def _columns_from_file(path, fmt, columns):
+    """The columns of a file written by :func:`emit`: first each row's
+    cell (a CSV line's text up to its first non-cell field, or a JSON row's
+    cell values), then the remaining fields, unparsed in CSV."""
     if fmt is None:
         fmt = "json" if str(path).endswith(".json") else "csv"
+    rest = columns[len(CELL_COLUMNS):]
     if fmt == "json":
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.rstrip("\n") for line in handle if line.strip()]
-    header = lines[0].split(",")
-    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+            rows = json.load(handle)
+        cols = [list(map(itemgetter(*CELL_COLUMNS), rows)),
+                *zip(*map(itemgetter(*rest), rows))]
+    else:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = [line.rstrip("\n") for line in handle if line.strip()]
+        if not lines or lines[0] != ",".join(columns):
+            raise ValueError(f"{path} does not start with the header "
+                             f"{','.join(columns)}")
+        cols = list(zip(*(line.rsplit(",", len(rest))
+                          for line in lines[1:])))
+    return cols if len(cols) == 1 + len(rest) else [()] * (1 + len(rest))
+
+
+def _parse_cell(raw) -> tuple:
+    task, algorithm, lam, alpha, kind = \
+        raw.split(",") if isinstance(raw, str) else raw
+    return (task, algorithm, float(lam), float(alpha), kind)
+
+
+def load_table(path, fmt: str | None = None) -> CurveTable:
+    """Parse a curve file produced by :func:`emit` into a ``CurveTable``;
+    each distinct cell is parsed once."""
+    cells, seeds, steps, values = _columns_from_file(path, fmt,
+                                                     CURVE_COLUMNS)
+    index, of_raw = {}, {}
+    for raw in dict.fromkeys(cells):  # distinct, in order of appearance
+        of_raw[raw] = index.setdefault(_parse_cell(raw), len(index))
+    return CurveTable(index, [of_raw[raw] for raw in cells],
+                      np.array(seeds, dtype=np.int64),
+                      np.array(steps, dtype=np.int64),
+                      np.array(values, dtype=np.float64))
 
 
 def load_records(path, fmt: str | None = None):
-    """Parse a curve file produced by :func:`emit`."""
-    out = []
-    for row in _rows_from_file(path, fmt):
-        out.append(CurveRecord(
-            task=row["task"], algorithm=row["algorithm"],
-            lam=float(row["lambda"]), alpha=float(row["alpha"]),
-            emphasis_kind=row["emphasis_kind"], seed=int(row["seed"]),
-            step=int(row["step"]), mspbe=float(row["mspbe"])))
-    return out
+    """Parse a curve file produced by :func:`emit` into a list of
+    ``CurveRecord``."""
+    return list(load_table(path, fmt))
 
 
 def load_aggregates(path, fmt: str | None = None):
     """Parse an aggregate file produced by :func:`emit`."""
-    out = []
-    for row in _rows_from_file(path, fmt):
-        out.append(AggregateRecord(
-            task=row["task"], algorithm=row["algorithm"],
-            lam=float(row["lambda"]), alpha=float(row["alpha"]),
-            emphasis_kind=row["emphasis_kind"], step=int(row["step"]),
-            mean_mspbe=float(row["mean_mspbe"]),
-            std_mspbe=float(row["std_mspbe"]), n_runs=int(row["n_runs"])))
-    return out
+    cells, steps, means, stds, n_runs = _columns_from_file(
+        path, fmt, AGGREGATE_COLUMNS)
+    parsed = {raw: _parse_cell(raw) for raw in set(cells)}
+    return [AggregateRecord(*parsed[raw], int(step), float(mean), float(std),
+                            int(n))
+            for raw, step, mean, std, n in zip(cells, steps, means, stds,
+                                               n_runs)]

@@ -102,6 +102,50 @@ class TestRunCommand:
         assert (tmp_path / "saved.csv").read_bytes() == \
             (tmp_path / "named.csv").read_bytes()
 
+    def test_comma_in_task_refused_before_simulating(self, tmp_path, capsys,
+                                                     monkeypatch):
+        from discerning_td import harness
+        mrp, fm = make_random_walk(5, "left")
+        env_path = tmp_path / "env.json"
+        save_environment(env_path, mrp, fm)
+        argv = run_args(tmp_path, **{"--task": "left,walk"}) + [
+            "--env-file", str(env_path)]
+
+        def never(*args, **kwargs):
+            raise AssertionError("simulated before refusing the CSV")
+
+        monkeypatch.setattr(harness, "simulate_curves", never)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'task'" in err
+        assert not (tmp_path / "out.csv").exists()
+        monkeypatch.undo()
+        json_argv = run_args(tmp_path, name="out.json",
+                             **{"--task": "left,walk"}) + [
+            "--env-file", str(env_path), "--format", "json"]
+        assert main(json_argv) == 0
+        assert {r.task for r in load_records(tmp_path / "out.json")} == \
+            {"left,walk"}
+
+    def test_diverged_runs_warn_once_on_stderr(self, tmp_path, capsys):
+        argv = run_args(tmp_path, **{
+            "--task": "RW5_LEFT", "--algo": ["TD", "DTD"],
+            "--emphasis": "count_inverse", "--lambda": ["0.9", "1.0"],
+            "--alpha": ["0.0625", "8"], "--runs": "3", "--steps": "2000"})
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        warnings = [line for line in captured.err.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == 1
+        assert "12 of 24 runs" in warnings[0]
+        assert "TD lambda=1.0 alpha=8.0 none (3)" in warnings[0]
+        assert "alpha=0.0625" not in warnings[0]
+        assert "warning" not in captured.out
+
+    def test_finite_runs_do_not_warn(self, tmp_path, capsys):
+        assert main(run_args(tmp_path)) == 0
+        assert capsys.readouterr().err == ""
+
     def test_dtd_with_emphasis(self, tmp_path):
         argv = run_args(tmp_path, **{"--algo": ["TD", "DTD"],
                                      "--emphasis": "count_inverse"})
@@ -133,6 +177,22 @@ class TestSweepCommand:
         assert cells == {("TD", 0.0, 0.1), ("TD", 0.5, 0.1),
                          ("DTD", 0.5, 0.1), ("DTD", 0.5, 0.2)}
         assert {r.seed for r in records} == {3, 4}
+
+    def test_diverged_sweep_warns(self, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        config = {
+            "task": "RW5_LEFT", "runs": 2, "steps": 2000, "eval_every": 1000,
+            "base_seed": 0, "out": str(out), "format": "json",
+            "aggregate": True,
+            "algorithms": [{"algorithm": "TD", "lambda": 1.0,
+                            "alpha": [0.0625, 8.0]}],
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(path)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: 2 of 4 runs ended with non-finite")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("text, entry", [
         ("constant:0.5", {"kind": "constant", "constant": 0.5}),

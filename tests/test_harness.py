@@ -5,6 +5,7 @@ from discerning_td import (
     AlgoConfig,
     Algorithm,
     CurveRecord,
+    CurveTable,
     EmphasisKind,
     EmphasisSpec,
     ExperimentConfig,
@@ -13,6 +14,7 @@ from discerning_td import (
     emit,
     load_aggregates,
     load_records,
+    load_table,
     resolve_task,
     run_experiment,
     select_best,
@@ -501,6 +503,232 @@ class TestEmit:
         assert path.read_text() == ("task,algorithm,lambda,alpha,"
                                     "emphasis_kind,step,mean_mspbe,"
                                     "std_mspbe,n_runs\n")
+
+
+def reference_select_best(records, criterion):
+    """The per-record selection that the table replaced."""
+    by_cell = {}
+    for rec in records:
+        cell = (rec.task, rec.algorithm, rec.lam, rec.alpha,
+                rec.emphasis_kind)
+        by_cell.setdefault(cell, {}).setdefault(rec.step, []).append(
+            rec.mspbe)
+    best = {}
+    for cell, by_step in by_cell.items():
+        if criterion == "final_mspbe":
+            score = float(np.mean(by_step[max(by_step)]))
+        else:
+            score = float(np.mean([np.mean(v) for v in by_step.values()]))
+        if not np.isfinite(score):
+            score = float("inf")
+        order = (score, cell[3], cell[2])
+        if cell[:2] not in best or order < best[cell[:2]][0]:
+            best[cell[:2]] = (order, cell, score)
+    return {key: (cell, score) for key, (_, cell, score) in best.items()}
+
+
+def reference_aggregate_all(records):
+    """The per-record aggregation that the table replaced."""
+    groups = {}
+    for rec in records:
+        cell = (rec.task, rec.algorithm, rec.lam, rec.alpha,
+                rec.emphasis_kind)
+        groups.setdefault(cell, {}).setdefault(rec.step, []).append(
+            rec.mspbe)
+    out = []
+    for cell, by_step in groups.items():
+        for step in sorted(by_step):
+            values = np.asarray(by_step[step])
+            with np.errstate(invalid="ignore"):
+                std = float(np.std(values, ddof=1)) if len(values) > 1 \
+                    else 0.0
+            out.append((cell, step, float(np.mean(values)),
+                        std if np.isfinite(std) else float("inf"),
+                        len(values)))
+    return out
+
+
+def diverging_config(runs=10):
+    """Four RW5_LEFT cells, one of which diverges (alpha 8, lambda 1)."""
+    count = EmphasisSpec("count_inverse")
+    cells = [AlgoConfig(Algorithm.TD, lam=1.0, alpha=8.0),
+             AlgoConfig(Algorithm.TD, lam=0.9, alpha=0.0625),
+             AlgoConfig(Algorithm.DTD, lam=0.9, alpha=0.0625,
+                        emphasis=count),
+             AlgoConfig(Algorithm.DTD, lam=0.4, alpha=0.25, emphasis=count)]
+    return small_config(task="RW5_LEFT", algorithms=cells, runs=runs,
+                        steps=1000, eval_every=100, base_seed=2)
+
+
+class TestCurveTable:
+    def test_length_is_cells_runs_points(self):
+        config = diverging_config(runs=3)
+        table = run_experiment(config)
+        assert isinstance(table, CurveTable)
+        assert len(table) == 4 * 3 * 10
+        assert len(table.cells) == 4 and len(table.run_starts()) == 4 * 3
+
+    def test_sequence_of_records(self):
+        table = run_experiment(small_config())
+        records = list(table)
+        assert all(isinstance(r, CurveRecord) for r in records)
+        assert table[0] == records[0] and table[-1] == records[-1]
+        assert table[2:5] == records[2:5]
+        assert table == records and records == table
+        assert table != records[:-1]
+        assert CurveTable.from_records(records) == table
+        with pytest.raises(IndexError):
+            table[len(records)]
+
+    def test_duplicate_configs_share_a_cell(self):
+        algo = AlgoConfig(Algorithm.TD, lam=0.5, alpha=0.1)
+        table = run_experiment(small_config(algorithms=[algo, algo]))
+        assert len(table.cells) == 1 and len(table) == 2 * 3 * 4
+        assert aggregate(table)[0].n_runs == 6
+
+    def test_ragged_records_round_trip(self, tmp_path):
+        records = [
+            CurveRecord("T", "TD", 0.5, 0.1, "none", 0, 100, 0.3),
+            CurveRecord("U", "DTD", 0.9, 0.2, "count_inverse", 4, 50, 0.1),
+            CurveRecord("T", "TD", 0.5, 0.1, "none", 0, 50, float("inf")),
+            CurveRecord("T", "TD", 0.5, 0.1, "none", 1, 100, 0.2),
+        ]
+        table = CurveTable.from_records(records)
+        assert table == records and len(table.cells) == 2
+        assert table.run_starts().tolist() == [0, 1, 2, 3]
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"ragged.{fmt}"
+            emit(records, path, fmt=fmt)
+            assert load_records(path) == records
+            assert load_table(path) == table
+
+    def test_numpy_scalars_write_as_python_numbers(self, tmp_path):
+        records = [CurveRecord("T", "TD", np.float64(0.5), np.float64(0.1),
+                               "none", np.int64(3), np.int64(50),
+                               np.float64(0.25))]
+        path = tmp_path / "np.csv"
+        emit(records, path)
+        assert path.read_text().splitlines()[1] == "T,TD,0.5,0.1,none,3,50,0.25"
+        assert load_records(path) == records
+        emit(aggregate_all(records), path)
+        assert load_aggregates(path)[0].lam == 0.5
+
+    def test_rejects_negative_mspbe_and_repeated_cells(self):
+        cell = ("T", "TD", 0.5, 0.1, "none")
+        with pytest.raises(ValueError, match="nonnegative"):
+            CurveTable([cell], [0], [0], [50], [-1.0])
+        with pytest.raises(ValueError, match="distinct"):
+            CurveTable([cell, cell], [0, 1], [0, 0], [50, 50], [0.1, 0.2])
+        with pytest.raises(ValueError, match="one length"):
+            CurveTable([cell], [0, 0], [0], [50], [0.1])
+
+    def test_diverged_runs_read_the_last_point(self):
+        table = run_experiment(diverging_config(runs=3))
+        diverged = table.diverged_runs()
+        assert diverged == {("RW5_LEFT", "TD", 1.0, 8.0, "none"): 3}
+        ragged = CurveTable.from_records([
+            CurveRecord("T", "TD", 0.5, 0.1, "none", 0, 50, float("inf")),
+            CurveRecord("T", "TD", 0.5, 0.1, "none", 0, 100, 0.1),
+            CurveRecord("T", "TD", 0.5, 0.1, "none", 1, 50, 0.1),
+            CurveRecord("T", "TD", 0.5, 0.1, "none", 1, 100, float("inf")),
+        ])
+        assert ragged.diverged_runs() == {("T", "TD", 0.5, 0.1, "none"): 1}
+        assert CurveTable.from_records([]).diverged_runs() == {}
+
+    def test_loader_refuses_another_header(self, tmp_path):
+        path = tmp_path / "curves.csv"
+        path.write_text("seed,task\n0,T\n")
+        with pytest.raises(ValueError, match="header"):
+            load_records(path)
+
+
+class TestTableEquivalence:
+    """select_best and aggregate_all give the same answers, bit for bit, on
+    a table, on its list of records and by the per-record reference."""
+
+    @pytest.mark.parametrize("criterion", ["final_mspbe", "auc"])
+    def test_select_best_on_table_and_list(self, criterion):
+        table = run_experiment(diverging_config())
+        records = list(table)
+        by_table = select_best(table, criterion)
+        assert by_table == select_best(records, criterion)
+        want = reference_select_best(records, criterion)
+        assert {key: ((b.task, b.algorithm, b.lam, b.alpha, b.emphasis_kind),
+                      b.score) for key, b in by_table.items()} == want
+
+    @pytest.mark.parametrize("criterion", ["final_mspbe", "auc"])
+    def test_tie_breaks_and_inf_scores(self, criterion):
+        records = []
+        cells = [(0.9, 0.2, 0.2), (0.5, 0.1, 0.2), (0.4, 0.1, 0.2),
+                 (0.0, 0.05, float("inf")), (0.3, 0.1, 0.2)]
+        for lam, alpha, value in cells:
+            for seed in range(9):
+                for step in (100, 50):  # steps out of order
+                    records.append(CurveRecord("T", "TD", lam, alpha, "none",
+                                               seed, step, value))
+        records.append(CurveRecord("T", "DTD", 0.5, 0.1, "none", 0, 50,
+                                   float("inf")))
+        table = CurveTable.from_records(records)
+        for best in (select_best(table, criterion),
+                     select_best(records, criterion)):
+            assert (best[("T", "TD")].lam, best[("T", "TD")].alpha) == \
+                (0.3, 0.1)
+            assert best[("T", "DTD")].score == float("inf")
+            assert {k: ((b.task, b.algorithm, b.lam, b.alpha,
+                         b.emphasis_kind), b.score)
+                    for k, b in best.items()} == \
+                reference_select_best(records, criterion)
+
+    def test_auc_keeps_first_appearance_step_order(self):
+        rng = np.random.default_rng(1)
+        steps = rng.permutation(np.arange(10, 110, 10)).tolist()
+        values = (rng.random(10) * 10.0 ** rng.integers(-3, 3, 10)).tolist()
+        records = [CurveRecord("T", "TD", 0.5, 0.1, "none", 0, step, value)
+                   for step, value in zip(steps, values)]
+        want = reference_select_best(records, "auc")[("T", "TD")][1]
+        # in ascending step order the same means sum to other bits
+        assert want != float(np.mean([v for _, v in
+                                      sorted(zip(steps, values))]))
+        assert select_best(records, "auc")[("T", "TD")].score == want
+
+    def test_aggregate_all_matches_reference_bits(self):
+        table = run_experiment(diverging_config())
+        aggs = aggregate_all(table)
+        assert aggs == aggregate_all(list(table))
+        got = [((a.task, a.algorithm, a.lam, a.alpha, a.emphasis_kind),
+                a.step, a.mean_mspbe, a.std_mspbe, a.n_runs) for a in aggs]
+        assert got == reference_aggregate_all(list(table))
+        assert [a.n_runs for a in aggs] == [10] * len(aggs)
+        assert any(a.std_mspbe == float("inf") for a in aggs)
+
+    def test_aggregate_all_keeps_cell_order_of_ragged_records(self):
+        rng = np.random.default_rng(3)
+        records = [CurveRecord("T", algo, lam, 0.1, "none", seed, step,
+                               float(rng.random()))
+                   for seed in range(12) for algo, lam in
+                   (("TD", 0.9), ("DTD", 0.5), ("TD", 0.0))
+                   for step in (200, 100)]
+        got = [((a.task, a.algorithm, a.lam, a.alpha, a.emphasis_kind),
+                a.step, a.mean_mspbe, a.std_mspbe, a.n_runs)
+               for a in aggregate_all(records)]
+        assert got == reference_aggregate_all(records)
+        assert [g[0][1:3] for g in got[::2]] == [("TD", 0.9), ("DTD", 0.5),
+                                                ("TD", 0.0)]
+
+
+class TestCsvText:
+    @pytest.mark.parametrize("text", ["left,walk", "a\nb", "a\rb"])
+    def test_curve_csv_refuses_a_breaking_task(self, tmp_path, text):
+        records = [CurveRecord(text, "TD", 0.5, 0.1, "none", 0, 50, 0.1)]
+        with pytest.raises(ValueError, match="'task'"):
+            emit(records, tmp_path / "x.csv")
+        emit(records, tmp_path / "x.json", fmt="json")
+        assert load_records(tmp_path / "x.json") == records
+
+    def test_aggregate_csv_names_the_column(self, tmp_path):
+        records = [CurveRecord("T", "TD", 0.5, 0.1, "a,b", 0, 50, 0.1)]
+        with pytest.raises(ValueError, match="'emphasis_kind'"):
+            emit(aggregate_all(records), tmp_path / "x.csv")
 
 
 class TestScheduleRestriction:
