@@ -6,6 +6,7 @@ import pytest
 
 from discerning_td import load_records, make_random_walk, resolve_task, \
     save_environment
+from discerning_td import harness
 from discerning_td import mrp as mrp_module
 from discerning_td.checks import TASK_NAMES
 from discerning_td.cli import main, parse_emphasis
@@ -297,6 +298,44 @@ class TestGoldenBytes:
         assert b"Infinity" in data
         assert hashlib.sha256(data).hexdigest() == (
             "0b45b6666fc6471da08e92434c86168876fa1316233e3d3f40283f846ee63973")
+
+    @staticmethod
+    def small_chunks(monkeypatch, rows, steps, min_chunks=3):
+        """Shrink the draw budget so a run of ``rows`` rows spans at least
+        ``min_chunks`` chunks, the last one partial."""
+        monkeypatch.setattr(harness, "CHUNK_FLOOR", 8)
+        monkeypatch.setattr(harness, "DRAW_BUDGET", 70 * rows)
+        chunk = min(steps, max(harness.CHUNK_FLOOR,
+                               harness.DRAW_BUDGET // rows))
+        assert -(-steps // chunk) >= min_chunks and steps % chunk
+
+    def test_noisy_run_csv_of_five_learners_across_chunks(self, tmp_path,
+                                                          monkeypatch):
+        self.small_chunks(monkeypatch, rows=5 * 2 * 2, steps=300)
+        out = tmp_path / "noisy.csv"
+        argv = ["run", "--task", "NOISY10:1",
+                "--algo", "TD", "DTD", "ETD", "PTD", "TDW",
+                "--emphasis", "noise_prior", "--lambda", "0.9",
+                "--alpha", "0.03125", "0.125", "--runs", "2",
+                "--steps", "300", "--eval-every", "50", "--seed", "11",
+                "--out", str(out)]
+        assert main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "853e31cfb6e61aeb1a35960d3d4df502e56bb08645d6bed5977441d53aa3bd0d")
+
+    def test_count_inverse_run_csv_mixed_with_td_and_etd(self, tmp_path,
+                                                          monkeypatch):
+        self.small_chunks(monkeypatch, rows=5 * 2 * 3, steps=400)
+        out = tmp_path / "count.csv"
+        argv = ["run", "--task", "RW5_LEFT",
+                "--algo", "TD", "DTD", "ETD", "PTD", "TDW",
+                "--emphasis", "count_inverse", "--lambda", "0.4", "0.95",
+                "--alpha", "0.0625", "--runs", "3", "--steps", "400",
+                "--eval-every", "40", "--seed", "23",
+                "--epsilon-floor", "0.5", "--out", str(out)]
+        assert main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "408ded96d0a0b18c0fa41207e9c9401a3d05ffd6470d1f1db29daa03bb53709c")
 
 
 class TestVerifyCommand:
