@@ -3,7 +3,8 @@ state's own updates and how strongly its prediction error propagates back.
 
 All normalized constructions share one pipeline: scale the raw positive
 score into (0, 1] by its maximum, take the square root, and floor at a small
-epsilon so the weight stays strictly positive.
+epsilon so the weight stays strictly positive.  The sweep loop takes each
+row's peak once and then applies the pipeline to the visited state only.
 """
 
 import enum
@@ -14,6 +15,7 @@ import numpy as np
 from .mrp import FeatureMap, MarkovRewardProcess
 
 DEFAULT_EPSILON_FLOOR = 1e-3
+PATH_BUDGET = 1 << 20  # running counts held at once by count_inverse_path
 
 
 class EmphasisKind(str, enum.Enum):
@@ -41,14 +43,14 @@ class EmphasisSpec:
         object.__setattr__(self, "kind", kind)
         if not 0.0 < self.epsilon_floor < 1.0:
             raise ValueError("epsilon_floor must lie in (0, 1)")
-        if kind is EmphasisKind.CONSTANT and not self.constant > 0.0:
-            raise ValueError("constant emphasis must be positive")
+        if kind is EmphasisKind.CONSTANT and not 0 < self.constant < np.inf:
+            raise ValueError("constant emphasis must be positive and finite")
         if kind is EmphasisKind.TABLE:
             if self.table is None:
                 raise ValueError("table emphasis requires a table")
             table = np.asarray(self.table, dtype=np.float64)
-            if table.ndim != 1 or np.any(table <= 0.0):
-                raise ValueError("table entries must be positive")
+            if table.ndim != 1 or not np.all((table > 0) & (table < np.inf)):
+                raise ValueError("table entries must be positive and finite")
             table = table.copy()
             table.flags.writeable = False
             object.__setattr__(self, "table", table)
@@ -65,14 +67,15 @@ class EmphasisState:
     visit_counts: np.ndarray | None = None
 
 
-def _scale_sqrt_floor(raw: np.ndarray, epsilon_floor) -> np.ndarray:
+def _scale_sqrt_floor(raw: np.ndarray, epsilon_floor, peak=None) -> np.ndarray:
     """Shared normalization, row by row: scale by the row's max,
     square-root, floor.  A row whose max is not positive (all zero, or NaN
-    from diverged weights) gets uniform weight 1."""
-    peak = raw.max(axis=-1, keepdims=True)
+    from diverged weights) gets uniform weight 1.  ``peak``, when given, is
+    that max taken beforehand, and ``raw`` holds only the entries read."""
+    peak = raw.max(axis=-1, keepdims=True) if peak is None else peak
     scored = peak > 0.0
-    scaled = raw / np.where(scored, peak, 1.0)
-    return np.where(scored, np.maximum(np.sqrt(scaled), epsilon_floor), 1.0)
+    scaled = np.sqrt(raw / np.where(scored, peak, 1.0))
+    return np.where(scored, np.maximum(scaled, epsilon_floor, out=scaled), 1.0)
 
 
 def count_inverse_rows(counts: np.ndarray, epsilon_floor) -> np.ndarray:
@@ -81,6 +84,43 @@ def count_inverse_rows(counts: np.ndarray, epsilon_floor) -> np.ndarray:
     imputed = np.where(counts > 0.0, counts, 1.0)
     share = imputed / imputed.sum(axis=-1, keepdims=True)
     return _scale_sqrt_floor(1.0 / share, epsilon_floor)
+
+
+def count_inverse_path(counts: np.ndarray, visits: np.ndarray,
+                       epsilon_floor) -> np.ndarray:
+    """:func:`count_inverse_rows` of the running counts after each of the
+    (T, C) ``visits`` (time first), read at the visited state only.
+
+    ``counts``, the (n, C) integer visits before, is advanced in place; the
+    floor is a scalar or a (C,) row.  Running counts are summed step by step
+    from one-hot visits, at most ``PATH_BUDGET`` of them at a time.  Integer
+    sums are exact, and ``max 1/(x/total)`` is ``1/(min x/total)``, as both
+    correctly rounded operations are monotone.
+    """
+    n, n_rows = counts.shape
+    states = np.arange(n, dtype=visits.dtype)[:, None]
+    piece = max(1, PATH_BUDGET // counts.size)
+    out = np.empty(visits.shape)
+    for lo in range(0, len(visits), piece):
+        seen = visits[lo:lo + piece]
+        total = counts.sum(axis=0) + np.arange(1.0, len(seen) + 1)[:, None]
+        running = np.empty((len(seen), n, n_rows), counts.dtype)
+        last = counts
+        for i, hot in enumerate((seen[:, None] == states).view(np.int8)):
+            last = np.add(last, hot, out=running[i])
+        counts[:] = last
+        least = running.min(axis=1)
+        if not least.all():
+            total += (running == 0).sum(axis=1)
+            least = np.maximum(least, 1)
+        flat = (np.arange(len(seen))[:, None] * n + seen) * n_rows
+        share = running.take(flat + np.arange(n_rows)) / total
+        del running, flat  # only (t, C) arrays from here on
+        peak = np.divide(least, total, out=total)
+        out[lo:lo + len(seen)] = _scale_sqrt_floor(
+            np.divide(1.0, share, out=share), epsilon_floor,
+            np.divide(1.0, peak, out=peak))
+    return out
 
 
 def emphasis_from_counts(counts, epsilon_floor: float = DEFAULT_EPSILON_FLOOR):
@@ -108,13 +148,18 @@ def emphasis_from_noise(sigma, epsilon_floor: float = DEFAULT_EPSILON_FLOOR):
 
 
 def abs_expected_td_rows(mrp: MarkovRewardProcess, feature_map: FeatureMap,
-                         theta: np.ndarray, epsilon_floor) -> np.ndarray:
+                         theta: np.ndarray, epsilon_floor,
+                         visited=None) -> np.ndarray:
     """Unchecked core of :func:`emphasis_abs_expected_td`: weights of shape
-    (k,) or (B, k), a floor that is a scalar or a (B, 1) column."""
+    (k,) or (B, k), a floor that is a scalar or a (B, 1) column; or, given
+    one ``visited`` state per row, the (B,) weights there, floor (B,)."""
     v = theta @ feature_map.phi.T
     raw = np.abs(mrp.expected_reward
                  + mrp.discount * (v @ mrp.transition.T) - v)
-    return _scale_sqrt_floor(raw, epsilon_floor)
+    if visited is None:
+        return _scale_sqrt_floor(raw, epsilon_floor)
+    return _scale_sqrt_floor(raw[np.arange(len(raw)), visited],
+                             epsilon_floor, raw.max(axis=-1))
 
 
 def emphasis_abs_expected_td(mrp: MarkovRewardProcess, feature_map: FeatureMap,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .analysis import exact_solution, projection
 from .emphasis import EmphasisKind, abs_expected_td_rows, \
-    count_inverse_rows, init_emphasis_state
+    count_inverse_path, init_emphasis_state
 from .learners import AlgoConfig, DecayingAlpha, TraceKernel
 from .mrp import FeatureMap, MarkovRewardProcess, make_boyan_chain, \
     make_feature_map, make_noisy_chain, make_random_walk, restart_path, \
@@ -291,7 +291,12 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     ``CHUNK_FLOOR`` steps.  Each chunk's uniforms become small-integer
     codes (``mrp.transition_ranks``, ``mrp.start_states``), and one
     ``mrp.restart_path`` call gives every row's states before and after
-    each step of the chunk.  A row's weights and curve are the same in any
+    each step of the chunk.  What depends on the path alone is taken per
+    chunk too, as (chunk, rows) arrays: the rewards with their noise, and
+    the static and count-inverse emphasis at each visited state
+    (``emphasis.count_inverse_path``).  Each step does only what depends on
+    θ: the adaptive emphasis at the visited state, the kernel step, trace
+    resets and the MSPBE.  A row's weights and curve are the same in any
     batch, except in a one-row call on chains of ten or more states, which
     numpy multiplies by its matrix-vector path.  Its curve can then differ
     in the last bit, and under adaptive emphasis the difference feeds back
@@ -322,9 +327,8 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     counted = kernel.weighted & (kinds == EmphasisKind.COUNT_INVERSE)
     adaptive = kernel.weighted & (kinds == EmphasisKind.ABS_EXPECTED_TD_ERROR)
     static = kernel.weighted & ~counted & ~adaptive
-    any_static = static.any()
-    # Static emphasis per row and state; count and adaptive rows overwrite
-    # theirs every step.
+    # Static emphasis per row and state; count rows overwrite theirs every
+    # chunk and adaptive rows every step.
     w_table = np.ones((n_rows, n))
     tables = {}
     for row in np.flatnonzero(static):
@@ -366,13 +370,8 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
 
     count_rows = np.flatnonzero(counted)
     adaptive_rows = np.flatnonzero(adaptive)
-    if count_rows.size:
-        eps_count = eps[count_rows][:, None]
-        counts = np.zeros((len(eps_count), n))
-        count_local = np.arange(len(eps_count))
-    if adaptive_rows.size:
-        eps_adaptive = eps[adaptive_rows][:, None]
-        adaptive_local = np.arange(len(eps_adaptive))
+    counts = np.zeros((n, count_rows.size),
+                      np.int32 if steps < 2 ** 31 else np.int64)
 
     if schedule is not None:
         alphas = schedule.value(np.arange(steps, dtype=np.float64))
@@ -383,7 +382,6 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     theta_hist = np.empty((steps, n_rows, k)) if record_theta else None
 
     rows = np.arange(n_rows)
-    unit = np.ones(n_rows)
     s_end = start_states(mrp, u_init)  # the state after the last chunk
     theta = np.zeros((n_rows, k))
     trace = np.zeros((n_rows, k))
@@ -405,27 +403,24 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
                 states, nexts, s_end = restart_path(mrp, s_end, *codes)
                 exits = nexts == n
                 exit_steps = exits.any(axis=1)
+                rewards = mrp.move_rewards[states, nexts]
+                if has_noise:
+                    rewards += sigma[states] * z_noise[:, :width].T
+                weights = w_table[rows, states] if static.any() \
+                    else np.ones((width, n_rows))
+                if count_rows.size:
+                    weights[:, count_rows] = count_inverse_path(
+                        counts, states[:, count_rows], eps[count_rows])
             s, nxt = states[c], nexts[c]
 
-            if any_static:
-                w = w_table[rows, s]
-            else:
-                w = unit  # count and adaptive rows rewrite theirs below
-            if count_rows.size:
-                counts[count_local, s[count_rows]] += 1.0
-                w[count_rows] = count_inverse_rows(counts, eps_count)[
-                    count_local, s[count_rows]]
+            w = weights[c]
             if adaptive_rows.size:
                 w[adaptive_rows] = abs_expected_td_rows(
-                    mrp, feature_map, theta[adaptive_rows], eps_adaptive)[
-                    adaptive_local, s[adaptive_rows]]
-
-            reward = mrp.move_rewards[s, nxt]
-            if has_noise:
-                reward = reward + sigma[s] * z_noise[:, c]
+                    mrp, feature_map, theta[adaptive_rows],
+                    eps[adaptive_rows], s[adaptive_rows])
             theta, trace, followon = kernel.step(
-                theta, trace, followon, phi[s], phi_pad[nxt], reward, w,
-                alphas[t])
+                theta, trace, followon, phi.take(s, axis=0),
+                phi_pad.take(nxt, axis=0), rewards[c], w, alphas[t])
 
             if record_theta:
                 theta_hist[t] = theta

@@ -41,8 +41,8 @@ class DecayingAlpha:
     b: float
 
     def __post_init__(self):
-        if self.a <= 0.0 or self.b <= 0.0:
-            raise ValueError("schedule parameters must be positive")
+        if not (0.0 < self.a < np.inf and 0.0 < self.b < np.inf):
+            raise ValueError("schedule parameters must be positive and finite")
 
     def value(self, step: int) -> float:
         return self.a / (1.0 + step / self.b)
@@ -69,8 +69,8 @@ class AlgoConfig:
         if isinstance(self.alpha, DecayingAlpha):
             return
         alpha = float(self.alpha)
-        if alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < alpha < np.inf:
+            raise ValueError("alpha must be positive and finite")
         object.__setattr__(self, "alpha", alpha)
 
     def alpha_at(self, step: int) -> float:

@@ -128,6 +128,22 @@ class TestRunCommand:
         assert {r.task for r in load_records(tmp_path / "out.json")} == \
             {"left,walk"}
 
+    @pytest.mark.parametrize("override", [
+        {"--alpha": ["nan"]}, {"--alpha": ["0.1", "inf"]},
+        {"--algo": ["DTD"], "--emphasis": "constant:inf"},
+        {"--algo": ["DTD"], "--emphasis": "table:1,nan,1,1,1"},
+        {"--algo": ["PTD"], "--emphasis": "table:1,nan,1,1,1"}])
+    def test_non_finite_values_refused_before_simulating(
+            self, tmp_path, capsys, monkeypatch, override):
+        def never(*args, **kwargs):
+            raise AssertionError("simulated a non-finite setting")
+
+        monkeypatch.setattr(harness, "simulate_curves", never)
+        assert main(run_args(tmp_path, **override)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "positive and finite" in err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_diverged_runs_warn_once_on_stderr(self, tmp_path, capsys):
         argv = run_args(tmp_path, **{
             "--task": "RW5_LEFT", "--algo": ["TD", "DTD"],

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from discerning_td import (
     EmphasisKind,
@@ -15,7 +16,11 @@ from discerning_td import (
     true_value,
     update_counts,
 )
-from discerning_td.emphasis import count_inverse_rows
+from discerning_td import emphasis as emphasis_module
+from discerning_td.checks import random_ergodic_mrp
+from discerning_td.mrp import FeatureMap
+from discerning_td.emphasis import abs_expected_td_rows, \
+    count_inverse_path, count_inverse_rows
 
 
 class TestSpecValidation:
@@ -30,6 +35,16 @@ class TestSpecValidation:
     def test_table_requires_values(self):
         with pytest.raises(ValueError):
             EmphasisSpec(EmphasisKind.TABLE)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_constant_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            EmphasisSpec(EmphasisKind.CONSTANT, constant=value)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_table_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="positive and finite"):
+            EmphasisSpec(EmphasisKind.TABLE, table=[1.0, value, 1.0])
 
     def test_floor_range(self):
         with pytest.raises(ValueError):
@@ -159,6 +174,107 @@ class TestRowWise:
         np.testing.assert_array_equal(f[0], np.ones(5))
         np.testing.assert_array_equal(
             f[1], emphasis_abs_expected_td(mrp, fm, np.zeros(5)))
+
+
+@st.composite
+def count_paths(draw):
+    """Counts before a stretch of path (n, C), its visits (T, C), the
+    stretch boundaries, a piece budget and per-row floors."""
+    n = draw(st.integers(2, 12))
+    rows = draw(st.integers(1, 4))
+    steps = draw(st.integers(1, 60))
+    low = draw(st.sampled_from([0, 1]))
+    before = draw(st.lists(st.integers(low, 6), min_size=n * rows,
+                           max_size=n * rows))
+    visits = draw(st.lists(st.integers(0, n - 1), min_size=steps * rows,
+                           max_size=steps * rows))
+    cuts = sorted(draw(st.sets(st.integers(1, steps), max_size=4)) | {steps})
+    budget = draw(st.integers(1, 4 * n * rows))
+    floors = draw(st.lists(st.sampled_from([1e-3, 0.05, 0.3, 0.6, 0.95]),
+                           min_size=rows, max_size=rows))
+    return (np.array(before, dtype=np.int32).reshape(n, rows),
+            np.array(visits, dtype=np.uint8).reshape(steps, rows),
+            cuts, budget, np.array(floors))
+
+
+class TestCountPath:
+    """The count path equals ``emphasis_from_counts`` after each visit, read
+    at the visited state, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(count_paths())
+    def test_matches_whole_rows_visit_by_visit(self, case):
+        before, visits, cuts, budget, floors = case
+        counts = before.copy()
+        saved = emphasis_module.PATH_BUDGET
+        emphasis_module.PATH_BUDGET = budget
+        try:
+            got = np.concatenate([
+                count_inverse_path(counts, visits[lo:hi], floors)
+                for lo, hi in zip([0] + cuts[:-1], cuts)])
+        finally:
+            emphasis_module.PATH_BUDGET = saved
+        want = np.empty(visits.shape)
+        for row, floor in enumerate(floors):
+            running = before[:, row].astype(np.float64)
+            for t, s in enumerate(visits[:, row]):
+                running[s] += 1.0
+                want[t, row] = emphasis_from_counts(running, floor)[s]
+            np.testing.assert_array_equal(counts[:, row], running)
+        np.testing.assert_array_equal(got, want)
+
+    def test_unvisited_states_count_one(self):
+        counts = np.zeros((3, 1), dtype=np.int32)
+        got = count_inverse_path(counts, np.array([[0], [0], [0]],
+                                                  dtype=np.uint8), 1e-3)
+        # shares 1/3, 2/4, 3/5 against 1/3, 1/4, 1/5 at the unvisited
+        np.testing.assert_allclose(got[:, 0],
+                                   np.sqrt([1.0, 1 / 2, 1 / 3]), rtol=1e-15)
+        np.testing.assert_array_equal(counts[:, 0], [3, 0, 0])
+
+
+class TestAdaptiveVisited:
+    """The adaptive weight at the visited state equals the whole-row
+    ``emphasis_abs_expected_td`` read there, bit for bit."""
+
+    @staticmethod
+    def check(mrp, fm, thetas, visited, floors):
+        got = abs_expected_td_rows(mrp, fm, thetas, floors, visited)
+        whole = emphasis_abs_expected_td(mrp, fm, thetas, floors[:, None])
+        np.testing.assert_array_equal(
+            got, whole[np.arange(len(thetas)), visited])
+        return got
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 12),
+           st.integers(2, 6))
+    def test_matches_whole_rows(self, seed, n, rows):
+        rng = np.random.default_rng(seed)
+        mrp = random_ergodic_mrp(rng, n)
+        k = int(rng.integers(1, n + 1))
+        fm = FeatureMap(np.linalg.qr(rng.normal(size=(n, k)))[0])
+        thetas = rng.normal(0.0, 3.0, (rows, k))
+        self.check(mrp, fm, thetas, rng.integers(0, n, rows).astype(np.uint8),
+                   rng.choice([1e-3, 0.1, 0.5, 0.9], rows))
+
+    def test_diverged_and_exact_rows_get_weight_one(self):
+        mrp, fm = make_random_walk(5, "middle")
+        thetas = np.array([[np.nan] * 5, true_value(mrp),
+                           [0.0] * 5, [0.3, -0.2, 0.9, 0.0, 1.4]])
+        got = self.check(mrp, fm, thetas, np.array([2, 0, 1, 4]),
+                         np.array([1e-3, 0.5, 0.2, 1e-3]))
+        assert got[0] == 1.0 and got[1] == 1.0
+        assert got[2] == 0.2  # theta 0: the score is |r|, zero at state 1
+
+    def test_boyan_chain(self):
+        mrp, fm = make_boyan_chain()
+        rng = np.random.default_rng(3)
+        thetas = rng.normal(0.0, 5.0, (8, 4))
+        thetas[5] = np.inf
+        with np.errstate(invalid="ignore"):
+            got = self.check(mrp, fm, thetas, rng.integers(0, 13, 8),
+                             np.full(8, 0.01))
+        assert got[5] == 1.0
 
 
 class TestPipelineRoundTrip:

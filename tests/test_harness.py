@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,23 @@ class TestSimulateCurves:
         seqs = run_seed_sequences("BOYAN13", config, 0, 2)
         out = simulate_curves(mrp, fm, config, seqs, 2000, eval_every=500)
         assert np.all(out.curves[:, -1] >= 0.0)  # inf is fine, nan is not
+
+    def test_count_emphasis_keeps_memory_small(self):
+        # 4,800 count-inverse rows: each chunk's running counts are held
+        # as (steps, states, rows) integers, in pieces of bounded size, and
+        # the weights, rewards and states of the chunk as (steps, rows)
+        mrp, fm = resolve_task("RW5_LEFT")
+        config = AlgoConfig(Algorithm.DTD, lam=0.9, alpha=2.0 ** -6,
+                            emphasis=EmphasisSpec("count_inverse"))
+        seqs = run_seed_sequences("RW5_LEFT", config, 0, 4800)
+        tracemalloc.start()
+        try:
+            out = simulate_curves(mrp, fm, config, seqs, 200, eval_every=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2 ** 20
+        assert np.all(np.isfinite(out.curves))
 
 
 def mixed_cells(n_states):

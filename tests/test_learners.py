@@ -57,6 +57,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             AlgoConfig(Algorithm.TD, lam=0.5, alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_alpha_finite(self, alpha):
+        with pytest.raises(ValueError, match="positive and finite"):
+            AlgoConfig(Algorithm.TD, lam=0.5, alpha=alpha)
+
+    @pytest.mark.parametrize("a,b", [(np.nan, 10.0), (np.inf, 10.0),
+                                     (0.5, np.nan), (0.5, np.inf)])
+    def test_decaying_schedule_finite(self, a, b):
+        with pytest.raises(ValueError, match="positive and finite"):
+            DecayingAlpha(a=a, b=b)
+
     def test_decaying_schedule(self):
         sched = DecayingAlpha(a=0.5, b=1000.0)
         config = AlgoConfig(Algorithm.TD, lam=0.0, alpha=sched)
