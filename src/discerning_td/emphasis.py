@@ -78,17 +78,9 @@ def _scale_sqrt_floor(raw: np.ndarray, epsilon_floor, peak=None) -> np.ndarray:
     return np.where(scored, np.maximum(scaled, epsilon_floor, out=scaled), 1.0)
 
 
-def count_inverse_rows(counts: np.ndarray, epsilon_floor) -> np.ndarray:
-    """Unchecked core of :func:`emphasis_from_counts`: float counts of shape
-    (n,) or (B, n), a floor that is a scalar or a (B, 1) column."""
-    imputed = np.where(counts > 0.0, counts, 1.0)
-    share = imputed / imputed.sum(axis=-1, keepdims=True)
-    return _scale_sqrt_floor(1.0 / share, epsilon_floor)
-
-
 def count_inverse_path(counts: np.ndarray, visits: np.ndarray,
                        epsilon_floor) -> np.ndarray:
-    """:func:`count_inverse_rows` of the running counts after each of the
+    """:func:`emphasis_from_counts` of the running counts after each of the
     (T, C) ``visits`` (time first), read at the visited state only.
 
     ``counts``, the (n, C) integer visits before, is advanced in place; the
@@ -125,7 +117,8 @@ def count_inverse_path(counts: np.ndarray, visits: np.ndarray,
 
 def emphasis_from_counts(counts, epsilon_floor: float = DEFAULT_EPSILON_FLOOR):
     """Inverse normalized visitation counts, scaled and square-rooted; one
-    count vector, or a (B, n) array normalized row by row.
+    count vector, or a (B, n) array normalized row by row under a scalar or
+    (B, 1) floor.
 
     States never visited are imputed a count of one before normalizing so
     they receive maximal attention.  All-zero counts yield uniform weight 1.
@@ -135,7 +128,9 @@ def emphasis_from_counts(counts, epsilon_floor: float = DEFAULT_EPSILON_FLOOR):
         raise ValueError("counts must be a nonempty vector or matrix")
     if np.any(counts < 0.0):
         raise ValueError("counts must be nonnegative")
-    return count_inverse_rows(counts, epsilon_floor)
+    imputed = np.where(counts > 0.0, counts, 1.0)
+    share = imputed / imputed.sum(axis=-1, keepdims=True)
+    return _scale_sqrt_floor(1.0 / share, epsilon_floor)
 
 
 def emphasis_from_noise(sigma, epsilon_floor: float = DEFAULT_EPSILON_FLOOR):

@@ -392,6 +392,7 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
         for t in range(steps):
             c = t % chunk
             if c == 0:
+                rewards = weights = None  # free the last chunk's arrays first
                 width = min(chunk, steps - t)
                 codes = []
                 for gens, code in coders:
@@ -413,14 +414,13 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
                         counts, states[:, count_rows], eps[count_rows])
             s, nxt = states[c], nexts[c]
 
-            w = weights[c]
             if adaptive_rows.size:
-                w[adaptive_rows] = abs_expected_td_rows(
+                weights[c, adaptive_rows] = abs_expected_td_rows(
                     mrp, feature_map, theta[adaptive_rows],
                     eps[adaptive_rows], s[adaptive_rows])
             theta, trace, followon = kernel.step(
                 theta, trace, followon, phi.take(s, axis=0),
-                phi_pad.take(nxt, axis=0), rewards[c], w, alphas[t])
+                phi_pad.take(nxt, axis=0), rewards[c], weights[c], alphas[t])
 
             if record_theta:
                 theta_hist[t] = theta

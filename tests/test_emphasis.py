@@ -19,8 +19,7 @@ from discerning_td import (
 from discerning_td import emphasis as emphasis_module
 from discerning_td.checks import random_ergodic_mrp
 from discerning_td.mrp import FeatureMap
-from discerning_td.emphasis import abs_expected_td_rows, \
-    count_inverse_path, count_inverse_rows
+from discerning_td.emphasis import abs_expected_td_rows, count_inverse_path
 
 
 class TestSpecValidation:
@@ -149,7 +148,7 @@ class TestRowWise:
 
     def test_floor_per_row(self):
         counts = np.array([[10_000.0, 1.0], [10_000.0, 1.0]])
-        f = count_inverse_rows(counts, np.array([[0.5], [0.01]]))
+        f = emphasis_from_counts(counts, np.array([[0.5], [0.01]]))
         np.testing.assert_array_equal(f, [[0.5, 1.0], [0.01, 1.0]])
 
     def test_rejects_higher_rank_counts(self):
