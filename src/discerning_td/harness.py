@@ -14,7 +14,9 @@ import json
 import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import partial
+from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +29,8 @@ from .mrp import FeatureMap, MarkovRewardProcess, make_boyan_chain, \
     start_states, transition_ranks
 
 CELL_COLUMNS = ("task", "algorithm", "lambda", "alpha", "emphasis_kind")
+# A record's cell, by field name ("lam" holds the "lambda" column).
+_CELL_OF = attrgetter("task", "algorithm", "lam", "alpha", "emphasis_kind")
 CURVE_COLUMNS = CELL_COLUMNS + ("seed", "step", "mspbe")
 AGGREGATE_COLUMNS = CELL_COLUMNS + ("step", "mean_mspbe", "std_mspbe",
                                     "n_runs")
@@ -91,8 +95,7 @@ class ExperimentConfig:
                 for algo in self.algorithms]
 
 
-@dataclass(frozen=True)
-class CurveRecord:
+class _CurveFields(NamedTuple):
     task: str
     algorithm: str
     lam: float
@@ -102,13 +105,29 @@ class CurveRecord:
     step: int
     mspbe: float
 
-    def __post_init__(self):
+
+def _make_checked(cls, iterable):
+    """A record's ``_make``, which ``_replace`` calls too: NamedTuple's own
+    builds the tuple without calling ``__new__``, so without its check."""
+    return cls(*iterable)
+
+
+class CurveRecord(_CurveFields):
+    """One run's MSPBE at one step, as an immutable named tuple; every
+    construction, ``_make`` and ``_replace`` included, checks it."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.mspbe >= 0.0:
             raise ValueError("mspbe must be nonnegative")
+        return self
+
+    _make = classmethod(_make_checked)
 
 
-@dataclass(frozen=True)
-class AggregateRecord:
+class _AggregateFields(NamedTuple):
     task: str
     algorithm: str
     lam: float
@@ -119,9 +138,31 @@ class AggregateRecord:
     std_mspbe: float
     n_runs: int
 
-    def __post_init__(self):
-        if not self.std_mspbe >= 0.0:
-            raise ValueError("std_mspbe must be nonnegative")
+
+class AggregateRecord(_AggregateFields):
+    """One cell's mean and sample deviation of MSPBE at one step, over
+    ``n_runs`` runs: a named tuple checked as ``CurveRecord`` is."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        _check_aggregates(self.mean_mspbe, self.std_mspbe, self.n_runs)
+        return self
+
+    _make = classmethod(_make_checked)
+
+
+def _check_aggregates(mean, std, n_runs) -> None:
+    """Refuse an aggregate's fields, or the least of each column (which
+    ``np.min`` makes NaN if any entry is), unless the mean and deviation
+    are nonnegative (inf allowed) and the run count is positive."""
+    if not mean >= 0.0:
+        raise ValueError("mean_mspbe must be nonnegative")
+    if not std >= 0.0:
+        raise ValueError("std_mspbe must be nonnegative")
+    if not n_runs >= 1:
+        raise ValueError("n_runs must be positive")
 
 
 class CurveTable(Sequence):
@@ -132,8 +173,8 @@ class CurveTable(Sequence):
     and ``mspbe`` columns hold the rest of each record.  Any list of
     records fits, ragged ones included.  The table is a read-only sequence
     of ``CurveRecord``: its length is the record count, iteration and
-    indexing build the records, and it equals any sequence of the same
-    records.
+    indexing build the records (without checking each again: the columns
+    were checked whole), and it equals any sequence of the same records.
     """
 
     def __init__(self, cells, cell, seed, step, mspbe):
@@ -158,11 +199,10 @@ class CurveTable(Sequence):
             return records
         records = list(records)
         index = {}
-        cell = [index.setdefault(_cell_of(rec), len(index))
-                for rec in records]
-        return cls(index, cell, [rec.seed for rec in records],
-                   [rec.step for rec in records],
-                   [rec.mspbe for rec in records])
+        cell = [index.setdefault(key, len(index))
+                for key in map(_CELL_OF, records)]
+        return cls(index, cell, *(list(map(attrgetter(name), records))
+                                  for name in ("seed", "step", "mspbe")))
 
     def __len__(self) -> int:
         return len(self.cell)
@@ -170,11 +210,12 @@ class CurveTable(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
-        return CurveRecord(*self.cells[self.cell[i]], int(self.seed[i]),
-                           int(self.step[i]), float(self.mspbe[i]))
+        return tuple.__new__(CurveRecord, (
+            *self.cells[self.cell[i]], int(self.seed[i]), int(self.step[i]),
+            float(self.mspbe[i])))
 
     def __iter__(self):
-        return (CurveRecord(*row) for row in self.rows())
+        return map(partial(tuple.__new__, CurveRecord), self.rows())
 
     def rows(self):
         """Each record's fields as a tuple, in ``CURVE_COLUMNS`` order."""
@@ -493,11 +534,6 @@ class BestCell:
     score: float
 
 
-def _cell_of(record) -> tuple:
-    return (record.task, record.algorithm, record.lam, record.alpha,
-            record.emphasis_kind)
-
-
 def select_best(records, criterion=SelectionCriterion.FINAL_MSPBE):
     """Best hyperparameter cell per (task, algorithm): smallest mean score,
     ties broken by smaller alpha then smaller lambda."""
@@ -562,11 +598,6 @@ def aggregate_all(records):
 # ---------------------------------------------------------------------------
 
 
-def _aggregate_row(rec: AggregateRecord):
-    return [rec.task, rec.algorithm, rec.lam, rec.alpha, rec.emphasis_kind,
-            rec.step, rec.mean_mspbe, rec.std_mspbe, rec.n_runs]
-
-
 def _format_field(value) -> str:
     if isinstance(value, float):
         return repr(float(value))  # numpy 2 reprs np.float64 as a call
@@ -616,9 +647,7 @@ def emit(rows, path, fmt: str = "csv", kind: str | None = None) -> None:
         table = CurveTable.from_records(rows)
         columns, cells, rows = CURVE_COLUMNS, table.cells, table.rows()
     else:
-        columns = AGGREGATE_COLUMNS
-        cells = {_cell_of(rec) for rec in rows}
-        rows = map(_aggregate_row, rows)
+        columns, cells = AGGREGATE_COLUMNS, set(map(_CELL_OF, rows))
     if fmt == "json":
         payload = [dict(zip(columns, row)) for row in rows]
         with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -636,26 +665,64 @@ def emit(rows, path, fmt: str = "csv", kind: str | None = None) -> None:
 
 
 def _columns_from_file(path, fmt, columns):
-    """The columns of a file written by :func:`emit`: first each row's
-    cell (a CSV line's text up to its first non-cell field, or a JSON row's
-    cell values), then the remaining fields, unparsed in CSV."""
+    """The columns of a file written by :func:`emit`: its distinct cells,
+    parsed, in order of first appearance, each row's index into them, then
+    the remaining fields, unparsed in CSV.  Raises ``ValueError``, naming
+    the file, if it does not hold those columns on every row."""
     if fmt is None:
         fmt = "json" if str(path).endswith(".json") else "csv"
     rest = columns[len(CELL_COLUMNS):]
     if fmt == "json":
         with open(path, "r", encoding="utf-8") as handle:
             rows = json.load(handle)
-        cols = [list(map(itemgetter(*CELL_COLUMNS), rows)),
-                *zip(*map(itemgetter(*rest), rows))]
+        if not isinstance(rows, list):
+            raise ValueError(f"{path} does not hold a JSON array of records")
+        try:
+            cols = [list(map(itemgetter(*CELL_COLUMNS), rows)),
+                    *zip(*map(itemgetter(*rest), rows))] if rows else []
+        except KeyError as exc:
+            raise ValueError(f"{path} has a record without the column "
+                             f"{exc.args[0]!r}") from None
+        except TypeError:
+            raise ValueError(f"{path} has a record that is not a JSON "
+                             f"object") from None
     else:
         with open(path, "r", encoding="utf-8") as handle:
             lines = [line.rstrip("\n") for line in handle if line.strip()]
         if not lines or lines[0] != ",".join(columns):
             raise ValueError(f"{path} does not start with the header "
                              f"{','.join(columns)}")
-        cols = list(zip(*(line.rsplit(",", len(rest))
-                          for line in lines[1:])))
-    return cols if len(cols) == 1 + len(rest) else [()] * (1 + len(rest))
+        try:  # strict: a short line would cut every column short
+            cols = list(zip(*(line.rsplit(",", len(rest))
+                              for line in lines[1:]), strict=True))
+        except ValueError:
+            raise _malformed(path, fmt, columns) from None
+        if len(cols) not in (0, 1 + len(rest)):
+            raise _malformed(path, fmt, columns)
+    raw_cells, *rest_cols = cols or [()] * (1 + len(rest))
+    index, of_raw = {}, {}
+    for raw in dict.fromkeys(raw_cells):  # distinct, in order of appearance
+        try:
+            key = _parse_cell(raw)
+        except ValueError:
+            raise _malformed(path, fmt, columns, raw) from None
+        of_raw[raw] = index.setdefault(key, len(index))
+    return (list(index), [of_raw[raw] for raw in raw_cells], *rest_cols)
+
+
+def _malformed(path, fmt, columns, cell=None) -> ValueError:
+    """The error for a record file whose rows do not split into cells and
+    fields: it names the first CSV line that does not hold one field per
+    column, or else the cell that does not parse."""
+    if fmt == "csv":
+        with open(path, "r", encoding="utf-8") as handle:
+            for number, line in enumerate(handle, 1):
+                if line.strip() and line.count(",") != len(columns) - 1:
+                    return ValueError(
+                        f"{path}, line {number}: {line.count(',') + 1} "
+                        f"fields where the header names {len(columns)}")
+    return ValueError(f"{path} has a record whose cell {cell!r} does not "
+                      f"parse")
 
 
 def _parse_cell(raw) -> tuple:
@@ -667,13 +734,9 @@ def _parse_cell(raw) -> tuple:
 def load_table(path, fmt: str | None = None) -> CurveTable:
     """Parse a curve file produced by :func:`emit` into a ``CurveTable``;
     each distinct cell is parsed once."""
-    cells, seeds, steps, values = _columns_from_file(path, fmt,
-                                                     CURVE_COLUMNS)
-    index, of_raw = {}, {}
-    for raw in dict.fromkeys(cells):  # distinct, in order of appearance
-        of_raw[raw] = index.setdefault(_parse_cell(raw), len(index))
-    return CurveTable(index, [of_raw[raw] for raw in cells],
-                      np.array(seeds, dtype=np.int64),
+    cells, cell, seeds, steps, values = _columns_from_file(path, fmt,
+                                                           CURVE_COLUMNS)
+    return CurveTable(cells, cell, np.array(seeds, dtype=np.int64),
                       np.array(steps, dtype=np.int64),
                       np.array(values, dtype=np.float64))
 
@@ -685,11 +748,16 @@ def load_records(path, fmt: str | None = None):
 
 
 def load_aggregates(path, fmt: str | None = None):
-    """Parse an aggregate file produced by :func:`emit`."""
-    cells, steps, means, stds, n_runs = _columns_from_file(
+    """Parse an aggregate file produced by :func:`emit` into a list of
+    ``AggregateRecord``, whose columns are checked whole."""
+    cells, cell, steps, means, stds, n_runs = _columns_from_file(
         path, fmt, AGGREGATE_COLUMNS)
-    parsed = {raw: _parse_cell(raw) for raw in set(cells)}
-    return [AggregateRecord(*parsed[raw], int(step), float(mean), float(std),
-                            int(n))
-            for raw, step, mean, std, n in zip(cells, steps, means, stds,
-                                               n_runs)]
+    means = np.array(means, dtype=np.float64)
+    stds = np.array(stds, dtype=np.float64)
+    n_runs = np.array(n_runs, dtype=np.int64)
+    _check_aggregates(means.min(initial=0.0), stds.min(initial=0.0),
+                      n_runs.min(initial=1))
+    return [tuple.__new__(AggregateRecord, (*cells[c], *fields))
+            for c, *fields in zip(cell, np.array(steps, np.int64).tolist(),
+                                  means.tolist(), stds.tolist(),
+                                  n_runs.tolist())]

@@ -1,9 +1,16 @@
+import json
+import pickle
+import string
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from discerning_td import (
+    AggregateRecord,
     AlgoConfig,
     Algorithm,
     CurveRecord,
@@ -748,6 +755,227 @@ class TestCsvText:
         records = [CurveRecord("T", "TD", 0.5, 0.1, "a,b", 0, 50, 0.1)]
         with pytest.raises(ValueError, match="'emphasis_kind'"):
             emit(aggregate_all(records), tmp_path / "x.csv")
+
+
+NAN, INF = float("nan"), float("inf")
+CURVE = CurveRecord("T", "TD", 0.5, 0.1, "none", 3, 50, 0.25)
+AGG = AggregateRecord("T", "TD", 0.5, 0.1, "none", 50, 0.25, 0.5, 10)
+
+
+class TestRecordType:
+    def test_fields_and_helpers(self):
+        assert CURVE._fields == ("task", "algorithm", "lam", "alpha",
+                                 "emphasis_kind", "seed", "step", "mspbe")
+        assert AGG._asdict()["n_runs"] == 10
+        assert repr(CURVE) == ("CurveRecord(task='T', algorithm='TD', "
+                               "lam=0.5, alpha=0.1, emphasis_kind='none', "
+                               "seed=3, step=50, mspbe=0.25)")
+        assert CURVE._replace(mspbe=INF).mspbe == INF
+        assert type(CURVE._replace(seed=4)) is CurveRecord
+        assert type(AggregateRecord._make(AGG)) is AggregateRecord
+        assert CurveRecord(**CURVE._asdict()) == CURVE
+        with pytest.raises(AttributeError):
+            CURVE.mspbe = 1.0
+
+    @pytest.mark.parametrize("build", [
+        lambda: CurveRecord._make((*CURVE[:-1], NAN)),
+        lambda: CURVE._replace(mspbe=NAN),
+        lambda: CURVE._replace(mspbe=-1.0),
+        lambda: AggregateRecord._make((*AGG[:-2], NAN, 10)),
+        lambda: AGG._replace(std_mspbe=NAN),
+        lambda: AGG._replace(mean_mspbe=NAN),
+        lambda: AGG._replace(n_runs=0),
+    ])
+    def test_make_and_replace_check_the_fields(self, build):
+        with pytest.raises(ValueError, match="must be"):
+            build()
+
+    @pytest.mark.parametrize("field, value", [
+        ("mean_mspbe", NAN), ("mean_mspbe", -1.0), ("std_mspbe", NAN),
+        ("std_mspbe", -0.5), ("n_runs", 0), ("n_runs", -3)])
+    def test_aggregate_refuses_bad_fields(self, field, value):
+        fields = AGG._asdict()
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            AggregateRecord(**fields)
+
+    def test_aggregate_accepts_inf(self):
+        assert AGG._replace(mean_mspbe=INF, std_mspbe=INF).mean_mspbe == INF
+
+    def test_pickle_round_trip(self):
+        for record in (CURVE, AGG, CURVE._replace(mspbe=INF)):
+            back = pickle.loads(pickle.dumps(record))
+            assert back == record and type(back) is type(record)
+
+    def test_hash_and_equality(self):
+        twin = CurveRecord("T", "TD", 0.5, 0.1, "none", 3, 50, 0.25)
+        assert twin == CURVE and hash(twin) == hash(CURVE)
+        assert CURVE == tuple(CURVE) and hash(CURVE) == hash(tuple(CURVE))
+        assert CURVE != CURVE._replace(seed=4)
+        assert len({CURVE, twin, CURVE._replace(step=100)}) == 2
+        assert AGG == AggregateRecord(*AGG) and hash(AGG) == hash(tuple(AGG))
+        table = CurveTable.from_records([CURVE])
+        assert table[0] == CURVE and hash(table[0]) == hash(CURVE)
+
+
+CURVE_HEADER = "task,algorithm,lambda,alpha,emphasis_kind,seed,step,mspbe\n"
+AGG_HEADER = ("task,algorithm,lambda,alpha,emphasis_kind,step,mean_mspbe,"
+              "std_mspbe,n_runs\n")
+CURVE_LINE = "T,TD,0.5,0.1,none,0,50,0.25\n"
+AGG_LINE = "T,TD,0.5,0.1,none,50,0.25,0.5,10\n"
+
+
+class TestLoaderFaults:
+    """Files that do not hold their columns fail with a ValueError naming
+    the file, and the CSV line, instead of loading as something else."""
+
+    @pytest.mark.parametrize("lines, bad", [
+        ([CURVE_LINE, "T,TD,0.5\n"], 3),             # truncated last line
+        (["oops\n"], 2),
+        (["a,b,c\n", CURVE_LINE, CURVE_LINE], 2),
+        ([CURVE_LINE, "\n", "T,TD,0.5,0.1,0,50,0.25\n"], 4),  # no kind
+        ([CURVE_LINE, "T,TD,0.5,0.1,none,x,0,50,0.25\n"], 3),
+    ])
+    def test_curve_csv_names_the_bad_line(self, tmp_path, lines, bad):
+        path = tmp_path / "curves.csv"
+        path.write_text(CURVE_HEADER + "".join(lines))
+        for load in (load_records, load_table):
+            with pytest.raises(ValueError, match=f"curves.csv, line {bad}:"):
+                load(path)
+
+    @pytest.mark.parametrize("lines, bad", [
+        ([AGG_LINE, "T,TD,0.5\n"], 3),
+        (["oops\n"], 2),
+        (["a,b,c\n", AGG_LINE], 2),
+    ])
+    def test_aggregate_csv_names_the_bad_line(self, tmp_path, lines, bad):
+        path = tmp_path / "agg.csv"
+        path.write_text(AGG_HEADER + "".join(lines))
+        with pytest.raises(ValueError, match=f"agg.csv, line {bad}:"):
+            load_aggregates(path)
+
+    def test_unparsable_cell_is_named(self, tmp_path):
+        path = tmp_path / "curves.csv"
+        path.write_text(CURVE_HEADER + "T,TD,half,0.1,none,0,50,0.25\n")
+        with pytest.raises(ValueError, match="'T,TD,half,0.1,none'"):
+            load_records(path)
+
+    def test_header_only_files_load_empty(self, tmp_path):
+        (tmp_path / "c.csv").write_text(CURVE_HEADER)
+        (tmp_path / "a.csv").write_text(AGG_HEADER)
+        assert load_records(tmp_path / "c.csv") == []
+        assert len(load_table(tmp_path / "c.csv")) == 0
+        assert load_aggregates(tmp_path / "a.csv") == []
+
+    @pytest.mark.parametrize("line, field", [
+        ("T,TD,0.5,0.1,none,50,nan,0.5,10\n", "mean_mspbe"),
+        ("T,TD,0.5,0.1,none,50,-0.25,0.5,10\n", "mean_mspbe"),
+        ("T,TD,0.5,0.1,none,50,0.25,nan,10\n", "std_mspbe"),
+        ("T,TD,0.5,0.1,none,50,0.25,0.5,0\n", "n_runs"),
+    ])
+    def test_aggregate_csv_refuses_bad_values(self, tmp_path, line, field):
+        path = tmp_path / "agg.csv"
+        path.write_text(AGG_HEADER + AGG_LINE + line)
+        with pytest.raises(ValueError, match=field):
+            load_aggregates(path)
+
+    def test_json_loaders_name_the_missing_column(self, tmp_path):
+        curves, aggs = tmp_path / "curves.json", tmp_path / "agg.json"
+        emit([CURVE], curves, fmt="json")
+        emit([AGG], aggs, fmt="json")
+        with pytest.raises(ValueError, match="agg.json .*'seed'"):
+            load_records(aggs)
+        with pytest.raises(ValueError, match="agg.json .*'seed'"):
+            load_table(aggs)
+        with pytest.raises(ValueError, match="curves.json .*'mean_mspbe'"):
+            load_aggregates(curves)
+
+    @pytest.mark.parametrize("payload", [
+        {"task": "T"}, {}, "curves", 3, [["T", "TD"]],
+        [dict(zip(harness.CURVE_COLUMNS, ("T", "TD", 0.5, 0.1, "none", 0, 50,
+                                          0.25))), 7]])
+    def test_json_loaders_refuse_other_shapes(self, tmp_path, payload):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(payload))
+        for load in (load_records, load_aggregates):
+            with pytest.raises(ValueError, match="x.json"):
+                load(path)
+
+
+# Record fields that the file formats carry exactly: text without commas
+# or line breaks, floats that are not NaN (inf included), and 64-bit
+# integers, each number a Python one or a numpy scalar.
+texts = st.text(string.ascii_letters + string.digits + " _:-.", max_size=6)
+floats = st.floats(allow_nan=False)
+values = st.one_of(st.floats(0.0, allow_nan=False), st.just(INF))
+ints = st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+def maybe_numpy(strategy, kind):
+    return st.one_of(strategy, strategy.map(kind))
+
+
+cells = st.tuples(texts, texts, maybe_numpy(floats, np.float64),
+                  maybe_numpy(floats, np.float64), texts)
+
+
+@st.composite
+def curve_records(draw):
+    """Records of a few cells, in any order: runs come ragged, repeated
+    and interleaved."""
+    pool = draw(st.lists(cells, min_size=1, max_size=4))
+    return draw(st.lists(st.builds(
+        lambda cell, *rest: CurveRecord(*cell, *rest), st.sampled_from(pool),
+        maybe_numpy(ints, np.int64), maybe_numpy(ints, np.int64),
+        maybe_numpy(values, np.float64)), max_size=30))
+
+
+@st.composite
+def aggregate_records(draw):
+    pool = draw(st.lists(cells, min_size=1, max_size=4))
+    return draw(st.lists(st.builds(
+        lambda cell, *rest: AggregateRecord(*cell, *rest),
+        st.sampled_from(pool), ints, maybe_numpy(values, np.float64),
+        maybe_numpy(values, np.float64), st.integers(1, 2 ** 63 - 1)),
+        max_size=30))
+
+
+def python_fields(records):
+    """Each record's fields, checking that they are Python values."""
+    out = [tuple(rec) for rec in records]
+    assert all(type(field) in (str, int, float) for row in out
+               for field in row)
+    return out
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(curve_records())
+    def test_curve_records_round_trip(self, records):
+        table = CurveTable.from_records(records)
+        with tempfile.TemporaryDirectory() as tmp:
+            for fmt in ("csv", "json"):
+                path = Path(tmp) / f"curves.{fmt}"
+                emit(records, path, fmt=fmt, kind="curve")
+                loaded = load_records(path)
+                assert python_fields(loaded) == [tuple(r) for r in records]
+                assert all(type(r) is CurveRecord for r in loaded)
+                back = load_table(path)
+                assert back == table and back.cells == table.cells
+                emit(back, Path(tmp) / "again", fmt=fmt)
+                assert (Path(tmp) / "again").read_bytes() == \
+                    path.read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(aggregate_records())
+    def test_aggregate_records_round_trip(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            for fmt in ("csv", "json"):
+                path = Path(tmp) / f"agg.{fmt}"
+                emit(records, path, fmt=fmt, kind="aggregate")
+                loaded = load_aggregates(path)
+                assert python_fields(loaded) == [tuple(r) for r in records]
+                assert all(type(r) is AggregateRecord for r in loaded)
 
 
 class TestScheduleRestriction:
