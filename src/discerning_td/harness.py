@@ -692,19 +692,15 @@ def _columns_from_file(path, fmt, columns):
         if not lines or lines[0] != ",".join(columns):
             raise ValueError(f"{path} does not start with the header "
                              f"{','.join(columns)}")
-        try:  # strict: a short line would cut every column short
-            cols = list(zip(*(line.rsplit(",", len(rest))
-                              for line in lines[1:]), strict=True))
-        except ValueError:
-            raise _malformed(path, fmt, columns) from None
-        if len(cols) not in (0, 1 + len(rest)):
+        cols = list(zip(*(line.rsplit(",", len(rest)) for line in lines[1:])))
+        if len(cols) not in (0, 1 + len(rest)):  # zip stopped at a short line
             raise _malformed(path, fmt, columns)
     raw_cells, *rest_cols = cols or [()] * (1 + len(rest))
     index, of_raw = {}, {}
     for raw in dict.fromkeys(raw_cells):  # distinct, in order of appearance
         try:
             key = _parse_cell(raw)
-        except ValueError:
+        except (TypeError, ValueError):  # TypeError: a JSON null for λ or α
             raise _malformed(path, fmt, columns, raw) from None
         of_raw[raw] = index.setdefault(key, len(index))
     return (list(index), [of_raw[raw] for raw in raw_cells], *rest_cols)

@@ -893,7 +893,9 @@ class TestLoaderFaults:
     @pytest.mark.parametrize("payload", [
         {"task": "T"}, {}, "curves", 3, [["T", "TD"]],
         [dict(zip(harness.CURVE_COLUMNS, ("T", "TD", 0.5, 0.1, "none", 0, 50,
-                                          0.25))), 7]])
+                                          0.25))), 7],
+        [dict(zip(harness.CURVE_COLUMNS, ("T", "TD", None, 0.1, "none", 0, 50,
+                                          0.25)))]])
     def test_json_loaders_refuse_other_shapes(self, tmp_path, payload):
         path = tmp_path / "x.json"
         path.write_text(json.dumps(payload))
