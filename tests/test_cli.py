@@ -426,3 +426,55 @@ class TestFixedPointCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["contraction"]["condition"] == "ii"
+
+
+class TestRepeatedCalls:
+    """``main`` called again and again in one process, as a script or a
+    notebook drives the CLI: each call prints what a fresh process would."""
+
+    @pytest.mark.parametrize("task, emphasis, lam, digest", [
+        ("BOYAN13", "constant:1", "0.5",
+         "e4f4a420e25fe567cf1d3b39dc78599df660056b08c4cbdb030071ba750b5d51"),
+        ("RW5_MIDDLE", "count_inverse", "0",
+         "a72e59faad928ab484c20273b464ace182d234b95c496dd0ebaca8f0a04b37b1"),
+        ("NOISY10:1", "noise_prior", "0.9",
+         "7e65246a4acb5fd405703f2076ce9e339727905fd9efedf760608d77baec5aaa"),
+    ])
+    def test_fixed_point_stdout_bytes(self, capsys, task, emphasis, lam,
+                                      digest):
+        argv = ["fixed-point", "--task", task, "--emphasis", emphasis,
+                "--lambda", lam]
+        for _ in range(2):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_bad_argv_exits_with_the_same_usage(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["fixed-point", "--task", "BOYAN13"])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err == (
+                "usage: dtd fixed-point [-h] --task TASK [--emphasis EMPHASIS]"
+                "\n                       [--epsilon-floor EPSILON_FLOOR] "
+                "--lambda LAM\n                       [--kappa KAPPA]\n"
+                "dtd fixed-point: error: the following arguments are "
+                "required: --lambda\n")
+
+    def test_default_grid_after_explicit_grid(self, tmp_path):
+        def default_grid(name):
+            argv = run_args(tmp_path, name, **{"--runs": "1", "--steps": "20",
+                                               "--eval-every": "10"})
+            for option in ("--lambda", "--alpha"):
+                i = argv.index(option)
+                del argv[i:i + 2]
+            assert main(argv) == 0
+            return (tmp_path / name).read_bytes()
+
+        first = default_grid("first.csv")
+        assert len(load_records(tmp_path / "first.csv")) == 6 * 8 * 2
+        assert main(run_args(tmp_path, "explicit.csv",
+                             **{"--lambda": ["0.3", "0.7"],
+                                "--alpha": ["0.2"]})) == 0
+        assert default_grid("again.csv") == first
