@@ -3,7 +3,9 @@ points."""
 
 import argparse
 import json
+import os
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -49,9 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--algo", nargs="+", required=True,
                      choices=[a.value for a in Algorithm])
     run.add_argument("--lambda", dest="lambdas", nargs="+", type=float,
-                     default=list(DEFAULT_LAMBDA_GRID))
+                     default=DEFAULT_LAMBDA_GRID)
     run.add_argument("--alpha", nargs="+", type=float,
-                     default=list(DEFAULT_ALPHA_GRID))
+                     default=DEFAULT_ALPHA_GRID)
     run.add_argument("--emphasis", default="constant:1")
     run.add_argument("--epsilon-floor", type=float, default=1e-3)
     run.add_argument("--runs", type=int, default=50)
@@ -83,6 +85,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on its first call and kept:
+    building one costs about as much as a small fixed-point solve."""
+    return build_parser()
+
+
 def _expand_cells(algos, lambdas, alphas, emphasis):
     cells = []
     for name in algos:
@@ -95,8 +104,11 @@ def _expand_cells(algos, lambdas, alphas, emphasis):
 
 def _run_and_emit(config, out, fmt, aggregated, environment=None):
     """Simulate ``config`` and write its curves or aggregates to ``out``.
-    A CSV field that would break its line is refused before simulating; a
-    run that ends with a non-finite MSPBE draws one warning on stderr."""
+    A CSV field that would break its line, or an output path that is a
+    directory, is refused before simulating; a run that ends with a
+    non-finite MSPBE draws one warning on stderr."""
+    if os.path.isdir(out):
+        raise IsADirectoryError(f"output path {out!r} is a directory")
     if str(fmt).lower() == "csv":
         check_csv_cells(config.cells())
     table = run_experiment(config, environment=environment)
@@ -249,12 +261,12 @@ def cmd_fixed_point(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {"run": cmd_run, "sweep": cmd_sweep, "verify": cmd_verify,
                 "fixed-point": cmd_fixed_point}
     try:
         return handlers[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

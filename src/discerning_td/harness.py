@@ -667,8 +667,8 @@ def emit(rows, path, fmt: str = "csv", kind: str | None = None) -> None:
 def _columns_from_file(path, fmt, columns):
     """The columns of a file written by :func:`emit`: its distinct cells,
     parsed, in order of first appearance, each row's index into them, then
-    the remaining fields, unparsed in CSV.  Raises ``ValueError``, naming
-    the file, if it does not hold those columns on every row."""
+    the remaining columns as arrays.  Raises ``ValueError``, naming the
+    file, if it does not hold those columns on every row."""
     if fmt is None:
         fmt = "json" if str(path).endswith(".json") else "csv"
     rest = columns[len(CELL_COLUMNS):]
@@ -696,14 +696,32 @@ def _columns_from_file(path, fmt, columns):
         if len(cols) not in (0, 1 + len(rest)):  # zip stopped at a short line
             raise _malformed(path, fmt, columns)
     raw_cells, *rest_cols = cols or [()] * (1 + len(rest))
+    try:
+        distinct = dict.fromkeys(raw_cells)  # in order of appearance
+    except TypeError:  # a JSON array or object in a cell field
+        raise ValueError(f"{path} has a record whose cell holds a JSON "
+                         f"array or object") from None
     index, of_raw = {}, {}
-    for raw in dict.fromkeys(raw_cells):  # distinct, in order of appearance
+    for raw in distinct:
         try:
             key = _parse_cell(raw)
         except (TypeError, ValueError):  # TypeError: a JSON null for λ or α
             raise _malformed(path, fmt, columns, raw) from None
         of_raw[raw] = index.setdefault(key, len(index))
-    return (list(index), [of_raw[raw] for raw in raw_cells], *rest_cols)
+    numbers = []
+    for name, col in zip(rest, rest_cols):
+        try:
+            numbers.append(np.array(col, dtype=_number_type(name)))
+        except (TypeError, ValueError, OverflowError):
+            raise _bad_number(path, fmt, columns, name) from None
+        if numbers[-1].ndim != 1:  # JSON arrays in a number column
+            raise _bad_number(path, fmt, columns, name)
+    return (list(index), [of_raw[raw] for raw in raw_cells], *numbers)
+
+
+def _number_type(column: str):
+    """The dtype a record file's number column parses to."""
+    return np.int64 if column in ("seed", "step", "n_runs") else np.float64
 
 
 def _malformed(path, fmt, columns, cell=None) -> ValueError:
@@ -721,6 +739,23 @@ def _malformed(path, fmt, columns, cell=None) -> ValueError:
                       f"parse")
 
 
+def _bad_number(path, fmt, columns, name) -> ValueError:
+    """The error for a record file whose column ``name`` does not parse as
+    numbers: it names the first CSV line whose field does not."""
+    if fmt == "csv":
+        at = columns.index(name) - len(columns)
+        with open(path, "r", encoding="utf-8") as handle:
+            for number, line in enumerate(handle, 1):
+                if number > 1 and line.strip():
+                    field = line.rstrip("\n").split(",")[at]
+                    try:
+                        np.array(field, dtype=_number_type(name))
+                    except (ValueError, OverflowError):
+                        return ValueError(f"{path}, line {number}: {name} "
+                                          f"{field!r} is not a number")
+    return ValueError(f"{path} has a record whose {name} is not a number")
+
+
 def _parse_cell(raw) -> tuple:
     task, algorithm, lam, alpha, kind = \
         raw.split(",") if isinstance(raw, str) else raw
@@ -730,11 +765,11 @@ def _parse_cell(raw) -> tuple:
 def load_table(path, fmt: str | None = None) -> CurveTable:
     """Parse a curve file produced by :func:`emit` into a ``CurveTable``;
     each distinct cell is parsed once."""
-    cells, cell, seeds, steps, values = _columns_from_file(path, fmt,
-                                                           CURVE_COLUMNS)
-    return CurveTable(cells, cell, np.array(seeds, dtype=np.int64),
-                      np.array(steps, dtype=np.int64),
-                      np.array(values, dtype=np.float64))
+    columns = _columns_from_file(path, fmt, CURVE_COLUMNS)
+    try:
+        return CurveTable(*columns)
+    except ValueError as exc:  # a negative, NaN or JSON null mspbe
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_records(path, fmt: str | None = None):
@@ -748,12 +783,11 @@ def load_aggregates(path, fmt: str | None = None):
     ``AggregateRecord``, whose columns are checked whole."""
     cells, cell, steps, means, stds, n_runs = _columns_from_file(
         path, fmt, AGGREGATE_COLUMNS)
-    means = np.array(means, dtype=np.float64)
-    stds = np.array(stds, dtype=np.float64)
-    n_runs = np.array(n_runs, dtype=np.int64)
-    _check_aggregates(means.min(initial=0.0), stds.min(initial=0.0),
-                      n_runs.min(initial=1))
+    try:
+        _check_aggregates(means.min(initial=0.0), stds.min(initial=0.0),
+                          n_runs.min(initial=1))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return [tuple.__new__(AggregateRecord, (*cells[c], *fields))
-            for c, *fields in zip(cell, np.array(steps, np.int64).tolist(),
-                                  means.tolist(), stds.tolist(),
-                                  n_runs.tolist())]
+            for c, *fields in zip(cell, steps.tolist(), means.tolist(),
+                                  stds.tolist(), n_runs.tolist())]

@@ -340,6 +340,38 @@ class TestContractionCondition:
         report = contraction_condition(mrp, np.ones(5), 0.4, kappa=1e9)
         assert report.holds is False
 
+    @pytest.mark.parametrize("share", [0.25, 0.99])
+    def test_admissible_kappa_subtracts_its_penalty(self, share):
+        rng = np.random.default_rng(15)
+        mrp = random_ergodic_mrp(rng, n_states=5, gamma=0.5)
+        f = rng.uniform(0.3, 1.0, 5)
+        gamma, lam = 0.5, 0.4
+        rhs_i = contraction_condition(mrp, f, lam).rhs
+        kappa_max = contraction_condition(mrp, f, lam, kappa=1e-12) \
+            .terms["kappa_max"]
+        kappa = share * kappa_max
+        report = contraction_condition(mrp, f, lam, kappa=kappa)
+        r_max = report.terms["r_max"]
+        penalty = ((1 - gamma * lam) * r_max * kappa
+                   / (gamma * (1 - lam) * (1 - gamma)))
+        assert report.condition == "ii" and report.note == ""
+        assert report.terms["kappa_max"] == kappa_max
+        assert report.rhs == pytest.approx(rhs_i - penalty, rel=1e-12)
+        assert report.margin == pytest.approx(report.rhs - report.lhs,
+                                              rel=1e-12)
+        assert report.holds == (report.margin > 0)
+        assert report.holds is (share == 0.25)  # one case each way
+
+    def test_zero_reward_bound_admits_any_kappa(self):
+        rng = np.random.default_rng(16)
+        mrp = random_ergodic_mrp(rng, n_states=5, gamma=0.5)
+        f = rng.uniform(0.3, 1.0, 5)
+        report = contraction_condition(mrp, f, 0.4, kappa=1e9, r_max=0.0)
+        assert report.terms["kappa_max"] == np.inf
+        assert report.terms["r_max"] == 0.0
+        assert report.rhs == contraction_condition(mrp, f, 0.4).rhs
+        assert report.holds == (report.margin > 0)
+
     def test_scaling_achieves_condition(self):
         rng = np.random.default_rng(14)
         for _ in range(20):

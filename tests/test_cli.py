@@ -6,7 +6,7 @@ import pytest
 
 from discerning_td import load_records, make_random_walk, resolve_task, \
     save_environment
-from discerning_td import harness
+from discerning_td import cli, harness
 from discerning_td import mrp as mrp_module
 from discerning_td.checks import TASK_NAMES
 from discerning_td.cli import main, parse_emphasis
@@ -105,7 +105,6 @@ class TestRunCommand:
 
     def test_comma_in_task_refused_before_simulating(self, tmp_path, capsys,
                                                      monkeypatch):
-        from discerning_td import harness
         mrp, fm = make_random_walk(5, "left")
         env_path = tmp_path / "env.json"
         save_environment(env_path, mrp, fm)
@@ -143,6 +142,17 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "positive and finite" in err
         assert not (tmp_path / "out.csv").exists()
+
+    def test_out_directory_refused_before_simulating(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("simulated before refusing the output path")
+
+        monkeypatch.setattr(harness, "simulate_curves", never)
+        (tmp_path / "out.csv").mkdir()
+        assert main(run_args(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "is a directory" in err
 
     def test_diverged_runs_warn_once_on_stderr(self, tmp_path, capsys):
         argv = run_args(tmp_path, **{
@@ -266,6 +276,11 @@ class TestSweepCommand:
         assert "algorithms[1]" in err and repr(key) in err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_config_directory(self, tmp_path, capsys):
+        assert main(["sweep", "--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+
     def test_missing_emphasis_kind(self, tmp_path, capsys):
         config = self._config(tmp_path)
         config["algorithms"].append({"algorithm": "DTD", "lambda": 0.5,
@@ -365,6 +380,12 @@ class TestVerifyCommand:
         assert payload[0]["check"] == "telescoping-identity"
         assert payload[0]["pass"] is True
         assert "margin" in payload[0] and "inputs" in payload[0]
+
+    def test_out_directory(self, tmp_path, capsys):
+        assert main(["verify", "--filter", "telescoping",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
 
     def test_stdout_json(self, capsys):
         assert main(["verify", "--filter", "priority"]) == 0
@@ -478,3 +499,22 @@ class TestRepeatedCalls:
                              **{"--lambda": ["0.3", "0.7"],
                                 "--alpha": ["0.2"]})) == 0
         assert default_grid("again.csv") == first
+
+    def test_one_parser_per_process(self, capsys, monkeypatch):
+        built = []
+
+        def counted():
+            built.append(None)
+            return build()
+
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            for lam in ("0", "0.5"):
+                assert main(["fixed-point", "--task", "RW5_MIDDLE",
+                             "--lambda", lam]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert cli.build_parser() is not cli.build_parser()

@@ -903,6 +903,60 @@ class TestLoaderFaults:
             with pytest.raises(ValueError, match="x.json"):
                 load(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("T,TD,0.5,0.1,none,x,50,0.25\n", "seed 'x'"),
+        ("T,TD,0.5,0.1,none,0,1.5,0.25\n", "step '1.5'"),
+        ("T,TD,0.5,0.1,none,99999999999999999999,50,0.25\n", "seed '9999"),
+        ("T,TD,0.5,0.1,none,0,50,low\n", "mspbe 'low'"),
+    ])
+    def test_curve_csv_names_the_bad_number(self, tmp_path, line, message):
+        path = tmp_path / "curves.csv"
+        path.write_text(CURVE_HEADER + CURVE_LINE + "\n" + line + CURVE_LINE)
+        for load in (load_records, load_table):
+            with pytest.raises(ValueError,
+                               match=f"curves.csv, line 4: {message}"):
+                load(path)
+
+    def test_aggregate_csv_names_the_bad_number(self, tmp_path):
+        path = tmp_path / "agg.csv"
+        path.write_text(AGG_HEADER + AGG_LINE
+                        + "T,TD,0.5,0.1,none,50,0.25,0.5,ten\n")
+        with pytest.raises(ValueError,
+                           match="agg.csv, line 3: n_runs 'ten'"):
+            load_aggregates(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", None, "x.json has a record whose seed is not a number"),
+        ("step", "fifty", "x.json has a record whose step is not a number"),
+        ("seed", [1], "x.json has a record whose seed is not a number"),
+        ("mspbe", None, "x.json: mspbe must be nonnegative"),
+        ("task", ["T"], "x.json has a record whose cell holds a JSON array"),
+        ("emphasis_kind", {}, "x.json has a record whose cell holds a JSON"),
+    ])
+    def test_curve_json_bad_field(self, tmp_path, field, value, message):
+        path = tmp_path / "x.json"
+        emit([CURVE], path, fmt="json")
+        rows = json.loads(path.read_text())
+        rows[0][field] = value
+        path.write_text(json.dumps(rows))
+        with pytest.raises(ValueError, match=message):
+            load_records(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_runs", None, "x.json has a record whose n_runs is not a number"),
+        ("mean_mspbe", None, "x.json: mean_mspbe must be nonnegative"),
+        ("task", ["T"], "x.json has a record whose cell holds a JSON array"),
+    ])
+    def test_aggregate_json_bad_field(self, tmp_path, field, value,
+                                      message):
+        path = tmp_path / "x.json"
+        emit([AGG], path, fmt="json")
+        rows = json.loads(path.read_text())
+        rows[0][field] = value
+        path.write_text(json.dumps(rows))
+        with pytest.raises(ValueError, match=message):
+            load_aggregates(path)
+
 
 # Record fields that the file formats carry exactly: text without commas
 # or line breaks, floats that are not NaN (inf included), and 64-bit
