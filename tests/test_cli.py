@@ -517,4 +517,4 @@ class TestRepeatedCalls:
         finally:
             cli._parser.cache_clear()
         assert len(built) == 1
-        assert cli.build_parser() is not cli.build_parser()
+        assert build() is not build()
