@@ -13,12 +13,11 @@ from .analysis import ContractionReport, EmphasizedGeometry, LinearSystem, \
 from .checks import CheckResult, verify_all
 from .emphasis import EmphasisKind, EmphasisSpec, EmphasisState, \
     emphasis_abs_expected_td, emphasis_from_counts, emphasis_from_noise, \
-    init_emphasis_state, long_run_count_inverse, refresh_adaptive, \
-    update_counts
+    init_emphasis_state, long_run_count_inverse, update_counts
 from .harness import AggregateRecord, BestCell, CurveRecord, CurveTable, \
     ExperimentConfig, SelectionCriterion, SimulationOutput, aggregate, \
-    aggregate_all, emit, load_aggregates, load_records, load_table, \
-    resolve_task, run_experiment, select_best, simulate_curves
+    aggregate_all, emit, load_aggregates, load_records, resolve_task, \
+    run_experiment, select_best, simulate_curves
 from .learners import AlgoConfig, Algorithm, DecayingAlpha, LearnerState, \
     TraceKernel, init_learner_state, new_run, reset_episode, run_episode
 from .mrp import TERMINAL, ChainStructureError, ConvergenceError, \

@@ -85,21 +85,32 @@ def mspbe(theta, mrp: MarkovRewardProcess, feature_map: FeatureMap,
     return float(np.sqrt(err @ (sol.d_pi * err)))
 
 
+SERIES_TOL = 1e-14  # series stop once lam**n * max|weight| is below this
+
+
+def _operator_emphasis(mrp: MarkovRewardProcess, f_values,
+                       lam: float) -> np.ndarray:
+    """Check a multi-step operator's arguments, gamma * lam < 1 and a
+    positive emphasis, and return the emphasis as an array."""
+    if mrp.discount * lam >= 1.0:
+        raise ValueError("gamma * lam must be below 1")
+    f = np.asarray(f_values, dtype=np.float64)
+    if np.any(f <= 0.0):
+        raise ValueError("emphasis vector must be positive")
+    return f
+
+
 def dtd_operator(v, mrp: MarkovRewardProcess, f_values, lam: float,
-                 series_cap: int = 100_000, tol: float = 1e-14) -> np.ndarray:
+                 series_cap: int = 100_000) -> np.ndarray:
     """Apply the emphasis-weighted multi-step operator to a value vector.
 
     Evaluates F^{-1} * sum_n lam^n (P^n (I - lam P) f) o (sum_{t<=n}
     (gamma P)^t r + (gamma P)^{n+1} v), truncating once the weight sequence
-    falls below ``tol`` in the sup norm; o is the elementwise product.
+    falls below ``SERIES_TOL``; o is the elementwise product.
     """
-    gamma = mrp.discount
-    if gamma * lam >= 1.0:
-        raise ValueError("gamma * lam must be below 1")
-    f = np.asarray(f_values, dtype=np.float64)
+    f = _operator_emphasis(mrp, f_values, lam)
     v = np.asarray(v, dtype=np.float64)
-    if np.any(f <= 0.0):
-        raise ValueError("emphasis vector must be positive")
+    gamma = mrp.discount
     p = mrp.transition
     r = mrp.expected_reward
     weight = f - lam * (p @ f)       # P^n (I - lam P) f at n = 0
@@ -110,35 +121,30 @@ def dtd_operator(v, mrp: MarkovRewardProcess, f_values, lam: float,
     scale = 1.0
     for n in range(1, series_cap + 1):
         scale *= lam
-        if scale * np.max(np.abs(weight)) < tol:
+        if scale * np.max(np.abs(weight)) < SERIES_TOL:
             return acc / f
         weight = p @ weight
         r_pow = gamma * (p @ r_pow)
         cum_r = cum_r + r_pow
         v_pow = gamma * (p @ v_pow)
         acc = acc + scale * (weight * (cum_r + v_pow))
-    if scale * np.max(np.abs(weight)) < tol:
+    if scale * np.max(np.abs(weight)) < SERIES_TOL:
         return acc / f
     raise ConvergenceError("operator series hit the cap before tolerance")
 
 
 def dtd_operator_matrix(mrp: MarkovRewardProcess, f_values, lam: float,
-                        series_cap: int = 100_000, tol: float = 1e-14):
+                        series_cap: int = 100_000):
     """Affine decomposition of the multi-step operator: returns
     ``(offset, linear)`` with T(V) = offset + linear @ V.
 
     The weighted norm of ``linear`` is the operator's exact contraction
     modulus in the emphasized norm.
     """
+    f = _operator_emphasis(mrp, f_values, lam)
     gamma = mrp.discount
-    if gamma * lam >= 1.0:
-        raise ValueError("gamma * lam must be below 1")
-    f = np.asarray(f_values, dtype=np.float64)
-    if np.any(f <= 0.0):
-        raise ValueError("emphasis vector must be positive")
     p = mrp.transition
     r = mrp.expected_reward
-    n = mrp.n_states
     weight = f - lam * (p @ f)
     cum_r = r.copy()
     r_pow = r.copy()
@@ -148,7 +154,7 @@ def dtd_operator_matrix(mrp: MarkovRewardProcess, f_values, lam: float,
     scale = 1.0
     for k in range(1, series_cap + 1):
         scale *= lam
-        if scale * np.max(np.abs(weight)) < tol:
+        if scale * np.max(np.abs(weight)) < SERIES_TOL:
             return offset / f, linear / f[:, None]
         weight = p @ weight
         r_pow = gamma * (p @ r_pow)
@@ -156,9 +162,18 @@ def dtd_operator_matrix(mrp: MarkovRewardProcess, f_values, lam: float,
         v_pow = gamma * (p @ v_pow)
         offset = offset + scale * (weight * cum_r)
         linear = linear + scale * (weight[:, None] * v_pow)
-    if scale * np.max(np.abs(weight)) < tol:
+    if scale * np.max(np.abs(weight)) < SERIES_TOL:
         return offset / f, linear / f[:, None]
     raise ConvergenceError("operator series hit the cap before tolerance")
+
+
+def _resolvent_solve(mrp: MarkovRewardProcess, lam: float, rhs) -> np.ndarray:
+    """(I - gamma*lam*P)^{-1} rhs, for compute_A_b and the exact map."""
+    lhs = np.eye(mrp.n_states) - mrp.discount * lam * mrp.transition
+    try:
+        return np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("resolvent (I - gamma*lam*P) is singular") from exc
 
 
 def compute_A_b(mrp: MarkovRewardProcess, feature_map: FeatureMap, f_values,
@@ -167,23 +182,29 @@ def compute_A_b(mrp: MarkovRewardProcess, feature_map: FeatureMap, f_values,
     A = Phi^T F D (I - gamma*lam*P)^{-1} F (gamma*P - I) Phi and the matching
     offset b with r in place of (gamma*P - I) Phi."""
     geo = emphasized_geometry(mrp, f_values)
-    gamma = mrp.discount
-    p = mrp.transition
     phi = feature_map.phi
     n = mrp.n_states
-    resolvent_lhs = np.eye(n) - gamma * lam * p
-    rhs = np.column_stack([
-        geo.f[:, None] * ((gamma * p - np.eye(n)) @ phi),
+    solved = _resolvent_solve(mrp, lam, np.column_stack([
+        geo.f[:, None] * ((mrp.discount * mrp.transition - np.eye(n)) @ phi),
         geo.f * mrp.expected_reward,
-    ])
-    try:
-        solved = np.linalg.solve(resolvent_lhs, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("resolvent (I - gamma*lam*P) is singular") from exc
+    ]))
     weighted = (geo.f * geo.d)[:, None] * solved
     a = phi.T @ weighted[:, :-1]
     b = phi.T @ weighted[:, -1]
     return LinearSystem(A=a, b=b)
+
+
+def exact_update_map_norm(mrp: MarkovRewardProcess, f_values,
+                          lam: float) -> float:
+    """Weighted norm of the linear part of the exact expected-return map
+    V + F^{-1}(I - gamma*lam*P)^{-1} F (r + gamma*P*V - V).  When below one,
+    the expected-update matrix provably has a negative-definite symmetric
+    part."""
+    geo = emphasized_geometry(mrp, f_values)
+    n = mrp.n_states
+    linear = np.eye(n) + (1.0 / geo.f)[:, None] * _resolvent_solve(
+        mrp, lam, geo.f[:, None] * (mrp.discount * mrp.transition - np.eye(n)))
+    return induced_norm(linear, geo.lam_diag)
 
 
 class SingularSystemError(RuntimeError):
@@ -234,7 +255,7 @@ class ContractionReport:
     operator nor a negative-definite expected-update matrix, whose sign
     depends only on the emphasis shape.  The sound, scale-invariant tests
     are ``terms["sound_holds"]`` (operator contraction) and
-    ``checks.exact_update_map_norm(mrp, f, lam) < 1`` (definiteness).
+    ``exact_update_map_norm(mrp, f, lam) < 1`` (definiteness).
 
     ``holds`` is None when the bound is vacuous at the supplied parameters
     (lam = 1 or gamma = 0 in the parameter-dependent case).

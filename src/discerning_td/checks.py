@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import compute_A_b, contraction_condition, dtd_operator, \
-    dtd_operator_matrix, emphasized_geometry, fixed_point, induced_norm, \
-    lambda_weighted_norm, per_equivalence, projection
+    dtd_operator_matrix, emphasized_geometry, exact_update_map_norm, \
+    fixed_point, induced_norm, lambda_weighted_norm, per_equivalence, \
+    projection
 from .emphasis import EmphasisKind, EmphasisSpec, emphasis_abs_expected_td, \
     emphasis_from_counts, emphasis_from_noise, long_run_count_inverse
 from .harness import DRAW_BUDGET, resolve_task, run_seed_sequences, \
@@ -95,8 +96,7 @@ def operator_modulus(mrp, f, lam) -> float:
     """Exact contraction modulus of the multi-step operator in its own
     emphasized norm (the weighted norm of its linear part)."""
     _, linear = dtd_operator_matrix(mrp, f, lam)
-    geo = emphasized_geometry(mrp, f)
-    return induced_norm(linear, geo.lam_diag)
+    return induced_norm(linear, emphasized_geometry(mrp, f).lam_diag)
 
 
 def flatten_until_contractive(mrp, shape, lam, target=0.97):
@@ -602,21 +602,6 @@ def check_expected_update_monte_carlo():
     return _result("expected-update-monte-carlo", 0.01, max(a_err, b_err),
                    {"steps": 1_000_000, "lam": lam, "seed": 77},
                    "closed-form A, b match long-run simulated averages")
-
-
-def exact_update_map_norm(mrp, f, lam):
-    """Weighted norm of the linear part of the exact expected-return map
-    V + F^{-1}(I - gamma*lam*P)^{-1} F (r + gamma*P*V - V).  When below one,
-    the expected-update matrix provably has a negative-definite symmetric
-    part."""
-    n = mrp.n_states
-    gamma = mrp.discount
-    f = np.asarray(f, dtype=np.float64)
-    linear = np.eye(n) + (1.0 / f)[:, None] * np.linalg.solve(
-        np.eye(n) - gamma * lam * mrp.transition,
-        f[:, None] * (gamma * mrp.transition - np.eye(n)))
-    geo = emphasized_geometry(mrp, f)
-    return induced_norm(linear, geo.lam_diag)
 
 
 def check_negative_definite():

@@ -92,14 +92,13 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _expand_cells(algos, lambdas, alphas, emphasis):
-    cells = []
-    for name in algos:
-        for lam in lambdas:
-            for alpha in alphas:
-                cells.append(AlgoConfig(Algorithm(name), lam=lam, alpha=alpha,
-                                        emphasis=emphasis))
-    return cells
+def _cells(groups):
+    """The cells of ``dtd run`` and ``dtd sweep``: an ``AlgoConfig`` per
+    (algorithm, lambdas, alphas, emphasis) group, lambda and alpha."""
+    return [AlgoConfig(Algorithm(name), lam=float(lam), alpha=float(alpha),
+                       emphasis=emphasis)
+            for name, lambdas, alphas, emphasis in groups
+            for lam in lambdas for alpha in alphas]
 
 
 def _run_and_emit(config, out, fmt, aggregated, environment=None):
@@ -131,8 +130,8 @@ def cmd_run(args) -> int:
     emphasis = parse_emphasis(args.emphasis, args.epsilon_floor)
     config = ExperimentConfig(
         task=args.task,
-        algorithms=_expand_cells(args.algo, args.lambdas, args.alpha,
-                                 emphasis),
+        algorithms=_cells((name, args.lambdas, args.alpha, emphasis)
+                          for name in args.algo),
         runs=args.runs, steps=args.steps, eval_every=args.eval_every,
         base_seed=args.seed)
     environment = load_environment(args.env_file) if args.env_file else None
@@ -162,31 +161,21 @@ def cmd_sweep(args) -> int:
     with open(args.config, "r", encoding="utf-8") as handle:
         spec = json.load(handle)
     _require_keys(spec, SWEEP_KEYS, "sweep config")
+    groups = []
     for i, entry in enumerate(spec["algorithms"]):
         where = f"sweep config algorithms[{i}]"
         _require_keys(entry, SWEEP_ENTRY_KEYS, where)
-        if "emphasis" in entry:
-            _require_keys(entry["emphasis"], ("kind",), f"{where}.emphasis")
-    cells = []
-    for entry in spec["algorithms"]:
-        emphasis_spec = entry.get("emphasis", {"kind": "constant"})
-        table = emphasis_spec.get("table")
-        emphasis = EmphasisSpec(
-            emphasis_spec["kind"],
-            constant=float(emphasis_spec.get("constant", 1.0)),
+        emphasis = entry.get("emphasis", {"kind": "constant"})
+        _require_keys(emphasis, ("kind",), f"{where}.emphasis")
+        table = emphasis.get("table")
+        groups.append((entry["algorithm"], *(
+            value if isinstance(value, list) else [value]
+            for value in (entry["lambda"], entry["alpha"])), EmphasisSpec(
+            emphasis["kind"], constant=float(emphasis.get("constant", 1.0)),
             table=None if table is None else np.array(table, dtype=float),
-            epsilon_floor=float(emphasis_spec.get("epsilon_floor", 1e-3)))
-        lams = entry["lambda"]
-        alphas = entry["alpha"]
-        lams = lams if isinstance(lams, list) else [lams]
-        alphas = alphas if isinstance(alphas, list) else [alphas]
-        for lam in lams:
-            for alpha in alphas:
-                cells.append(AlgoConfig(Algorithm(entry["algorithm"]),
-                                        lam=float(lam), alpha=float(alpha),
-                                        emphasis=emphasis))
+            epsilon_floor=float(emphasis.get("epsilon_floor", 1e-3)))))
     config = ExperimentConfig(
-        task=spec["task"], algorithms=cells, runs=int(spec["runs"]),
+        task=spec["task"], algorithms=_cells(groups), runs=int(spec["runs"]),
         steps=int(spec["steps"]), eval_every=int(spec["eval_every"]),
         base_seed=int(spec["base_seed"]))
     _run_and_emit(config, spec["out"], spec.get("format", "csv"),
@@ -246,15 +235,8 @@ def cmd_fixed_point(args) -> int:
         "theta_star": theta.tolist(),
         "mspbe": mspbe(theta, mrp, fm),
         "residual": float(np.max(np.abs(system.A @ theta + system.b))),
-        "contraction": {
-            "condition": report.condition,
-            "holds": report.holds,
-            "margin": report.margin,
-            "lhs": report.lhs,
-            "rhs": report.rhs,
-            "terms": report.terms,
-            "note": report.note,
-        },
+        "contraction": {key: getattr(report, key) for key in (
+            "condition", "holds", "margin", "lhs", "rhs", "terms", "note")},
     }
     print(json.dumps(payload, indent=1, default=str))
     return 0

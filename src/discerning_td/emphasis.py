@@ -208,12 +208,3 @@ def update_counts(state_index: int, state: EmphasisState) -> EmphasisState:
     state.visit_counts[state_index] += 1
     state.values = emphasis_from_counts(state.visit_counts, state.epsilon_floor)
     return state
-
-
-def refresh_adaptive(state: EmphasisState, mrp: MarkovRewardProcess,
-                     feature_map: FeatureMap, theta: np.ndarray) -> EmphasisState:
-    """Recompute adaptive emphasis values from the current weights."""
-    if state.kind is EmphasisKind.ABS_EXPECTED_TD_ERROR:
-        state.values = emphasis_abs_expected_td(mrp, feature_map, theta,
-                                                state.epsilon_floor)
-    return state

@@ -35,6 +35,10 @@ CURVE_COLUMNS = CELL_COLUMNS + ("seed", "step", "mspbe")
 AGGREGATE_COLUMNS = CELL_COLUMNS + ("step", "mean_mspbe", "std_mspbe",
                                     "n_runs")
 
+# The dtype of each number column of a record file.
+_NUMBER_TYPES = dict.fromkeys(("seed", "step", "n_runs"), np.int64) | \
+    dict.fromkeys(("mspbe", "mean_mspbe", "std_mspbe"), np.float64)
+
 # Sweep grids used when the CLI is not given explicit ones.
 DEFAULT_ALPHA_GRID = tuple(2.0 ** -k for k in range(7, -1, -1))
 DEFAULT_LAMBDA_GRID = (0.0, 0.4, 0.8, 0.9, 0.95, 1.0)
@@ -692,9 +696,8 @@ def _columns_from_file(path, fmt, columns):
         if not lines or lines[0] != ",".join(columns):
             raise ValueError(f"{path} does not start with the header "
                              f"{','.join(columns)}")
+        # A short line stops zip, but its first field never parses as a cell.
         cols = list(zip(*(line.rsplit(",", len(rest)) for line in lines[1:])))
-        if len(cols) not in (0, 1 + len(rest)):  # zip stopped at a short line
-            raise _malformed(path, fmt, columns)
     raw_cells, *rest_cols = cols or [()] * (1 + len(rest))
     try:
         distinct = dict.fromkeys(raw_cells)  # in order of appearance
@@ -706,54 +709,48 @@ def _columns_from_file(path, fmt, columns):
         try:
             key = _parse_cell(raw)
         except (TypeError, ValueError):  # TypeError: a JSON null for λ or α
-            raise _malformed(path, fmt, columns, raw) from None
+            raise _fault(path, fmt, columns, f"has a record whose cell "
+                         f"{raw!r} does not parse") from None
         of_raw[raw] = index.setdefault(key, len(index))
     numbers = []
     for name, col in zip(rest, rest_cols):
         try:
-            numbers.append(np.array(col, dtype=_number_type(name)))
+            numbers.append(np.array(col, dtype=_NUMBER_TYPES[name]))
+            if numbers[-1].ndim != 1:  # JSON arrays in a number column
+                raise ValueError(name)
         except (TypeError, ValueError, OverflowError):
-            raise _bad_number(path, fmt, columns, name) from None
-        if numbers[-1].ndim != 1:  # JSON arrays in a number column
-            raise _bad_number(path, fmt, columns, name)
+            raise _fault(path, fmt, columns, f"has a record whose {name} "
+                         f"is not a number") from None
     return (list(index), [of_raw[raw] for raw in raw_cells], *numbers)
 
 
-def _number_type(column: str):
-    """The dtype a record file's number column parses to."""
-    return np.int64 if column in ("seed", "step", "n_runs") else np.float64
-
-
-def _malformed(path, fmt, columns, cell=None) -> ValueError:
-    """The error for a record file whose rows do not split into cells and
-    fields: it names the first CSV line that does not hold one field per
-    column, or else the cell that does not parse."""
-    if fmt == "csv":
-        with open(path, "r", encoding="utf-8") as handle:
-            for number, line in enumerate(handle, 1):
-                if line.strip() and line.count(",") != len(columns) - 1:
-                    return ValueError(
-                        f"{path}, line {number}: {line.count(',') + 1} "
-                        f"fields where the header names {len(columns)}")
-    return ValueError(f"{path} has a record whose cell {cell!r} does not "
-                      f"parse")
-
-
-def _bad_number(path, fmt, columns, name) -> ValueError:
-    """The error for a record file whose column ``name`` does not parse as
-    numbers: it names the first CSV line whose field does not."""
-    if fmt == "csv":
-        at = columns.index(name) - len(columns)
-        with open(path, "r", encoding="utf-8") as handle:
-            for number, line in enumerate(handle, 1):
-                if number > 1 and line.strip():
-                    field = line.rstrip("\n").split(",")[at]
-                    try:
-                        np.array(field, dtype=_number_type(name))
-                    except (ValueError, OverflowError):
-                        return ValueError(f"{path}, line {number}: {name} "
-                                          f"{field!r} is not a number")
-    return ValueError(f"{path} has a record whose {name} is not a number")
+def _fault(path, fmt, columns, message) -> ValueError:
+    """The error for a record file whose rows do not all parse: for CSV,
+    the first line without one field per column, a cell that parses and a
+    number in each number column; for JSON, ``message``."""
+    if fmt != "csv":
+        return ValueError(f"{path} {message}")
+    rest = columns[len(CELL_COLUMNS):]
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = [(number, line.rstrip("\n"))
+                 for number, line in enumerate(handle, 1) if line.strip()]
+    for number, line in lines[1:]:  # after the header
+        if line.count(",") != len(columns) - 1:
+            return ValueError(f"{path}, line {number}: {line.count(',') + 1} "
+                              f"fields where the header names {len(columns)}")
+        cell, *fields = line.rsplit(",", len(rest))
+        try:
+            _parse_cell(cell)
+        except ValueError:
+            return ValueError(f"{path}, line {number}: cell {cell!r} does "
+                              f"not parse")
+        for name, field in zip(rest, fields):
+            try:
+                np.array(field, dtype=_NUMBER_TYPES[name])
+            except (ValueError, OverflowError):
+                return ValueError(f"{path}, line {number}: {name} "
+                                  f"{field!r} is not a number")
+    return ValueError(f"{path} {message}")
 
 
 def _parse_cell(raw) -> tuple:
@@ -762,20 +759,15 @@ def _parse_cell(raw) -> tuple:
     return (task, algorithm, float(lam), float(alpha), kind)
 
 
-def load_table(path, fmt: str | None = None) -> CurveTable:
-    """Parse a curve file produced by :func:`emit` into a ``CurveTable``;
-    each distinct cell is parsed once."""
+def load_records(path, fmt: str | None = None) -> CurveTable:
+    """Parse a curve file produced by :func:`emit` into a ``CurveTable``,
+    the read-only sequence of its ``CurveRecord``; each distinct cell is
+    parsed once."""
     columns = _columns_from_file(path, fmt, CURVE_COLUMNS)
     try:
         return CurveTable(*columns)
     except ValueError as exc:  # a negative, NaN or JSON null mspbe
         raise ValueError(f"{path}: {exc}") from None
-
-
-def load_records(path, fmt: str | None = None):
-    """Parse a curve file produced by :func:`emit` into a list of
-    ``CurveRecord``."""
-    return list(load_table(path, fmt))
 
 
 def load_aggregates(path, fmt: str | None = None):

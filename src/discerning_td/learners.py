@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .emphasis import EmphasisKind, EmphasisSpec, EmphasisState, \
-    init_emphasis_state, refresh_adaptive, update_counts
+    emphasis_abs_expected_td, init_emphasis_state, update_counts
 from .mrp import TERMINAL, FeatureMap, MarkovRewardProcess, \
     sample_initial_state, sample_transition
 
@@ -204,7 +204,8 @@ def run_episode(mrp: MarkovRewardProcess, feature_map: FeatureMap,
         if emphasis_state.kind is EmphasisKind.COUNT_INVERSE:
             update_counts(state, emphasis_state)
         elif emphasis_state.kind is EmphasisKind.ABS_EXPECTED_TD_ERROR:
-            refresh_adaptive(emphasis_state, mrp, feature_map, theta[0])
+            emphasis_state.values = emphasis_abs_expected_td(
+                mrp, feature_map, theta[0], emphasis_state.epsilon_floor)
         reward, next_state = sample_transition(mrp, state, rng)
         theta, trace, followon = kernel.step(
             theta, trace, followon, feature_map.phi[state][None, :],

@@ -195,9 +195,6 @@ def discerning_return_interp(traj: Trajectory, t: int, params: ReturnParams,
     f = _check_f(params, traj)
     if not 0 <= t < traj.num_transitions:
         raise IndexError(f"t={t} outside trajectory")
-    f_t = f[t]
-    if f_t <= 0.0:
-        raise ValueError("emphasis at the start position must be positive")
     lam, gamma = params.lam, params.gamma
     horizon = traj.num_transitions - t
     reward_part = 0.0
@@ -214,7 +211,7 @@ def discerning_return_interp(traj: Trajectory, t: int, params: ReturnParams,
             lam_pow *= lam
         else:
             total += lam_pow * f[t + n - 1] * g_n
-    return total / f_t
+    return total / f[t]
 
 
 def discerning_return_tdsum(traj: Trajectory, t: int, params: ReturnParams,
@@ -224,9 +221,6 @@ def discerning_return_tdsum(traj: Trajectory, t: int, params: ReturnParams,
     f = _check_f(params, traj)
     if not 0 <= t < traj.num_transitions:
         raise IndexError(f"t={t} outside trajectory")
-    f_t = f[t]
-    if f_t <= 0.0:
-        raise ValueError("emphasis at the start position must be positive")
     lam, gamma = params.lam, params.gamma
     v_here = _value(feature_map, theta, int(traj.states[t]))
     total = 0.0
@@ -238,7 +232,7 @@ def discerning_return_tdsum(traj: Trajectory, t: int, params: ReturnParams,
         total += scale * delta * f[k]
         scale *= gamma * lam
         v_k = v_next
-    return v_here + total / f_t
+    return v_here + total / f[t]
 
 
 def dae(traj: Trajectory, params: ReturnParams, theta,

@@ -23,7 +23,6 @@ from discerning_td import (
     emit,
     load_aggregates,
     load_records,
-    load_table,
     resolve_task,
     run_experiment,
     select_best,
@@ -626,7 +625,7 @@ class TestCurveTable:
             path = tmp_path / f"ragged.{fmt}"
             emit(records, path, fmt=fmt)
             assert load_records(path) == records
-            assert load_table(path) == table
+            assert load_records(path) == table
 
     def test_numpy_scalars_write_as_python_numbers(self, tmp_path):
         records = [CurveRecord("T", "TD", np.float64(0.5), np.float64(0.1),
@@ -839,9 +838,8 @@ class TestLoaderFaults:
     def test_curve_csv_names_the_bad_line(self, tmp_path, lines, bad):
         path = tmp_path / "curves.csv"
         path.write_text(CURVE_HEADER + "".join(lines))
-        for load in (load_records, load_table):
-            with pytest.raises(ValueError, match=f"curves.csv, line {bad}:"):
-                load(path)
+        with pytest.raises(ValueError, match=f"curves.csv, line {bad}:"):
+            load_records(path)
 
     @pytest.mark.parametrize("lines, bad", [
         ([AGG_LINE, "T,TD,0.5\n"], 3),
@@ -864,7 +862,7 @@ class TestLoaderFaults:
         (tmp_path / "c.csv").write_text(CURVE_HEADER)
         (tmp_path / "a.csv").write_text(AGG_HEADER)
         assert load_records(tmp_path / "c.csv") == []
-        assert len(load_table(tmp_path / "c.csv")) == 0
+        assert len(load_records(tmp_path / "c.csv")) == 0
         assert load_aggregates(tmp_path / "a.csv") == []
 
     @pytest.mark.parametrize("line, field", [
@@ -886,7 +884,7 @@ class TestLoaderFaults:
         with pytest.raises(ValueError, match="agg.json .*'seed'"):
             load_records(aggs)
         with pytest.raises(ValueError, match="agg.json .*'seed'"):
-            load_table(aggs)
+            load_records(aggs)
         with pytest.raises(ValueError, match="curves.json .*'mean_mspbe'"):
             load_aggregates(curves)
 
@@ -912,10 +910,9 @@ class TestLoaderFaults:
     def test_curve_csv_names_the_bad_number(self, tmp_path, line, message):
         path = tmp_path / "curves.csv"
         path.write_text(CURVE_HEADER + CURVE_LINE + "\n" + line + CURVE_LINE)
-        for load in (load_records, load_table):
-            with pytest.raises(ValueError,
-                               match=f"curves.csv, line 4: {message}"):
-                load(path)
+        with pytest.raises(ValueError,
+                           match=f"curves.csv, line 4: {message}"):
+            load_records(path)
 
     def test_aggregate_csv_names_the_bad_number(self, tmp_path):
         path = tmp_path / "agg.csv"
@@ -1016,7 +1013,7 @@ class TestRoundTripProperty:
                 loaded = load_records(path)
                 assert python_fields(loaded) == [tuple(r) for r in records]
                 assert all(type(r) is CurveRecord for r in loaded)
-                back = load_table(path)
+                back = load_records(path)
                 assert back == table and back.cells == table.cells
                 emit(back, Path(tmp) / "again", fmt=fmt)
                 assert (Path(tmp) / "again").read_bytes() == \
