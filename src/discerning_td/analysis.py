@@ -88,10 +88,15 @@ def mspbe(theta, mrp: MarkovRewardProcess, feature_map: FeatureMap,
 SERIES_TOL = 1e-14  # series stop once lam**n * max|weight| is below this
 
 
+def _check_lambda(lam: float) -> None:
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("lam must lie in [0, 1]")
+
+
 def _operator_emphasis(mrp: MarkovRewardProcess, f_values,
                        lam: float) -> np.ndarray:
-    """Check a multi-step operator's arguments, gamma * lam < 1 and a
-    positive emphasis, and return the emphasis as an array."""
+    """Check an operator's lam and emphasis; return the emphasis array."""
+    _check_lambda(lam)
     if mrp.discount * lam >= 1.0:
         raise ValueError("gamma * lam must be below 1")
     f = np.asarray(f_values, dtype=np.float64)
@@ -169,6 +174,7 @@ def dtd_operator_matrix(mrp: MarkovRewardProcess, f_values, lam: float,
 
 def _resolvent_solve(mrp: MarkovRewardProcess, lam: float, rhs) -> np.ndarray:
     """(I - gamma*lam*P)^{-1} rhs, for compute_A_b and the exact map."""
+    _check_lambda(lam)
     lhs = np.eye(mrp.n_states) - mrp.discount * lam * mrp.transition
     try:
         return np.linalg.solve(lhs, rhs)
@@ -186,16 +192,12 @@ def compute_A_b(mrp: MarkovRewardProcess, feature_map: FeatureMap, f_values,
     n = mrp.n_states
     solved = _resolvent_solve(mrp, lam, np.column_stack([
         geo.f[:, None] * ((mrp.discount * mrp.transition - np.eye(n)) @ phi),
-        geo.f * mrp.expected_reward,
-    ]))
+        geo.f * mrp.expected_reward]))
     weighted = (geo.f * geo.d)[:, None] * solved
-    a = phi.T @ weighted[:, :-1]
-    b = phi.T @ weighted[:, -1]
-    return LinearSystem(A=a, b=b)
+    return LinearSystem(A=phi.T @ weighted[:, :-1], b=phi.T @ weighted[:, -1])
 
 
-def exact_update_map_norm(mrp: MarkovRewardProcess, f_values,
-                          lam: float) -> float:
+def exact_update_map_norm(mrp: MarkovRewardProcess, f_values, lam) -> float:
     """Weighted norm of the linear part of the exact expected-return map
     V + F^{-1}(I - gamma*lam*P)^{-1} F (r + gamma*P*V - V).  When below one,
     the expected-update matrix provably has a negative-definite symmetric
@@ -279,6 +281,7 @@ def contraction_condition(mrp: MarkovRewardProcess, f_values, lam: float,
 
     The headline ``holds`` is scale dependent and is not a sound
     certificate; see ``ContractionReport`` for the sound tests."""
+    _check_lambda(lam)
     geo = emphasized_geometry(mrp, f_values)
     gamma = mrp.discount
     f_norm = float(np.max(geo.f))

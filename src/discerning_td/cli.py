@@ -18,7 +18,7 @@ from .harness import DEFAULT_ALPHA_GRID, DEFAULT_LAMBDA_GRID, \
     ExperimentConfig, aggregate_all, check_csv_cells, emit, resolve_task, \
     run_experiment, select_best
 from .learners import Algorithm, AlgoConfig
-from .mrp import load_environment
+from .mrp import load_environment, read_json
 
 
 def parse_emphasis(text: str, epsilon_floor: float) -> EmphasisSpec:
@@ -94,9 +94,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def _cells(groups):
     """The cells of ``dtd run`` and ``dtd sweep``: an ``AlgoConfig`` per
-    (algorithm, lambdas, alphas, emphasis) group, lambda and alpha."""
-    return [AlgoConfig(Algorithm(name), lam=float(lam), alpha=float(alpha),
-                       emphasis=emphasis)
+    (algorithm, lambdas, alphas, emphasis) group, number lambda and alpha."""
+    return [AlgoConfig(Algorithm(name), emphasis=emphasis,
+                       lam=float(_checked(lam, "a number", f"{name} lambda")),
+                       alpha=float(_checked(alpha, "a number",
+                                            f"{name} alpha")))
             for name, lambdas, alphas, emphasis in groups
             for lam in lambdas for alpha in alphas]
 
@@ -144,9 +146,19 @@ def cmd_run(args) -> int:
     return 0
 
 
-SWEEP_KEYS = ("task", "runs", "steps", "eval_every", "base_seed", "out",
-              "algorithms")
+_JSON_TYPES = {"a string": str, "an integer": int, "a list": list,
+               "a number": (int, float)}
+SWEEP_KEYS = {"task": "a string", "runs": "an integer", "steps": "an integer",
+              "eval_every": "an integer", "base_seed": "an integer",
+              "out": "a string", "algorithms": "a list"}
 SWEEP_ENTRY_KEYS = ("algorithm", "lambda", "alpha")
+
+
+def _checked(value, kind: str, what: str):
+    """``value``, if it is of the JSON type ``kind`` (a bool is none)."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise ValueError(f"{what} must be {kind}, not {value!r}")
+    return value
 
 
 def _require_keys(mapping, keys, where: str) -> None:
@@ -158,27 +170,26 @@ def _require_keys(mapping, keys, where: str) -> None:
 
 
 def cmd_sweep(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as handle:
-        spec = json.load(handle)
+    spec = read_json(args.config)
     _require_keys(spec, SWEEP_KEYS, "sweep config")
+    spec.setdefault("format", "csv")
+    for key, kind in {**SWEEP_KEYS, "format": "a string"}.items():
+        _checked(spec[key], kind, f"sweep config {key!r}")
     groups = []
     for i, entry in enumerate(spec["algorithms"]):
         where = f"sweep config algorithms[{i}]"
         _require_keys(entry, SWEEP_ENTRY_KEYS, where)
         emphasis = entry.get("emphasis", {"kind": "constant"})
         _require_keys(emphasis, ("kind",), f"{where}.emphasis")
-        table = emphasis.get("table")
         groups.append((entry["algorithm"], *(
             value if isinstance(value, list) else [value]
             for value in (entry["lambda"], entry["alpha"])), EmphasisSpec(
             emphasis["kind"], constant=float(emphasis.get("constant", 1.0)),
-            table=None if table is None else np.array(table, dtype=float),
+            table=emphasis.get("table"),
             epsilon_floor=float(emphasis.get("epsilon_floor", 1e-3)))))
-    config = ExperimentConfig(
-        task=spec["task"], algorithms=_cells(groups), runs=int(spec["runs"]),
-        steps=int(spec["steps"]), eval_every=int(spec["eval_every"]),
-        base_seed=int(spec["base_seed"]))
-    _run_and_emit(config, spec["out"], spec.get("format", "csv"),
+    config = ExperimentConfig(task=spec["task"], algorithms=_cells(groups), **{
+        k: spec[k] for k in ("runs", "steps", "eval_every", "base_seed")})
+    _run_and_emit(config, spec["out"], spec["format"],
                   spec.get("aggregate", False))
     print(f"wrote {spec['out']}")
     return 0

@@ -25,8 +25,8 @@ from .emphasis import EmphasisKind, abs_expected_td_rows, \
     count_inverse_path, init_emphasis_state
 from .learners import AlgoConfig, DecayingAlpha, TraceKernel
 from .mrp import FeatureMap, MarkovRewardProcess, make_boyan_chain, \
-    make_feature_map, make_noisy_chain, make_random_walk, restart_path, \
-    start_states, transition_ranks
+    make_feature_map, make_noisy_chain, make_random_walk, read_json, \
+    restart_path, start_states, transition_ranks
 
 CELL_COLUMNS = ("task", "algorithm", "lambda", "alpha", "emphasis_kind")
 # A record's cell, by field name ("lam" holds the "lambda" column).
@@ -35,9 +35,10 @@ CURVE_COLUMNS = CELL_COLUMNS + ("seed", "step", "mspbe")
 AGGREGATE_COLUMNS = CELL_COLUMNS + ("step", "mean_mspbe", "std_mspbe",
                                     "n_runs")
 
-# The dtype of each number column of a record file.
-_NUMBER_TYPES = dict.fromkeys(("seed", "step", "n_runs"), np.int64) | \
-    dict.fromkeys(("mspbe", "mean_mspbe", "std_mspbe"), np.float64)
+# Each number column's dtype and JSON types (null: NaN, which checks refuse).
+_NUMBER_TYPES = dict.fromkeys(("seed", "step", "n_runs"), (np.int64, {int})) \
+    | dict.fromkeys(("mspbe", "mean_mspbe", "std_mspbe"),
+                    (np.float64, {int, float, type(None)}))
 
 # Sweep grids used when the CLI is not given explicit ones.
 DEFAULT_ALPHA_GRID = tuple(2.0 ** -k for k in range(7, -1, -1))
@@ -677,8 +678,7 @@ def _columns_from_file(path, fmt, columns):
         fmt = "json" if str(path).endswith(".json") else "csv"
     rest = columns[len(CELL_COLUMNS):]
     if fmt == "json":
-        with open(path, "r", encoding="utf-8") as handle:
-            rows = json.load(handle)
+        rows = read_json(path)
         if not isinstance(rows, list):
             raise ValueError(f"{path} does not hold a JSON array of records")
         try:
@@ -714,10 +714,11 @@ def _columns_from_file(path, fmt, columns):
         of_raw[raw] = index.setdefault(key, len(index))
     numbers = []
     for name, col in zip(rest, rest_cols):
+        dtype, json_types = _NUMBER_TYPES[name]
         try:
-            numbers.append(np.array(col, dtype=_NUMBER_TYPES[name]))
-            if numbers[-1].ndim != 1:  # JSON arrays in a number column
-                raise ValueError(name)
+            if fmt == "json" and not set(map(type, col)) <= json_types:
+                raise TypeError(name)
+            numbers.append(np.array(col, dtype=dtype))
         except (TypeError, ValueError, OverflowError):
             raise _fault(path, fmt, columns, f"has a record whose {name} "
                          f"is not a number") from None
@@ -746,7 +747,7 @@ def _fault(path, fmt, columns, message) -> ValueError:
                               f"not parse")
         for name, field in zip(rest, fields):
             try:
-                np.array(field, dtype=_NUMBER_TYPES[name])
+                np.array(field, dtype=_NUMBER_TYPES[name][0])
             except (ValueError, OverflowError):
                 return ValueError(f"{path}, line {number}: {name} "
                                   f"{field!r} is not a number")
@@ -760,9 +761,8 @@ def _parse_cell(raw) -> tuple:
 
 
 def load_records(path, fmt: str | None = None) -> CurveTable:
-    """Parse a curve file produced by :func:`emit` into a ``CurveTable``,
-    the read-only sequence of its ``CurveRecord``; each distinct cell is
-    parsed once."""
+    """Parse a curve file produced by :func:`emit` into a ``CurveTable``, a
+    read-only sequence of ``CurveRecord``; each cell is parsed once."""
     columns = _columns_from_file(path, fmt, CURVE_COLUMNS)
     try:
         return CurveTable(*columns)

@@ -553,7 +553,26 @@ def save_environment(path, mrp: MarkovRewardProcess, fm: FeatureMap) -> None:
         handle.write("\n")
 
 
-def load_environment(path):
+def read_json(path):
+    """The JSON value in ``path``; ValueError, naming it, if it is not JSON."""
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    return mrp_from_dict(payload["mrp"]), feature_map_from_dict(payload["feature_map"])
+        try:
+            return json.load(handle)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def load_environment(path):
+    """The (mrp, feature map) pair that :func:`save_environment` wrote."""
+    payload = read_json(path)
+    try:
+        mrp = mrp_from_dict(payload["mrp"])
+        fm = feature_map_from_dict(payload["feature_map"])
+    except KeyError as exc:
+        raise ValueError(f"{path} is missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:  # TypeError: not a JSON object
+        raise ValueError(f"{path} is not an environment: {exc}") from None
+    if fm.n_states != mrp.n_states:
+        raise ValueError(f"{path}: phi has {fm.n_states} rows for "
+                         f"{mrp.n_states} states")
+    return mrp, fm

@@ -131,6 +131,13 @@ class TestOperator:
         with pytest.raises(ConvergenceError):
             dtd_operator(np.ones(5), mrp, np.ones(5), lam=0.9, series_cap=2)
 
+    def test_matrix_series_cap_reported(self):
+        from discerning_td import ConvergenceError
+        from discerning_td.analysis import dtd_operator_matrix
+        mrp, _ = make_random_walk(5, "middle")
+        with pytest.raises(ConvergenceError):
+            dtd_operator_matrix(mrp, np.ones(5), lam=0.9, series_cap=2)
+
     def test_affine_decomposition_matches_operator(self):
         from discerning_td.analysis import dtd_operator_matrix
         rng = np.random.default_rng(20)
@@ -380,6 +387,36 @@ class TestContractionCondition:
             f = scale_emphasis_to_contract(
                 mrp, rng.uniform(0.2, 2.0, mrp.n_states), lam)
             assert contraction_condition(mrp, f, lam).holds
+
+
+class TestLambdaRange:
+    """Every exact analysis refuses a trace decay outside [0, 1]."""
+
+    @pytest.mark.parametrize("lam", [-0.5, 1.5, float("nan")])
+    def test_refused_everywhere(self, lam):
+        from discerning_td.analysis import dtd_operator_matrix, \
+            exact_update_map_norm
+        mrp, fm = make_random_walk(5, "middle")
+        f = np.ones(5)
+        for call in (lambda: compute_A_b(mrp, fm, f, lam),
+                     lambda: contraction_condition(mrp, f, lam),
+                     lambda: contraction_condition(mrp, f, lam, kappa=0.1),
+                     lambda: dtd_operator(np.zeros(5), mrp, f, lam),
+                     lambda: dtd_operator_matrix(mrp, f, lam),
+                     lambda: exact_update_map_norm(mrp, f, lam)):
+            with pytest.raises(ValueError, match=r"lam must lie in \[0, 1\]"):
+                call()
+
+    def test_ends_of_the_range_pass_the_check(self):
+        from discerning_td.analysis import exact_update_map_norm
+        mrp, fm = make_random_walk(5, "middle")
+        f = np.ones(5)
+        for lam in (0.0, 1.0):
+            compute_A_b(mrp, fm, f, lam)
+            assert exact_update_map_norm(mrp, f, lam) >= 0.0
+        # the kept fault: 1 - gamma*lam = 0 divides the sound bound by zero
+        with pytest.raises(ZeroDivisionError):
+            contraction_condition(mrp, f, 1.0)
 
 
 class TestPriorityEquivalence:

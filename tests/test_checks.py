@@ -26,6 +26,18 @@ class TestVerifyAll:
         b = [r.to_dict() for r in verify_all("identity")]
         assert json.dumps(a, default=str) == json.dumps(b, default=str)
 
+    def test_raising_check_becomes_a_failed_result(self, monkeypatch):
+        from discerning_td import checks
+
+        def check_always_raises():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(checks, "REGISTRY", (check_always_raises,))
+        [result] = verify_all()
+        assert result.check == "always-raises" and not result.passed
+        assert result.margin == float("-inf")
+        assert result.details == "raised RuntimeError('boom')"
+
     def test_report_schema(self):
         for res in verify_all("priority"):
             payload = res.to_dict()

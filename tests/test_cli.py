@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from discerning_td import load_records, make_random_walk, resolve_task, \
-    save_environment
+from discerning_td import FeatureMap, load_records, make_random_walk, \
+    resolve_task, save_environment
 from discerning_td import cli, harness
 from discerning_td import mrp as mrp_module
 from discerning_td.checks import TASK_NAMES
@@ -89,6 +89,30 @@ class TestRunCommand:
         save_environment(env_path, mrp, fm)
         argv = run_args(tmp_path) + ["--env-file", str(env_path)]
         assert main(argv) == 0
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"mrp": {}}, "env.json is missing key 'n_states'"),
+        ([1], "env.json is not an environment"),
+        ("{bad", "env.json: Expecting property name"),
+    ])
+    def test_env_file_faults_name_the_file(self, tmp_path, capsys, payload,
+                                           message):
+        env_path = tmp_path / "env.json"
+        env_path.write_text(payload if isinstance(payload, str)
+                            else json.dumps(payload))
+        argv = run_args(tmp_path) + ["--env-file", str(env_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path}") and message in err
+        assert err.count("\n") == 1
+
+    def test_env_file_features_for_another_chain(self, tmp_path, capsys):
+        mrp, _ = make_random_walk(5, "middle")
+        env_path = tmp_path / "env.json"
+        save_environment(env_path, mrp, FeatureMap(np.eye(6)[:, :5]))
+        assert main(run_args(tmp_path) + ["--env-file", str(env_path)]) == 2
+        assert "env.json: phi has 6 rows for 5 states" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("task", TASK_NAMES)
     def test_saved_task_runs_like_named_task(self, tmp_path, task):
@@ -293,6 +317,43 @@ class TestSweepCommand:
         assert not (tmp_path / "sweep.csv").exists()
 
 
+    @pytest.mark.parametrize("key, value", [
+        ("runs", 2.7), ("runs", True), ("steps", "100"), ("eval_every", 50.0),
+        ("base_seed", None), ("task", 3), ("out", None), ("format", 1),
+        ("algorithms", 3), ("algorithms", {"algorithm": "TD"}),
+    ])
+    def test_value_of_the_wrong_type(self, tmp_path, capsys, key, value):
+        config = self._config(tmp_path)
+        config[key] = value
+        assert self._run(tmp_path, config) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: sweep config {key!r} must be "
+                       f"{cli.SWEEP_KEYS.get(key, 'a string')}, "
+                       f"not {value!r}\n")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("lambda", "0.5"), ("lambda", [0.5, True]), ("alpha", None),
+        ("alpha", {"a": 0.1}),
+    ])
+    def test_entry_value_that_is_not_a_number(self, tmp_path, capsys, key,
+                                              value):
+        config = self._config(tmp_path)
+        config["algorithms"][0][key] = value
+        assert self._run(tmp_path, config) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: TD {key} must be a number, not ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_config_that_is_not_json(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("{bad")
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: Expecting property name")
+
+
 class TestGoldenBytes:
     """sha256 of small sweep outputs, pinned when they were first written:
     any change to how records are built, aggregated or written that moves
@@ -447,6 +508,28 @@ class TestFixedPointCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["contraction"]["condition"] == "ii"
+
+
+    @pytest.mark.parametrize("emphasis", ["constant:1", "abs_expected_td"])
+    @pytest.mark.parametrize("lam", ["1.5", "-0.5", "nan"])
+    def test_lambda_outside_the_unit_interval(self, capsys, emphasis, lam):
+        code = main(["fixed-point", "--task", "BOYAN13", "--emphasis",
+                     emphasis, "--lambda", lam])
+        captured = capsys.readouterr()
+        assert code != 0 and "theta_star" not in captured.out
+        assert "lam must lie in [0, 1]" in captured.out + captured.err
+
+    def test_lambda_one_still_divides_by_zero(self):
+        # kept fault: the benchmark pins it until the bound is mended
+        with pytest.raises(ZeroDivisionError):
+            main(["fixed-point", "--task", "RW5_LEFT", "--emphasis",
+                  "constant:1", "--lambda", "1.0"])
+
+    def test_adaptive_emphasis_reaches_self_consistency(self, capsys):
+        assert main(["fixed-point", "--task", "NOISY10:0", "--emphasis",
+                     "abs_expected_td", "--lambda", "0.5"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["emphasis_note"] == "self-consistent adaptive emphasis"
 
 
 class TestRepeatedCalls:

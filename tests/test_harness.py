@@ -955,6 +955,74 @@ class TestLoaderFaults:
             load_aggregates(path)
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", True), ("step", 50.0), ("step", "50"),
+        ("mspbe", "0.25"), ("mspbe", False), ("mspbe", [0.25]),
+    ])
+    def test_curve_json_numbers_of_the_wrong_kind(self, tmp_path, field,
+                                                  value):
+        path = tmp_path / "x.json"
+        emit([CURVE], path, fmt="json")
+        rows = json.loads(path.read_text())
+        rows[0][field] = value
+        path.write_text(json.dumps(rows))
+        with pytest.raises(ValueError, match=f"x.json has a record whose "
+                                             f"{field} is not a number"):
+            load_records(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_runs", 2.5), ("n_runs", True), ("step", 1e3),
+        ("std_mspbe", "0.5"), ("mean_mspbe", True),
+    ])
+    def test_aggregate_json_numbers_of_the_wrong_kind(self, tmp_path, field,
+                                                      value):
+        path = tmp_path / "x.json"
+        emit([AGG], path, fmt="json")
+        rows = json.loads(path.read_text())
+        rows[0][field] = value
+        path.write_text(json.dumps(rows))
+        with pytest.raises(ValueError, match=f"x.json has a record whose "
+                                             f"{field} is not a number"):
+            load_aggregates(path)
+
+    def test_json_integers_and_infinity_load(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps([dict(zip(harness.CURVE_COLUMNS, (
+            "T", "TD", 1, 0, "none", 3, 50, float("inf"))))]))
+        assert load_records(path) == [
+            CurveRecord("T", "TD", 1.0, 0.0, "none", 3, 50, float("inf"))]
+
+    @pytest.mark.parametrize("load", [load_records, load_aggregates])
+    def test_json_that_does_not_parse_names_the_file(self, tmp_path, load):
+        path = tmp_path / "x.json"
+        path.write_text("{bad")
+        with pytest.raises(ValueError, match="x.json: Expecting property"):
+            load(path)
+
+    def test_csv_fault_scan_names_the_first_bad_line(self, tmp_path):
+        path = tmp_path / "curves.csv"
+        path.write_text(CURVE_HEADER + CURVE_LINE
+                        + "T,TD,0.5,0.1,none,0,50,low\n"
+                        + "T,TD,0.5\n")
+        with pytest.raises(ValueError,
+                           match="curves.csv, line 3: mspbe 'low'"):
+            load_records(path)
+
+    def test_blank_lines_before_the_header_are_skipped(self, tmp_path):
+        path = tmp_path / "curves.csv"
+        path.write_text("\n" + CURVE_HEADER + CURVE_LINE
+                        + "T,TD,0.5,0.1,none,0,x,0.25\n")
+        with pytest.raises(ValueError,
+                           match="curves.csv, line 4: step 'x'"):
+            load_records(path)
+
+    def test_records_load_as_a_table(self, tmp_path):
+        path = tmp_path / "c.csv"
+        emit([CURVE], path)
+        table = load_records(path)
+        assert isinstance(table, CurveTable) and table == [CURVE]
+
+
 # Record fields that the file formats carry exactly: text without commas
 # or line breaks, floats that are not NaN (inf included), and 64-bit
 # integers, each number a Python one or a numpy scalar.

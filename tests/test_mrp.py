@@ -135,6 +135,27 @@ class TestStationaryDistribution:
         assert np.max(np.abs(freq - d) / d) < 0.02
 
 
+    def test_power_iteration_fallback_recovers_a_tiny_share(self,
+                                                             monkeypatch):
+        # one 1e-18 move into state 2: the bordered solve rounds its share
+        # to 0.0, and the fallback finds the exact d[2] = 0.5 * 1e-18
+        tiny = MarkovRewardProcess(
+            3, [[0.5, 0.5, 0.0], [0.5, 0.5, 1e-18], [1.0, 0.0, 0.0]],
+            [0.0] * 3, [0.0] * 3, [1.0, 0.0, 0.0], 1.0)
+        calls = []
+        power = mrp_module._power_iteration
+
+        def counted(p_restart):
+            calls.append(p_restart)
+            return power(p_restart)
+
+        monkeypatch.setattr(mrp_module, "_power_iteration", counted)
+        d = stationary_distribution(tiny)
+        assert len(calls) == 1
+        assert d[2] == pytest.approx(5e-19, rel=1e-9)
+        assert np.max(np.abs(d @ tiny.restart_matrix() - d)) <= 1e-12
+
+
 class TestTrueValue:
     def test_walk_values(self):
         mrp, _ = make_random_walk(5, "middle")
@@ -526,6 +547,20 @@ class TestSerialization:
         assert set(mrp_to_dict(mrp)) == {
             "n_states", "transition", "expected_reward", "reward_noise_std",
             "initial_dist", "discount"}
+
+    def test_environment_file_faults_name_the_file(self, tmp_path):
+        mrp, fm = make_boyan_chain()
+        path = tmp_path / "env.json"
+        save_environment(path, mrp, make_feature_map("tabular", 12))
+        with pytest.raises(ValueError, match="env.json: phi has 12 rows for "
+                                             "13 states"):
+            load_environment(path)
+        payload = json.loads(path.read_text())
+        del payload["mrp"]["discount"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError,
+                           match="env.json is missing key 'discount'"):
+            load_environment(path)
 
     def test_environment_file_round_trip(self, tmp_path):
         mrp, fm = make_boyan_chain()
