@@ -96,7 +96,8 @@ def operator_modulus(mrp, f, lam) -> float:
     """Exact contraction modulus of the multi-step operator in its own
     emphasized norm (the weighted norm of its linear part)."""
     _, linear = dtd_operator_matrix(mrp, f, lam)
-    return induced_norm(linear, emphasized_geometry(mrp, f).lam_diag)
+    geo = emphasized_geometry(mrp, f)
+    return induced_norm(linear, geo.lam_diag)
 
 
 def flatten_until_contractive(mrp, shape, lam, target=0.97):

@@ -519,12 +519,6 @@ class TestFixedPointCommand:
         assert code != 0 and "theta_star" not in captured.out
         assert "lam must lie in [0, 1]" in captured.out + captured.err
 
-    def test_lambda_one_still_divides_by_zero(self):
-        # kept fault: the benchmark pins it until the bound is mended
-        with pytest.raises(ZeroDivisionError):
-            main(["fixed-point", "--task", "RW5_LEFT", "--emphasis",
-                  "constant:1", "--lambda", "1.0"])
-
     def test_adaptive_emphasis_reaches_self_consistency(self, capsys):
         assert main(["fixed-point", "--task", "NOISY10:0", "--emphasis",
                      "abs_expected_td", "--lambda", "0.5"]) == 0

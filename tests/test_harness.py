@@ -954,7 +954,6 @@ class TestLoaderFaults:
         with pytest.raises(ValueError, match=message):
             load_aggregates(path)
 
-
     @pytest.mark.parametrize("field, value", [
         ("seed", 1.5), ("seed", True), ("step", 50.0), ("step", "50"),
         ("mspbe", "0.25"), ("mspbe", False), ("mspbe", [0.25]),
