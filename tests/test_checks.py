@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -25,6 +26,21 @@ class TestVerifyAll:
         a = [r.to_dict() for r in verify_all("identity")]
         b = [r.to_dict() for r in verify_all("identity")]
         assert json.dumps(a, default=str) == json.dumps(b, default=str)
+
+    def test_forward_view_checks_keep_their_bytes(self):
+        """sha256 of the forward-view and episode checks' results,
+        serialized as ``dtd verify`` writes them, pinned when first
+        written: a change to how returns, TD errors or episodes are
+        computed that moves one bit of a margin fails here."""
+        names = ("telescoping-identity", "return-forms-agree",
+                 "advantage-backward-pass", "offline-episode-equivalence",
+                 "sequential-reduction")
+        results = [r for name in names for r in verify_all(name)]
+        assert [r.check for r in results] == list(names)
+        text = json.dumps([r.to_dict() for r in results], indent=1,
+                          default=str)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "1590ca5ef027335ec4b691589c2e240cdc8921644d2f900efaff11b7255eb5bb")
 
     def test_raising_check_becomes_a_failed_result(self, monkeypatch):
         from discerning_td import checks
