@@ -27,7 +27,7 @@ from .mrp import FeatureMap, MarkovRewardProcess, make_boyan_chain, \
     make_feature_map, restart_path, start_states, stationary_distribution, \
     transition_ranks, true_value
 from .returns import ReturnParams, Trajectory, dae, discerning_return_interp, \
-    discerning_return_tdsum, identity_check, simulate_trajectory
+    discerning_return_tdsum, identity_check, simulate_trajectory, td_errors
 
 TASK_NAMES = ("RW5_LEFT", "RW5_MIDDLE", "RW5_RIGHT", "RW5_INVERTED",
               "RW5_DEPENDENT", "BOYAN13", "NOISY10:-1", "NOISY10:0",
@@ -212,20 +212,18 @@ def offline_update_gap(mrp, feature_map, traj, f_state, lam, alpha, theta0):
     f = np.asarray(f_state, dtype=np.float64)
     params = ReturnParams.from_state_values(f, traj, lam, gamma)
     phi = feature_map.phi
-    t_len = traj.num_transitions
-    values = np.array([0.0 if s == -1 else float(phi[s] @ theta0)
-                       for s in traj.states])
-    deltas = traj.rewards + gamma * values[1:] - values[:-1]
+    deltas = td_errors(traj, theta0, feature_map, gamma)
     trace = np.zeros(feature_map.n_features)
     backward = np.zeros(feature_map.n_features)
     forward = np.zeros(feature_map.n_features)
-    for t in range(t_len):
+    for t in range(traj.num_transitions):
         state = int(traj.states[t])
         f_t = f[state]
         trace = gamma * lam * trace + f_t * phi[state]
         backward += alpha * deltas[t] * f_t * trace
         target = discerning_return_interp(traj, t, params, theta0, feature_map)
-        forward += alpha * f_t ** 2 * (target - values[t]) * phi[state]
+        forward += alpha * f_t ** 2 * (target - float(phi[state] @ theta0)) \
+            * phi[state]
     return float(np.max(np.abs(backward - forward)))
 
 
@@ -384,9 +382,7 @@ def check_advantage_backward_pass():
         fast = dae(traj, params, theta, fm)
         f = params.f_values
         t_len = traj.num_transitions
-        values = np.array([0.0 if s == -1 else float(fm.phi[s] @ theta)
-                           for s in traj.states])
-        deltas = traj.rewards + gamma * values[1:] - values[:-1]
+        deltas = td_errors(traj, theta, fm, gamma)
         slow = np.array([
             sum((gamma * lam) ** (j - t) * deltas[j] * f[j]
                 for j in range(t, t_len)) / f[t]

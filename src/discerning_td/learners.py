@@ -13,8 +13,8 @@ import numpy as np
 
 from .emphasis import EmphasisKind, EmphasisSpec, EmphasisState, \
     emphasis_abs_expected_td, init_emphasis_state, update_counts
-from .mrp import TERMINAL, FeatureMap, MarkovRewardProcess, \
-    sample_initial_state, sample_transition
+from .mrp import FeatureMap, MarkovRewardProcess
+from .returns import simulate_trajectory
 
 
 class Algorithm(str, enum.Enum):
@@ -181,12 +181,12 @@ def run_episode(mrp: MarkovRewardProcess, feature_map: FeatureMap,
                 config: AlgoConfig, emphasis_state: EmphasisState,
                 learner: LearnerState, rng, step_budget: int):
     """Run the configured algorithm for one episode: a one-row
-    :class:`TraceKernel` fed by ``sample_transition``.
+    :class:`TraceKernel` stepped over a ``simulate_trajectory`` episode.
 
     The trace resets at the episode start, count-based emphasis records each
     visit and adaptive emphasis is refreshed from the current weights before
-    every update.  Stops at the terminal sink or once ``step_budget``
-    transitions have been taken, whichever comes first.
+    every update; neither draws from ``rng``.  Stops at the terminal sink or
+    once ``step_budget`` transitions have been taken, whichever comes first.
 
     Returns ``(learner, emphasis_state, steps_used)``.
     """
@@ -194,32 +194,28 @@ def run_episode(mrp: MarkovRewardProcess, feature_map: FeatureMap,
         raise ValueError("step_budget must be nonnegative")
     if step_budget == 0:
         return learner, emphasis_state, 0
+    traj = simulate_trajectory(mrp, rng, step_budget)
     reset_episode(learner)
     kernel = TraceKernel([config], mrp.discount)
     theta, trace = learner.theta[None, :], learner.trace[None, :]
     followon = np.array([learner.followon])
-    state = sample_initial_state(mrp, rng)
-    steps_used = 0
-    while steps_used < step_budget:
+    states = traj.states.tolist()
+    for state, next_state, reward in zip(states, states[1:],
+                                         traj.rewards.tolist()):
         if emphasis_state.kind is EmphasisKind.COUNT_INVERSE:
             update_counts(state, emphasis_state)
         elif emphasis_state.kind is EmphasisKind.ABS_EXPECTED_TD_ERROR:
             emphasis_state.values = emphasis_abs_expected_td(
                 mrp, feature_map, theta[0], emphasis_state.epsilon_floor)
-        reward, next_state = sample_transition(mrp, state, rng)
         theta, trace, followon = kernel.step(
             theta, trace, followon, feature_map.phi[state][None, :],
             feature_map.feature(next_state)[None, :], reward,
             emphasis_state.values[state:state + 1],
             config.alpha_at(learner.step_count))
         learner.step_count += 1
-        steps_used += 1
-        if next_state == TERMINAL:
-            break
-        state = next_state
     learner.theta, learner.trace = theta[0], trace[0]
     learner.followon = float(followon[0])
-    return learner, emphasis_state, steps_used
+    return learner, emphasis_state, traj.num_transitions
 
 
 def new_run(mrp: MarkovRewardProcess, feature_map: FeatureMap,

@@ -369,11 +369,6 @@ def restart_path(mrp: MarkovRewardProcess, s, ranks, restarts):
     return states[:-1], nexts, states[-1]
 
 
-def sample_initial_state(mrp: MarkovRewardProcess, rng) -> int:
-    """Draw a start state from the initial distribution (one uniform)."""
-    return int(start_states(mrp, rng.random()))
-
-
 # ---------------------------------------------------------------------------
 # Benchmark environments
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mrp import TERMINAL, FeatureMap, MarkovRewardProcess, \
-    sample_initial_state, sample_transition
+    sample_transition, start_states
 
 __all__ = [
     "Trajectory", "ReturnParams", "simulate_trajectory", "n_step_return",
@@ -91,7 +91,7 @@ class ReturnParams:
 def simulate_trajectory(mrp: MarkovRewardProcess, rng,
                         max_steps: int = 100_000) -> Trajectory:
     """Roll out one episode (or a truncated rollout of ``max_steps``)."""
-    state = sample_initial_state(mrp, rng)
+    state = int(start_states(mrp, rng.random()))
     states = [state]
     rewards = []
     for _ in range(max_steps):
@@ -111,56 +111,66 @@ def _check_f(params: ReturnParams, traj: Trajectory) -> np.ndarray:
     return f
 
 
+def _check_t(traj: Trajectory, t: int) -> None:
+    if not 0 <= t < traj.num_transitions:
+        raise IndexError(f"t={t} outside trajectory")
+
+
 def _value(feature_map: FeatureMap, theta: np.ndarray, state: int) -> float:
     if state == TERMINAL:
         return 0.0
     return float(feature_map.phi[state] @ theta)
 
 
+def _n_step_returns(traj: Trajectory, t: int, n: int, theta,
+                    feature_map: FeatureMap, gamma: float) -> list:
+    """The returns g_1 ... g_N from position ``t``, N being ``n`` capped at
+    the transitions left: g_k is the discounted sum of the next k rewards
+    plus the discounted value of the state reached."""
+    _check_t(traj, t)
+    returns = []
+    reward_part = 0.0
+    disc = 1.0
+    for k in range(t, t + min(n, traj.num_transitions - t)):
+        reward_part += disc * traj.rewards[k]
+        disc *= gamma
+        returns.append(reward_part + disc * _value(feature_map, theta,
+                                                   int(traj.states[k + 1])))
+    return returns
+
+
+def td_errors(traj: Trajectory, theta, feature_map: FeatureMap,
+              gamma: float) -> np.ndarray:
+    """The one-step errors R + gamma*v(S') - v(S) of every transition, with
+    v read state by state."""
+    values = np.array([_value(feature_map, theta, int(s)) for s in traj.states])
+    return traj.rewards + gamma * values[1:] - values[:-1]
+
+
 def n_step_return(traj: Trajectory, t: int, n: int, theta, feature_map: FeatureMap,
                   gamma: float) -> float:
     """Discounted n-step return from position ``t``, bootstrapping from the
     estimated value of the state reached (zero at or beyond TERMINAL)."""
-    horizon = traj.num_transitions - t
-    if not 0 <= t < traj.num_transitions:
-        raise IndexError(f"t={t} outside trajectory")
+    returns = _n_step_returns(traj, t, n, theta, feature_map, gamma)
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > horizon:
-        if not traj.ends_terminal:
-            raise IndexError("n-step horizon exceeds the truncated trajectory")
-        n = horizon
-    total = 0.0
-    scale = 1.0
-    for k in range(n):
-        total += scale * traj.rewards[t + k]
-        scale *= gamma
-    total += scale * _value(feature_map, theta, int(traj.states[t + n]))
-    return total
+    if len(returns) < n and not traj.ends_terminal:
+        raise IndexError("n-step horizon exceeds the truncated trajectory")
+    return returns[-1]
 
 
 def lambda_return(traj: Trajectory, t: int, theta, feature_map: FeatureMap,
                   gamma: float, lam: float) -> float:
     """Exponentially mixed n-step returns; the final return absorbs the
     residual geometric weight."""
-    horizon = traj.num_transitions - t
-    if not 0 <= t < traj.num_transitions:
-        raise IndexError(f"t={t} outside trajectory")
-    reward_part = 0.0
-    disc = 1.0
+    *returns, g_last = _n_step_returns(traj, t, traj.num_transitions, theta,
+                                       feature_map, gamma)
     lam_pow = 1.0
     total = 0.0
-    for n in range(1, horizon + 1):
-        reward_part += disc * traj.rewards[t + n - 1]
-        disc *= gamma
-        g_n = reward_part + disc * _value(feature_map, theta,
-                                          int(traj.states[t + n]))
-        if n < horizon:
-            total += (1.0 - lam) * lam_pow * g_n
-            lam_pow *= lam
-        else:
-            total += lam_pow * g_n
-    return total
+    for g_n in returns:
+        total += (1.0 - lam) * lam_pow * g_n
+        lam_pow *= lam
+    return total + lam_pow * g_last
 
 
 def identity_check(f_seq, lam: float) -> float:
@@ -193,25 +203,15 @@ def discerning_return_interp(traj: Trajectory, t: int, params: ReturnParams,
     onto the final (full-horizon) return.
     """
     f = _check_f(params, traj)
-    if not 0 <= t < traj.num_transitions:
-        raise IndexError(f"t={t} outside trajectory")
-    lam, gamma = params.lam, params.gamma
-    horizon = traj.num_transitions - t
-    reward_part = 0.0
-    disc = 1.0
+    *returns, g_last = _n_step_returns(traj, t, traj.num_transitions, theta,
+                                       feature_map, params.gamma)
+    lam = params.lam
     lam_pow = 1.0
     total = 0.0
-    for n in range(1, horizon + 1):
-        reward_part += disc * traj.rewards[t + n - 1]
-        disc *= gamma
-        g_n = reward_part + disc * _value(feature_map, theta,
-                                          int(traj.states[t + n]))
-        if n < horizon:
-            total += lam_pow * (f[t + n - 1] - lam * f[t + n]) * g_n
-            lam_pow *= lam
-        else:
-            total += lam_pow * f[t + n - 1] * g_n
-    return total / f[t]
+    for k, g_n in enumerate(returns, start=t):
+        total += lam_pow * (f[k] - lam * f[k + 1]) * g_n
+        lam_pow *= lam
+    return (total + lam_pow * f[-1] * g_last) / f[t]
 
 
 def discerning_return_tdsum(traj: Trajectory, t: int, params: ReturnParams,
@@ -219,20 +219,15 @@ def discerning_return_tdsum(traj: Trajectory, t: int, params: ReturnParams,
     """Same target written as the start value plus the discounted sum of
     emphasis-weighted one-step errors (weights frozen at ``theta``)."""
     f = _check_f(params, traj)
-    if not 0 <= t < traj.num_transitions:
-        raise IndexError(f"t={t} outside trajectory")
+    _check_t(traj, t)
     lam, gamma = params.lam, params.gamma
-    v_here = _value(feature_map, theta, int(traj.states[t]))
+    deltas = td_errors(traj, theta, feature_map, gamma)
     total = 0.0
     scale = 1.0
-    v_k = v_here
     for k in range(t, traj.num_transitions):
-        v_next = _value(feature_map, theta, int(traj.states[k + 1]))
-        delta = traj.rewards[k] + gamma * v_next - v_k
-        total += scale * delta * f[k]
+        total += scale * deltas[k] * f[k]
         scale *= gamma * lam
-        v_k = v_next
-    return v_here + total / f[t]
+    return _value(feature_map, theta, int(traj.states[t])) + total / f[t]
 
 
 def dae(traj: Trajectory, params: ReturnParams, theta,
@@ -244,12 +239,10 @@ def dae(traj: Trajectory, params: ReturnParams, theta,
     """
     f = _check_f(params, traj)
     lam, gamma = params.lam, params.gamma
-    T = traj.num_transitions
-    values = np.array([_value(feature_map, theta, int(s)) for s in traj.states])
-    deltas = traj.rewards + gamma * values[1:] - values[:-1]
-    out = np.empty(T)
+    deltas = td_errors(traj, theta, feature_map, gamma)
+    out = np.empty(len(deltas))
     tail = 0.0
-    for k in range(T - 1, -1, -1):
+    for k in range(len(deltas) - 1, -1, -1):
         tail = deltas[k] * f[k] + gamma * lam * tail
         out[k] = tail / f[k]
     return out
