@@ -48,11 +48,17 @@ class EmphasizedGeometry:
     lam_diag: np.ndarray
 
 
-def emphasized_geometry(mrp: MarkovRewardProcess, f_values) -> EmphasizedGeometry:
+def _emphasis_vector(mrp: MarkovRewardProcess, f_values) -> np.ndarray:
+    """``f_values`` as an array of one positive, finite weight per state."""
     f = np.asarray(f_values, dtype=np.float64)
     if f.shape != (mrp.n_states,) or np.any(f <= 0.0) or np.any(~np.isfinite(f)):
         raise ValueError("emphasis vector must be positive, finite and match "
                          "the state count")
+    return f
+
+
+def emphasized_geometry(mrp: MarkovRewardProcess, f_values) -> EmphasizedGeometry:
+    f = _emphasis_vector(mrp, f_values)
     d = mrp.stationary
     return EmphasizedGeometry(f=f, d=d, lam_diag=f * d * f)
 
@@ -99,10 +105,7 @@ def _operator_emphasis(mrp: MarkovRewardProcess, f_values,
     _check_lambda(lam)
     if mrp.discount * lam >= 1.0:
         raise ValueError("gamma * lam must be below 1")
-    f = np.asarray(f_values, dtype=np.float64)
-    if np.any(f <= 0.0):
-        raise ValueError("emphasis vector must be positive")
-    return f
+    return _emphasis_vector(mrp, f_values)
 
 
 def dtd_operator(v, mrp: MarkovRewardProcess, f_values, lam: float,

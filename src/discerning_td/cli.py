@@ -12,8 +12,8 @@ import numpy as np
 from .analysis import SingularSystemError, compute_A_b, contraction_condition, \
     fixed_point, mspbe
 from .checks import verify_all
-from .emphasis import EmphasisKind, EmphasisSpec, emphasis_abs_expected_td, \
-    init_emphasis_state, long_run_count_inverse
+from .emphasis import DEFAULT_EPSILON_FLOOR, EmphasisKind, EmphasisSpec, \
+    emphasis_abs_expected_td, init_emphasis_state, long_run_count_inverse
 from .harness import DEFAULT_ALPHA_GRID, DEFAULT_LAMBDA_GRID, \
     ExperimentConfig, aggregate_all, check_csv_cells, emit, resolve_task, \
     run_experiment, select_best
@@ -55,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--alpha", nargs="+", type=float,
                      default=DEFAULT_ALPHA_GRID)
     run.add_argument("--emphasis", default="constant:1")
-    run.add_argument("--epsilon-floor", type=float, default=1e-3)
+    run.add_argument("--epsilon-floor", type=float,
+                     default=DEFAULT_EPSILON_FLOOR)
     run.add_argument("--runs", type=int, default=50)
     run.add_argument("--steps", type=int, default=5000)
     run.add_argument("--eval-every", type=int, default=50)
@@ -79,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="solve the expected-update fixed point")
     fp.add_argument("--task", required=True)
     fp.add_argument("--emphasis", default="constant:1")
-    fp.add_argument("--epsilon-floor", type=float, default=1e-3)
+    fp.add_argument("--epsilon-floor", type=float,
+                    default=DEFAULT_EPSILON_FLOOR)
     fp.add_argument("--lambda", dest="lam", type=float, required=True)
     fp.add_argument("--kappa", type=float, default=None)
     return parser
@@ -180,13 +182,20 @@ def cmd_sweep(args) -> int:
         where = f"sweep config algorithms[{i}]"
         _require_keys(entry, SWEEP_ENTRY_KEYS, where)
         emphasis = entry.get("emphasis", {"kind": "constant"})
-        _require_keys(emphasis, ("kind",), f"{where}.emphasis")
+        where = f"{where}.emphasis"
+        _require_keys(emphasis, ("kind",), where)
+        defaults = {"constant": 1.0, "epsilon_floor": DEFAULT_EPSILON_FLOOR}
+        numbers = {key: float(_checked(emphasis.get(key, value), "a number",
+                                       f"{where} {key!r}"))
+                   for key, value in defaults.items()}
+        table = emphasis.get("table")
+        if table is not None:
+            table = [_checked(x, "a number", f"{where} 'table' entry")
+                     for x in _checked(table, "a list", f"{where} 'table'")]
         groups.append((entry["algorithm"], *(
             value if isinstance(value, list) else [value]
             for value in (entry["lambda"], entry["alpha"])), EmphasisSpec(
-            emphasis["kind"], constant=float(emphasis.get("constant", 1.0)),
-            table=emphasis.get("table"),
-            epsilon_floor=float(emphasis.get("epsilon_floor", 1e-3)))))
+            emphasis["kind"], table=table, **numbers)))
     config = ExperimentConfig(task=spec["task"], algorithms=_cells(groups), **{
         k: spec[k] for k in ("runs", "steps", "eval_every", "base_seed")})
     _run_and_emit(config, spec["out"], spec["format"],

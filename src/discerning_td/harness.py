@@ -15,7 +15,7 @@ import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -28,9 +28,8 @@ from .mrp import FeatureMap, MarkovRewardProcess, make_boyan_chain, \
     make_feature_map, make_noisy_chain, make_random_walk, read_json, \
     restart_path, start_states, transition_ranks
 
+# A record's cell: its first five fields.
 CELL_COLUMNS = ("task", "algorithm", "lambda", "alpha", "emphasis_kind")
-# A record's cell, by field name ("lam" holds the "lambda" column).
-_CELL_OF = attrgetter("task", "algorithm", "lam", "alpha", "emphasis_kind")
 CURVE_COLUMNS = CELL_COLUMNS + ("seed", "step", "mspbe")
 AGGREGATE_COLUMNS = CELL_COLUMNS + ("step", "mean_mspbe", "std_mspbe",
                                     "n_runs")
@@ -204,10 +203,9 @@ class CurveTable(Sequence):
             return records
         records = list(records)
         index = {}
-        cell = [index.setdefault(key, len(index))
-                for key in map(_CELL_OF, records)]
-        return cls(index, cell, *(list(map(attrgetter(name), records))
-                                  for name in ("seed", "step", "mspbe")))
+        cell = [index.setdefault(r[:5], len(index)) for r in records]
+        columns = list(zip(*records)) or [()] * len(CURVE_COLUMNS)
+        return cls(index, cell, *columns[5:])
 
     def __len__(self) -> int:
         return len(self.cell)
@@ -652,7 +650,7 @@ def emit(rows, path, fmt: str = "csv", kind: str | None = None) -> None:
         table = CurveTable.from_records(rows)
         columns, cells, rows = CURVE_COLUMNS, table.cells, table.rows()
     else:
-        columns, cells = AGGREGATE_COLUMNS, set(map(_CELL_OF, rows))
+        columns, cells = AGGREGATE_COLUMNS, {r[:5] for r in rows}
     if fmt == "json":
         payload = [dict(zip(columns, row)) for row in rows]
         with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -708,7 +706,7 @@ def _columns_from_file(path, fmt, columns):
     for raw in distinct:
         try:
             key = _parse_cell(raw)
-        except (TypeError, ValueError):  # TypeError: a JSON null for λ or α
+        except ValueError:
             raise _fault(path, fmt, columns, f"has a record whose cell "
                          f"{raw!r} does not parse") from None
         of_raw[raw] = index.setdefault(key, len(index))
@@ -755,8 +753,14 @@ def _fault(path, fmt, columns, message) -> ValueError:
 
 
 def _parse_cell(raw) -> tuple:
-    task, algorithm, lam, alpha, kind = \
-        raw.split(",") if isinstance(raw, str) else raw
+    """The cell of a CSV line's text, or of a JSON record's fields: three
+    strings, then numbers (a bool is none) for lambda and alpha."""
+    if isinstance(raw, str):
+        raw = raw.split(",")
+    elif not (all(type(v) is str for v in (raw[0], raw[1], raw[4]))
+              and all(type(v) in (int, float) for v in raw[2:4])):
+        raise ValueError("a JSON cell field of the wrong type")
+    task, algorithm, lam, alpha, kind = raw
     return (task, algorithm, float(lam), float(alpha), kind)
 
 

@@ -125,6 +125,21 @@ class TestOperator:
         with pytest.raises(ValueError):
             dtd_operator(np.zeros(5), mrp, np.array([1, -1, 1, 1, 1.0]), 0.5)
 
+    @pytest.mark.parametrize("f", [[1.0, np.nan, 1.0, 1.0, 1.0],
+                                   [1.0, 1.0, np.inf, 1.0, 1.0],
+                                   [1.0, 1.0, 1.0, 1.0]])
+    @pytest.mark.parametrize("operator", ["series", "matrix"])
+    def test_rejects_emphasis_not_finite_or_of_wrong_length(self, f,
+                                                            operator):
+        from discerning_td.analysis import dtd_operator_matrix
+        mrp, _ = make_random_walk(5, "middle")
+        call = {"series": lambda: dtd_operator(np.zeros(5), mrp, f, 0.5),
+                "matrix": lambda: dtd_operator_matrix(mrp, f, 0.5)}[operator]
+        with pytest.raises(ValueError, match="emphasis vector must be "
+                                             "positive, finite and match "
+                                             "the state count"):
+            call()
+
     def test_series_cap_reported(self):
         from discerning_td import ConvergenceError
         mrp, _ = make_random_walk(5, "middle")

@@ -346,6 +346,34 @@ class TestSweepCommand:
         assert err.count("\n") == 1
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("emphasis, message", [
+        ({"kind": "constant", "constant": None}, "'constant' must be a "
+                                                 "number, not None"),
+        ({"kind": "count_inverse", "epsilon_floor": None},
+         "'epsilon_floor' must be a number, not None"),
+        ({"kind": "constant", "constant": "2"}, "'constant' must be a "
+                                                "number, not '2'"),
+        ({"kind": "count_inverse", "epsilon_floor": "0.01"},
+         "'epsilon_floor' must be a number, not '0.01'"),
+        ({"kind": "table", "table": [True, 0.5, 1, 1, 1]},
+         "'table' entry must be a number, not True"),
+        ({"kind": "table", "table": [1, "0.5", 1, 1, 1]},
+         "'table' entry must be a number, not '0.5'"),
+        ({"kind": "table", "table": "1,1,1,1,1"},
+         "'table' must be a list, not '1,1,1,1,1'"),
+    ])
+    def test_emphasis_value_that_is_not_a_number(self, tmp_path, capsys,
+                                                 monkeypatch, emphasis,
+                                                 message):
+        monkeypatch.setattr(cli, "run_experiment", None)  # never simulate
+        config = self._config(tmp_path)
+        config["algorithms"][0].update(algorithm="DTD", emphasis=emphasis)
+        assert self._run(tmp_path, config) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: sweep config algorithms[0].emphasis "
+                       f"{message}\n")
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_config_that_is_not_json(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("{bad")

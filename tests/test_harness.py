@@ -984,6 +984,25 @@ class TestLoaderFaults:
                                              f"{field} is not a number"):
             load_aggregates(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("lambda", True), ("lambda", "0.5"), ("alpha", False),
+        ("alpha", "0.1"), ("task", 3), ("algorithm", None),
+        ("emphasis_kind", 1.0),
+    ])
+    @pytest.mark.parametrize("record, load", [(CURVE, load_records),
+                                              (AGG, load_aggregates)])
+    def test_json_cells_of_the_wrong_type(self, tmp_path, record, load, field,
+                                          value):
+        path = tmp_path / "x.json"
+        emit([record], path, fmt="json")
+        rows = json.loads(path.read_text())
+        rows[0][field] = value
+        path.write_text(json.dumps(rows))
+        with pytest.raises(ValueError, match=f"x.json has a record whose "
+                                             f"cell .*{value!r}.* does not "
+                                             f"parse"):
+            load(path)
+
     def test_json_integers_and_infinity_load(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text(json.dumps([dict(zip(harness.CURVE_COLUMNS, (
