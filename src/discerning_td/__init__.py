@@ -19,7 +19,7 @@ from .harness import AggregateRecord, BestCell, CurveRecord, CurveTable, \
     aggregate_all, emit, load_aggregates, load_records, resolve_task, \
     run_experiment, select_best, simulate_curves
 from .learners import AlgoConfig, Algorithm, DecayingAlpha, LearnerState, \
-    TraceKernel, init_learner_state, new_run, reset_episode, run_episode
+    TraceKernel, init_learner_state, new_run, run_episode
 from .mrp import TERMINAL, ChainStructureError, ConvergenceError, \
     ExactSolution, FeatureMap, MarkovRewardProcess, exact_solution, \
     load_environment, make_boyan_chain, make_feature_map, make_noisy_chain, \

@@ -79,16 +79,22 @@ def projection(feature_map: FeatureMap, weight_diag) -> np.ndarray:
     return phi @ np.linalg.solve(gram, phi.T * w[None, :])
 
 
-def mspbe(theta, mrp: MarkovRewardProcess, feature_map: FeatureMap,
-          solution=None) -> float:
+def mspbe_rows(theta, mrp: MarkovRewardProcess, phi, d, proj_t) -> np.ndarray:
+    """:func:`mspbe` of each row of weights ``theta`` (B, k), given the
+    stationary distribution ``d`` and the projection's transpose ``proj_t``."""
+    v_all = theta @ phi.T
+    tv = mrp.expected_reward + mrp.discount * (v_all @ mrp.transition.T)
+    err = v_all - tv @ proj_t
+    return np.sqrt(np.einsum("bn,n,bn->b", err, d, err))
+
+
+def mspbe(theta, mrp: MarkovRewardProcess, feature_map: FeatureMap) -> float:
     """Distance (in the stationary-distribution norm) between the current
     value estimate and the projected one-step image of it."""
-    sol = solution if solution is not None else exact_solution(mrp)
-    theta = np.asarray(theta, dtype=np.float64)
-    v = feature_map.phi @ theta
-    tv = mrp.expected_reward + mrp.discount * (mrp.transition @ v)
-    err = v - projection(feature_map, sol.d_pi) @ tv
-    return float(np.sqrt(err @ (sol.d_pi * err)))
+    d = exact_solution(mrp).d_pi
+    theta = np.asarray(theta, dtype=np.float64)[None, :]
+    return float(mspbe_rows(theta, mrp, feature_map.phi, d,
+                            projection(feature_map, d).T)[0])
 
 
 SERIES_TOL = 1e-14  # series stop once lam**n * max|weight| is below this
@@ -322,17 +328,13 @@ def contraction_condition(mrp: MarkovRewardProcess, f_values, lam: float,
                                  terms, "bound vacuous at gamma=0")
     rhs_i = sigma_min * (1.0 - gamma * lam) / (gamma * one_norm * dev_norm)
     terms["rhs_fixed_emphasis"] = rhs_i
-    if kappa is None:
+    if not kappa:
+        # fixed emphasis, or a zero modulus: the varying bound is the fixed one
         margin = rhs_i - f_norm
         return ContractionReport(bool(margin > 0.0), margin, f_norm, rhs_i,
-                                 "i", terms)
+                                 "i" if kappa is None else "ii", terms)
     if kappa < 0.0:
         raise ValueError("kappa must be nonnegative")
-    if kappa == 0.0:
-        # zero modulus: the varying-emphasis bound reduces to the fixed one
-        margin = rhs_i - f_norm
-        return ContractionReport(bool(margin > 0.0), margin, f_norm, rhs_i,
-                                 "ii", terms)
     if lam == 1.0 or gamma == 1.0:
         return ContractionReport(None, math.nan, f_norm, math.nan, "ii",
                                  terms, "bound vacuous at lam=1 or gamma=1")

@@ -75,10 +75,10 @@ def random_ergodic_mrp(rng, n_states=None, gamma=None) -> MarkovRewardProcess:
         discount=gamma)
 
 
-def scale_emphasis_to_contract(mrp, f_raw, lam, margin=0.9):
+def scale_emphasis_to_contract(mrp, f_raw, lam):
     """Rescale a positive emphasis vector until the fixed-emphasis
-    contraction condition holds (its right side is scale invariant while the
-    left side is linear in the scale).
+    contraction condition holds, its left side at 0.9 of its right (the
+    right side is scale invariant, the left linear in the scale).
 
     Only the scale changes, so the result is no more contractive or definite
     than the input shape: the exact operator modulus and the sign of the
@@ -88,7 +88,7 @@ def scale_emphasis_to_contract(mrp, f_raw, lam, margin=0.9):
     report = contraction_condition(mrp, f_raw, lam)
     if not np.isfinite(report.rhs):
         return np.asarray(f_raw, dtype=np.float64).copy()
-    scale = margin * report.rhs / report.lhs
+    scale = 0.9 * report.rhs / report.lhs
     return np.asarray(f_raw, dtype=np.float64) * scale
 
 
@@ -100,14 +100,14 @@ def operator_modulus(mrp, f, lam) -> float:
     return induced_norm(linear, geo.lam_diag)
 
 
-def flatten_until_contractive(mrp, shape, lam, target=0.97):
+def flatten_until_contractive(mrp, shape, lam):
     """Mix an emphasis shape toward uniform until the operator's exact
-    modulus drops below ``target``; the modulus is scale invariant, so only
-    the shape matters."""
+    modulus drops below 0.97; the modulus is scale invariant, so only the
+    shape matters."""
     shape = np.asarray(shape, dtype=np.float64)
     for t in np.linspace(1.0, 0.0, 21):
         f = 1.0 + t * (shape / shape.mean() - 1.0)
-        if np.all(f > 0.0) and operator_modulus(mrp, f, lam) < target:
+        if np.all(f > 0.0) and operator_modulus(mrp, f, lam) < 0.97:
             return f
     raise ValueError("no contractive emphasis shape found for this chain")
 

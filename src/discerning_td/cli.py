@@ -18,7 +18,8 @@ from .harness import DEFAULT_ALPHA_GRID, DEFAULT_LAMBDA_GRID, \
     ExperimentConfig, aggregate_all, check_csv_cells, emit, resolve_task, \
     run_experiment, select_best
 from .learners import Algorithm, AlgoConfig
-from .mrp import load_environment, read_json
+from .mrp import ChainStructureError, ConvergenceError, load_environment, \
+    read_json
 
 
 def parse_emphasis(text: str, epsilon_floor: float) -> EmphasisSpec:
@@ -240,12 +241,8 @@ def cmd_fixed_point(args) -> int:
     mrp, fm = resolve_task(args.task)
     spec = parse_emphasis(args.emphasis, args.epsilon_floor)
     f, note = _resolve_fixed_emphasis(spec, mrp, fm, args.lam)
-    try:
-        system = compute_A_b(mrp, fm, f, args.lam)
-        theta = fixed_point(system)
-    except (SingularSystemError, ValueError) as exc:
-        print(json.dumps({"error": str(exc)}))
-        return 1
+    system = compute_A_b(mrp, fm, f, args.lam)
+    theta = fixed_point(system)
     report = contraction_condition(mrp, f, args.lam, kappa=args.kappa)
     payload = {
         "task": args.task,
@@ -268,7 +265,8 @@ def main(argv=None) -> int:
                 "fixed-point": cmd_fixed_point}
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ChainStructureError, ConvergenceError,
+            SingularSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import exact_solution, projection
+from .analysis import exact_solution, mspbe_rows, projection
 from .emphasis import EmphasisKind, abs_expected_td_rows, \
     count_inverse_path, init_emphasis_state
 from .learners import AlgoConfig, DecayingAlpha, TraceKernel
@@ -363,8 +363,7 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
         schedule = None
     n = mrp.n_states
     k = feature_map.n_features
-    gamma = mrp.discount
-    kernel = TraceKernel(configs, gamma)
+    kernel = TraceKernel(configs, mrp.discount)
 
     kinds = np.array([c.emphasis.kind for c in configs], dtype=object)
     eps = np.array([c.emphasis.epsilon_floor for c in configs])
@@ -383,7 +382,6 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
 
     phi = feature_map.phi
     phi_pad = np.vstack([phi, np.zeros((1, k))])
-    r_pi = mrp.expected_reward
     sigma = mrp.reward_noise_std
     has_noise = bool(sigma.any())
 
@@ -475,10 +473,7 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
                 followon[term] = 0.0
 
             if eval_idx < len(eval_steps) and t + 1 == eval_steps[eval_idx]:
-                v_all = theta @ phi.T
-                tv = r_pi[None, :] + gamma * (v_all @ mrp.transition.T)
-                err = v_all - tv @ proj_t
-                vals = np.sqrt(np.einsum("bn,n,bn->b", err, d, err))
+                vals = mspbe_rows(theta, mrp, phi, d, proj_t)
                 curves[:, eval_idx] = np.where(np.isfinite(vals), vals, np.inf)
                 eval_idx += 1
 
@@ -667,13 +662,12 @@ def emit(rows, path, fmt: str = "csv", kind: str | None = None) -> None:
                 handle.write(",".join(map(_format_field, row)) + "\n")
 
 
-def _columns_from_file(path, fmt, columns):
-    """The columns of a file written by :func:`emit`: its distinct cells,
-    parsed, in order of first appearance, each row's index into them, then
-    the remaining columns as arrays.  Raises ``ValueError``, naming the
-    file, if it does not hold those columns on every row."""
-    if fmt is None:
-        fmt = "json" if str(path).endswith(".json") else "csv"
+def _columns_from_file(path, columns):
+    """The columns of a file written by :func:`emit` (JSON if its name ends
+    in ``.json``): its distinct cells, parsed, in order of first appearance,
+    each row's index into them, then the remaining columns as arrays.
+    Raises ``ValueError``, naming the file, unless every row has them."""
+    fmt = "json" if str(path).endswith(".json") else "csv"
     rest = columns[len(CELL_COLUMNS):]
     if fmt == "json":
         rows = read_json(path)
@@ -764,21 +758,21 @@ def _parse_cell(raw) -> tuple:
     return (task, algorithm, float(lam), float(alpha), kind)
 
 
-def load_records(path, fmt: str | None = None) -> CurveTable:
+def load_records(path) -> CurveTable:
     """Parse a curve file produced by :func:`emit` into a ``CurveTable``, a
     read-only sequence of ``CurveRecord``; each cell is parsed once."""
-    columns = _columns_from_file(path, fmt, CURVE_COLUMNS)
+    columns = _columns_from_file(path, CURVE_COLUMNS)
     try:
         return CurveTable(*columns)
     except ValueError as exc:  # a negative, NaN or JSON null mspbe
         raise ValueError(f"{path}: {exc}") from None
 
 
-def load_aggregates(path, fmt: str | None = None):
+def load_aggregates(path):
     """Parse an aggregate file produced by :func:`emit` into a list of
     ``AggregateRecord``, whose columns are checked whole."""
     cells, cell, steps, means, stds, n_runs = _columns_from_file(
-        path, fmt, AGGREGATE_COLUMNS)
+        path, AGGREGATE_COLUMNS)
     try:
         _check_aggregates(means.min(initial=0.0), stds.min(initial=0.0),
                           n_runs.min(initial=1))

@@ -93,12 +93,6 @@ def init_learner_state(n_features: int) -> LearnerState:
     return LearnerState(theta=np.zeros(n_features), trace=np.zeros(n_features))
 
 
-def reset_episode(learner: LearnerState) -> None:
-    """Clear the trace and follow-on accumulator at an episode start."""
-    learner.trace = np.zeros_like(learner.trace)
-    learner.followon = 0.0
-
-
 def _rows_of(values, member):
     """Rows holding ``member``: None for no row, True for every row, else a
     mask."""
@@ -195,10 +189,9 @@ def run_episode(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     if step_budget == 0:
         return learner, emphasis_state, 0
     traj = simulate_trajectory(mrp, rng, step_budget)
-    reset_episode(learner)
     kernel = TraceKernel([config], mrp.discount)
-    theta, trace = learner.theta[None, :], learner.trace[None, :]
-    followon = np.array([learner.followon])
+    theta = learner.theta[None, :]
+    trace, followon = np.zeros_like(theta), np.zeros(1)  # both start at zero
     states = traj.states.tolist()
     for state, next_state, reward in zip(states, states[1:],
                                          traj.rewards.tolist()):

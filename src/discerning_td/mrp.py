@@ -373,8 +373,6 @@ def restart_path(mrp: MarkovRewardProcess, s, ranks, restarts):
 # Benchmark environments
 # ---------------------------------------------------------------------------
 
-_WALK_INITS = {"left": 0, "middle": None, "right": -1}
-
 
 def make_random_walk(n_states: int, init: str):
     """Random walk with terminals at both ends.
@@ -386,10 +384,11 @@ def make_random_walk(n_states: int, init: str):
     """
     if n_states < 2:
         raise ValueError("random walk needs at least 2 states")
-    key = str(init).lower()
-    if key not in _WALK_INITS:
-        raise ValueError(f"init must be left, middle or right, got {init!r}")
     n = n_states
+    starts = {"left": 0, "middle": (n - 1) // 2, "right": n - 1}
+    key = str(init).lower()
+    if key not in starts:
+        raise ValueError(f"init must be left, middle or right, got {init!r}")
     p = np.zeros((n, n))
     for i in range(n):
         if i > 0:
@@ -400,9 +399,8 @@ def make_random_walk(n_states: int, init: str):
     expected[n - 1] = 0.5  # half chance of exiting right for +1
     terminal_reward = np.zeros(n)
     terminal_reward[n - 1] = 1.0
-    start = {"left": 0, "middle": (n - 1) // 2, "right": n - 1}[key]
     rho = np.zeros(n)
-    rho[start] = 1.0
+    rho[starts[key]] = 1.0
     mrp = MarkovRewardProcess(
         n_states=n,
         transition=p,
