@@ -108,13 +108,17 @@ def _cells(groups):
 
 def _run_and_emit(config, out, fmt, aggregated, environment=None):
     """Simulate ``config`` and write its curves or aggregates to ``out``.
-    A CSV field that would break its line, or an output path that is a
-    directory, is refused before simulating; a run that ends with a
-    non-finite MSPBE draws one warning on stderr."""
+    A repeated cell (whose records would merge), a CSV field that would
+    break its line, or an output path that is a directory, is refused before
+    simulating; a run that ends with a non-finite MSPBE draws a warning."""
+    cells = config.cells()
+    if len(set(cells)) < len(cells):
+        twice = next(c for i, c in enumerate(cells) if c in cells[:i])
+        raise ValueError(f"the cell {twice} is listed more than once")
     if os.path.isdir(out):
         raise IsADirectoryError(f"output path {out!r} is a directory")
     if str(fmt).lower() == "csv":
-        check_csv_cells(config.cells())
+        check_csv_cells(cells)
     table = run_experiment(config, environment=environment)
     diverged = table.diverged_runs()
     if diverged:
@@ -150,7 +154,7 @@ def cmd_run(args) -> int:
 
 
 _JSON_TYPES = {"a string": str, "an integer": int, "a list": list,
-               "a number": (int, float)}
+               "a number": (int, float), "true or false": bool}
 SWEEP_KEYS = {"task": "a string", "runs": "an integer", "steps": "an integer",
               "eval_every": "an integer", "base_seed": "an integer",
               "out": "a string", "algorithms": "a list"}
@@ -158,8 +162,10 @@ SWEEP_ENTRY_KEYS = ("algorithm", "lambda", "alpha")
 
 
 def _checked(value, kind: str, what: str):
-    """``value``, if it is of the JSON type ``kind`` (a bool is none)."""
-    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+    """``value``, if it is of the JSON type ``kind`` (a bool is only
+    ``true or false``)."""
+    if isinstance(value, bool) != (kind == "true or false") \
+            or not isinstance(value, _JSON_TYPES[kind]):
         raise ValueError(f"{what} must be {kind}, not {value!r}")
     return value
 
@@ -175,9 +181,13 @@ def _require_keys(mapping, keys, where: str) -> None:
 def cmd_sweep(args) -> int:
     spec = read_json(args.config)
     _require_keys(spec, SWEEP_KEYS, "sweep config")
-    spec.setdefault("format", "csv")
-    for key, kind in {**SWEEP_KEYS, "format": "a string"}.items():
+    spec = {"format": "csv", "aggregate": False, **spec}
+    for key, kind in {**SWEEP_KEYS, "format": "a string",
+                      "aggregate": "true or false"}.items():
         _checked(spec[key], kind, f"sweep config {key!r}")
+    if spec["format"].lower() not in ("csv", "json"):
+        raise ValueError(f"sweep config 'format' must be csv or json, not "
+                         f"{spec['format']!r}")
     groups = []
     for i, entry in enumerate(spec["algorithms"]):
         where = f"sweep config algorithms[{i}]"
@@ -199,14 +209,15 @@ def cmd_sweep(args) -> int:
             emphasis["kind"], table=table, **numbers)))
     config = ExperimentConfig(task=spec["task"], algorithms=_cells(groups), **{
         k: spec[k] for k in ("runs", "steps", "eval_every", "base_seed")})
-    _run_and_emit(config, spec["out"], spec["format"],
-                  spec.get("aggregate", False))
+    _run_and_emit(config, spec["out"], spec["format"], spec["aggregate"])
     print(f"wrote {spec['out']}")
     return 0
 
 
 def cmd_verify(args) -> int:
     results = verify_all(args.filter)
+    if not results:
+        raise ValueError(f"no check name contains {args.filter!r}")
     payload = [res.to_dict() for res in results]
     text = json.dumps(payload, indent=1, default=str)
     if args.out:

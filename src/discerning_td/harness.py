@@ -15,6 +15,7 @@ import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -54,11 +55,9 @@ def resolve_task(name: str):
     """Map a task name to its environment; NOISY10 takes an optional
     reward level suffix, e.g. ``NOISY10:-1``."""
     key = str(name).strip().upper()
-    if key.startswith("NOISY10"):
-        level = 0.0
-        if ":" in key:
-            level = float(key.split(":", 1)[1])
-        return make_noisy_chain(level)
+    head, colon, level = key.partition(":")
+    if head == "NOISY10":
+        return make_noisy_chain(float(level) if colon else 0.0)
     if key in ("RW5_LEFT", "RW5_MIDDLE", "RW5_RIGHT"):
         return make_random_walk(5, key.split("_")[1].lower())
     if key == "RW5_TABULAR":
@@ -696,6 +695,9 @@ def _columns_from_file(path, columns):
     except TypeError:  # a JSON array or object in a cell field
         raise ValueError(f"{path} has a record whose cell holds a JSON "
                          f"array or object") from None
+    # True == 1: fromkeys may have merged a cell holding a bool into another
+    if fmt == "json" and bool in map(type, chain.from_iterable(raw_cells)):
+        distinct = [next(raw for raw in raw_cells if bool in map(type, raw))]
     index, of_raw = {}, {}
     for raw in distinct:
         try:

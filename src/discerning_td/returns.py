@@ -142,8 +142,10 @@ def _n_step_returns(traj: Trajectory, t: int, n: int, theta,
 def td_errors(traj: Trajectory, theta, feature_map: FeatureMap,
               gamma: float) -> np.ndarray:
     """The one-step errors R + gamma*v(S') - v(S) of every transition, with
-    v read state by state."""
-    values = np.array([_value(feature_map, theta, int(s)) for s in traj.states])
+    v read state by state, once per distinct state."""
+    states = traj.states.tolist()
+    value = {s: _value(feature_map, theta, s) for s in set(states)}
+    values = np.array([value[s] for s in states])
     return traj.rewards + gamma * values[1:] - values[:-1]
 
 

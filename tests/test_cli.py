@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from discerning_td import FeatureMap, load_records, make_random_walk, \
-    resolve_task, save_environment
+from discerning_td import FeatureMap, MarkovRewardProcess, load_records, \
+    make_random_walk, resolve_task, save_environment
 from discerning_td import cli, harness
 from discerning_td import mrp as mrp_module
 from discerning_td.checks import TASK_NAMES
@@ -105,6 +105,33 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {tmp_path}") and message in err
         assert err.count("\n") == 1
+
+    def test_env_file_with_a_periodic_chain(self, tmp_path, capsys):
+        # no positive stationary distribution: a named error, not a traceback
+        mrp = MarkovRewardProcess(
+            n_states=2, transition=[[0.0, 1.0], [1.0, 0.0]],
+            expected_reward=[0.0, 0.0], reward_noise_std=[0.0, 0.0],
+            initial_dist=[1.0, 0.0], discount=0.9)
+        env_path = tmp_path / "env.json"
+        save_environment(env_path, mrp, FeatureMap(np.eye(2)))
+        assert main(run_args(tmp_path) + ["--env-file", str(env_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "periodic" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_repeated_cell_refused_before_simulating(self, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment", None)  # never simulate
+        argv = run_args(tmp_path, **{
+            "--task": "RW5_LEFT", "--algo": ["TD", "TD"],
+            "--lambda": ["0.4", "0.4"], "--alpha": ["0.1"], "--runs": "3",
+            "--steps": "20", "--eval-every": "10"}) + ["--aggregate"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: the cell ('RW5_LEFT', 'TD', 0.4, 0.1, 'none') is listed "
+            "more than once\n")
+        assert not (tmp_path / "out.csv").exists()
 
     def test_env_file_features_for_another_chain(self, tmp_path, capsys):
         mrp, _ = make_random_walk(5, "middle")
@@ -374,6 +401,54 @@ class TestSweepCommand:
                        f"{message}\n")
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("entry", [
+        {"algorithm": "TD", "lambda": [0.0, 0.5], "alpha": 0.1},
+        # TD ignores emphasis, so both entries are labelled "none"
+        {"algorithm": "TD", "lambda": 0.5, "alpha": [0.1, 0.2],
+         "emphasis": {"kind": "count_inverse"}},
+    ])
+    def test_repeated_cell_refused_before_simulating(self, tmp_path, capsys,
+                                                     monkeypatch, entry):
+        monkeypatch.setattr(cli, "run_experiment", None)  # never simulate
+        config = self._config(tmp_path)
+        config["algorithms"].append(entry)
+        assert self._run(tmp_path, config) == 2
+        assert capsys.readouterr().err == (
+            "error: the cell ('RW5_LEFT', 'TD', 0.5, 0.1, 'none') is listed "
+            "more than once\n")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("value", ["false", 1, 0, None])
+    def test_aggregate_must_be_true_or_false(self, tmp_path, capsys,
+                                             monkeypatch, value):
+        monkeypatch.setattr(cli, "run_experiment", None)  # never simulate
+        config = dict(self._config(tmp_path), aggregate=value)
+        assert self._run(tmp_path, config) == 2
+        assert capsys.readouterr().err == (
+            f"error: sweep config 'aggregate' must be true or false, "
+            f"not {value!r}\n")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("value", ["xml", "", "csv "])
+    def test_format_must_be_csv_or_json(self, tmp_path, capsys, monkeypatch,
+                                        value):
+        monkeypatch.setattr(cli, "run_experiment", None)  # never simulate
+        config = dict(self._config(tmp_path), format=value)
+        assert self._run(tmp_path, config) == 2
+        assert capsys.readouterr().err == (
+            f"error: sweep config 'format' must be csv or json, "
+            f"not {value!r}\n")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("aggregate", [True, False])
+    def test_aggregate_flag(self, tmp_path, aggregate):
+        from discerning_td import load_aggregates
+        config = dict(self._config(tmp_path), aggregate=aggregate,
+                      format="JSON", out=str(tmp_path / "sweep.json"))
+        assert self._run(tmp_path, config) == 0
+        load = load_aggregates if aggregate else load_records
+        assert len(load(tmp_path / "sweep.json")) == (2 if aggregate else 4)
+
     def test_config_that_is_not_json(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("{bad")
@@ -476,6 +551,14 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Is a directory" in err
 
+    def test_filter_that_selects_no_check(self, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        assert main(["verify", "--filter", "nosuchcheck",
+                     "--out", str(report_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: no check name contains 'nosuchcheck'\n"
+        assert captured.out == "" and not report_path.exists()
+
     def test_stdout_json(self, capsys):
         assert main(["verify", "--filter", "priority"]) == 0
         out = capsys.readouterr().out
@@ -546,6 +629,14 @@ class TestFixedPointCommand:
         captured = capsys.readouterr()
         assert code != 0 and "theta_star" not in captured.out
         assert "lam must lie in [0, 1]" in captured.out + captured.err
+
+    @pytest.mark.parametrize("emphasis", ["constant:1", "abs_expected_td"])
+    def test_lambda_outside_the_unit_interval_is_an_error(self, capsys,
+                                                          emphasis):
+        # one failure convention: ``error:`` on stderr, exit 2, no stdout
+        assert main(["fixed-point", "--task", "BOYAN13", "--emphasis",
+                     emphasis, "--lambda", "1.5"]) == 2
+        assert capsys.readouterr() == ("", "error: lam must lie in [0, 1]\n")
 
     def test_adaptive_emphasis_reaches_self_consistency(self, capsys):
         assert main(["fixed-point", "--task", "NOISY10:0", "--emphasis",

@@ -29,6 +29,7 @@ from discerning_td import (
     simulate_curves,
 )
 from discerning_td import harness
+from discerning_td.analysis import mspbe
 from discerning_td.harness import emphasis_label, run_seed_sequences
 from discerning_td.mrp import restart_path
 from discerning_td.mrp import TERMINAL
@@ -63,6 +64,11 @@ class TestResolveTask:
     def test_unknown_task(self):
         with pytest.raises(ValueError):
             resolve_task("GRIDWORLD")
+
+    @pytest.mark.parametrize("name", ["NOISY100", "NOISY10X", "NOISY10_1"])
+    def test_noisy_name_takes_only_a_level_suffix(self, name):
+        with pytest.raises(ValueError, match=f"unknown task {name!r}"):
+            resolve_task(name)
 
 
 class TestConfigValidation:
@@ -161,6 +167,25 @@ class TestSimulateCurves:
         seqs = run_seed_sequences("BOYAN13", config, 0, 2)
         out = simulate_curves(mrp, fm, config, seqs, 2000, eval_every=500)
         assert np.all(out.curves[:, -1] >= 0.0)  # inf is fine, nan is not
+
+    @pytest.mark.parametrize("task", ["RW5_LEFT", "BOYAN13"])
+    def test_curve_points_are_the_mspbe_of_the_weights(self, task):
+        # the sweep loop's batched error and analysis.mspbe agree on every
+        # recorded row and step
+        mrp, fm = resolve_task(task)
+        cells = [AlgoConfig(Algorithm.TD, lam=0.9, alpha=0.1),
+                 AlgoConfig(Algorithm.DTD, lam=0.5, alpha=0.05,
+                            emphasis=EmphasisSpec("count_inverse")),
+                 AlgoConfig(Algorithm.ETD, lam=0.0, alpha=0.02)]
+        configs = [c for c in cells for _ in range(2)]
+        seqs = [seq for c in cells
+                for seq in run_seed_sequences(task, c, 0, 2)]
+        out = simulate_curves(mrp, fm, configs, seqs, 300, eval_every=60,
+                              record_theta=True)
+        for j, step in enumerate(out.eval_steps):
+            for row, theta in enumerate(out.theta_history[step - 1]):
+                assert out.curves[row, j] == pytest.approx(
+                    mspbe(theta, mrp, fm), rel=1e-12)
 
     def test_count_emphasis_keeps_memory_small(self):
         # 4,800 count-inverse rows: each chunk's running counts are held
@@ -1002,6 +1027,29 @@ class TestLoaderFaults:
                                              f"cell .*{value!r}.* does not "
                                              f"parse"):
             load(path)
+
+    @pytest.mark.parametrize("load", [load_records, load_aggregates])
+    @pytest.mark.parametrize("field", ["lambda", "alpha"])
+    def test_json_bool_beside_an_equal_number(self, tmp_path, load, field):
+        # True == 1 and False == 0: the bool is refused before or after
+        # the number, with the same message
+        record = CURVE if load is load_records else AGG
+        columns = harness.CURVE_COLUMNS if load is load_records \
+            else harness.AGGREGATE_COLUMNS
+        row = dict(zip(columns, record))
+        number = dict(row, **{field: 1 if field == "lambda" else 0})
+        flag = dict(row, **{field: bool(number[field])})
+        messages = []
+        for rows in ([number, flag], [flag, number]):
+            path = tmp_path / "x.json"
+            path.write_text(json.dumps(rows))
+            with pytest.raises(ValueError) as exc:
+                load(path)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(f"{tmp_path / 'x.json'} has a record "
+                                      f"whose cell")
+        assert "True" in messages[0] or "False" in messages[0]
 
     def test_json_integers_and_infinity_load(self, tmp_path):
         path = tmp_path / "x.json"
