@@ -162,8 +162,7 @@ SWEEP_ENTRY_KEYS = ("algorithm", "lambda", "alpha")
 
 
 def _checked(value, kind: str, what: str):
-    """``value``, if it is of the JSON type ``kind`` (a bool is only
-    ``true or false``)."""
+    """``value``, if it is of the JSON type ``kind``; a bool is of no other."""
     if isinstance(value, bool) != (kind == "true or false") \
             or not isinstance(value, _JSON_TYPES[kind]):
         raise ValueError(f"{what} must be {kind}, not {value!r}")

@@ -695,8 +695,9 @@ def _columns_from_file(path, columns):
     except TypeError:  # a JSON array or object in a cell field
         raise ValueError(f"{path} has a record whose cell holds a JSON "
                          f"array or object") from None
-    # True == 1: fromkeys may have merged a cell holding a bool into another
-    if fmt == "json" and bool in map(type, chain.from_iterable(raw_cells)):
+    # True == 1: a cell holding a bool may have merged into one holding 0 or 1
+    if fmt == "json" and any({0, 1} & {*raw[2:4]} for raw in distinct) \
+            and bool in map(type, chain.from_iterable(raw_cells)):
         distinct = [next(raw for raw in raw_cells if bool in map(type, raw))]
     index, of_raw = {}, {}
     for raw in distinct:
