@@ -1,5 +1,6 @@
 import json
 import pickle
+import re
 import string
 import tempfile
 import tracemalloc
@@ -15,6 +16,7 @@ from discerning_td import (
     Algorithm,
     CurveRecord,
     CurveTable,
+    DecayingAlpha,
     EmphasisKind,
     EmphasisSpec,
     ExperimentConfig,
@@ -30,7 +32,8 @@ from discerning_td import (
 )
 from discerning_td import harness
 from discerning_td.analysis import mspbe
-from discerning_td.harness import emphasis_label, run_seed_sequences
+from discerning_td.harness import cell_key, emphasis_label, \
+    run_seed_sequences
 from discerning_td.mrp import restart_path
 from discerning_td.mrp import TERMINAL
 
@@ -83,6 +86,37 @@ class TestConfigValidation:
     def test_records_reject_nan(self):
         with pytest.raises(ValueError):
             CurveRecord("T", "TD", 0.5, 0.1, "none", 0, 50, float("nan"))
+
+    @pytest.mark.parametrize("algorithms, cell", [
+        # one config listed twice
+        ([AlgoConfig(Algorithm.TD, 0.5, 0.1)] * 2, "'TD', 0.5, 0.1, 'none'"),
+        # TD ignores emphasis, so both are labelled "none"
+        ([AlgoConfig(Algorithm.TD, 0.5, 0.1),
+          AlgoConfig(Algorithm.TD, 0.5, 0.1,
+                     EmphasisSpec(EmphasisKind.COUNT_INVERSE))],
+         "'TD', 0.5, 0.1, 'none'"),
+        # the label names the emphasis kind, not its constant
+        ([AlgoConfig(Algorithm.DTD, 0.5, 0.1,
+                     EmphasisSpec(EmphasisKind.CONSTANT, constant=c))
+          for c in (1.0, 2.0)], "'DTD', 0.5, 0.1, 'constant'"),
+    ], ids=["listed-twice", "td-under-two-emphases", "dtd-two-constants"])
+    def test_repeated_cell_refused(self, algorithms, cell):
+        with pytest.raises(ValueError, match=re.escape(
+                f"the cell ('RW5_MIDDLE', {cell}) is listed more than once")):
+            small_config(algorithms=algorithms)
+
+    # values taken when each cell's text was built from float(lam) and
+    # float(alpha), or the schedule's repr: a key that moves moves every seed
+    @pytest.mark.parametrize("task, config, key", [
+        ("RW5_LEFT", AlgoConfig(Algorithm.TD, lam=1, alpha=0.25), 765602084),
+        ("RW5_LEFT", AlgoConfig(Algorithm.TD, lam=0.0, alpha=1), 249650723),
+        ("RW5_LEFT", AlgoConfig(Algorithm.TD, lam=np.float64(0.4),
+                                alpha=0.25), 2303233715),
+        ("BOYAN13", AlgoConfig(Algorithm.DTD, lam=0.9,
+                               alpha=DecayingAlpha(0.5, 100.0)), 180986370),
+    ])
+    def test_cell_key_is_pinned(self, task, config, key):
+        assert cell_key(task, config) == key
 
 
 class TestSimulateCurves:
@@ -631,10 +665,11 @@ class TestCurveTable:
             table[len(records)]
 
     def test_duplicate_configs_share_a_cell(self):
+        # two configs of one cell would merge their runs into one cell of
+        # repeated seeds, so the config refuses them
         algo = AlgoConfig(Algorithm.TD, lam=0.5, alpha=0.1)
-        table = run_experiment(small_config(algorithms=[algo, algo]))
-        assert len(table.cells) == 1 and len(table) == 2 * 3 * 4
-        assert aggregate(table)[0].n_runs == 6
+        with pytest.raises(ValueError, match="listed more than once"):
+            small_config(algorithms=[algo, algo])
 
     def test_ragged_records_round_trip(self, tmp_path):
         records = [

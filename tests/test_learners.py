@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,22 @@ class TestConfig:
 
     def test_algorithm_from_string(self):
         assert AlgoConfig("DTD", 0.1, 0.1).algorithm is Algorithm.DTD
+
+    @pytest.mark.parametrize("value", [True, "0.5", None])
+    @pytest.mark.parametrize("field, what", [("lam", "lambda"),
+                                             ("alpha", "alpha")])
+    def test_lambda_and_alpha_must_be_numbers(self, field, what, value):
+        kwargs = {"lam": 0.5, "alpha": 0.1, field: value}
+        with pytest.raises(ValueError, match=re.escape(
+                f"DTD {what} must be a number, not {value!r}")):
+            AlgoConfig(Algorithm.DTD, **kwargs)
+
+    @pytest.mark.parametrize("lam, alpha", [
+        (1, 1), (0, 2), (np.float64(0.4), np.float64(0.25))])
+    def test_lambda_and_alpha_are_stored_as_floats(self, lam, alpha):
+        config = AlgoConfig(Algorithm.TD, lam=lam, alpha=alpha)
+        assert type(config.lam) is float and type(config.alpha) is float
+        assert (config.lam, config.alpha) == (lam, alpha)
 
 
 class TestTdStep:
