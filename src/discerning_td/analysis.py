@@ -311,21 +311,20 @@ def contraction_condition(mrp: MarkovRewardProcess, f_values, lam: float,
         "lam": lam,
         "r_max": r_max,
     }
-    # Scale-invariant companion bound: gamma * max|(I - lam P) f| /
-    # ((1 - gamma lam) * min f) < 1 provably forces the operator to
-    # contract in the emphasized norm; reported alongside the headline
-    # condition, which can certify instances this bound rejects.
-    sharp = float(np.max(np.abs(geo.f - lam * (mrp.transition @ geo.f))))
-    if gamma > 0.0:
-        sound = gamma * sharp / ((1.0 - gamma * lam) * sigma_min)
-        terms["sound_bound"] = sound
-        terms["sound_holds"] = bool(sound < 1.0)
     if gamma == 0.0:
         if kappa is None:
             return ContractionReport(True, math.inf, f_norm, math.inf, "i",
                                      terms, "trivially contracting at gamma=0")
         return ContractionReport(None, math.nan, f_norm, math.nan, "ii",
                                  terms, "bound vacuous at gamma=0")
+    # Scale-invariant companion bound: gamma * max|(I - lam P) f| /
+    # ((1 - gamma lam) * min f) < 1 provably forces the operator to
+    # contract in the emphasized norm; reported alongside the headline
+    # condition, which can certify instances this bound rejects.
+    sharp = float(np.max(np.abs(geo.f - lam * (mrp.transition @ geo.f))))
+    sound = gamma * sharp / ((1.0 - gamma * lam) * sigma_min)
+    terms["sound_bound"] = sound
+    terms["sound_holds"] = bool(sound < 1.0)
     rhs_i = sigma_min * (1.0 - gamma * lam) / (gamma * one_norm * dev_norm)
     terms["rhs_fixed_emphasis"] = rhs_i
     if not kappa:

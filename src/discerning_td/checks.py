@@ -36,7 +36,7 @@ TASK_NAMES = ("RW5_LEFT", "RW5_MIDDLE", "RW5_RIGHT", "RW5_INVERTED",
 
 @dataclass
 class CheckResult:
-    check: str
+    check: str | None  # set by verify_all from the check's registry entry
     passed: bool
     margin: float
     inputs: dict = field(default_factory=dict)
@@ -48,9 +48,9 @@ class CheckResult:
                 "details": self.details}
 
 
-def _result(name, tolerance, observed, inputs, details=""):
+def _result(tolerance, observed, inputs, details=""):
     margin = float(tolerance - observed)
-    return CheckResult(check=name, passed=bool(observed <= tolerance),
+    return CheckResult(check=None, passed=bool(observed <= tolerance),
                        margin=margin,
                        inputs=dict(inputs, tolerance=tolerance,
                                    observed=float(observed)),
@@ -239,7 +239,7 @@ def check_stationary_fixed_point():
         d = stationary_distribution(mrp)
         worst = max(worst, float(np.max(np.abs(d @ mrp.restart_matrix() - d))))
         worst = max(worst, float(max(0.0, -np.min(d))))
-    return _result("stationary-fixed-point", 1e-12, worst,
+    return _result(1e-12, worst,
                    {"tasks": len(TASK_NAMES)})
 
 
@@ -250,7 +250,7 @@ def check_stationary_empirical():
         d = stationary_distribution(mrp)
         freq = empirical_visit_frequencies(mrp, 1_000_000, seed=2024)
         worst = max(worst, float(np.max(np.abs(freq - d) / d)))
-    return _result("stationary-empirical", 0.01, worst,
+    return _result(0.01, worst,
                    {"steps": 1_000_000, "seed": 2024},
                    "max relative per-state gap between simulated visit "
                    "frequencies and the stationary distribution")
@@ -263,7 +263,7 @@ def check_bellman_residual():
         v = true_value(mrp)
         resid = mrp.expected_reward + mrp.discount * (mrp.transition @ v) - v
         worst = max(worst, float(np.max(np.abs(resid))))
-    return _result("bellman-residual", 1e-10, worst,
+    return _result(1e-10, worst,
                    {"tasks": len(TASK_NAMES)})
 
 
@@ -274,7 +274,7 @@ def check_constructor_ergodicity():
         mrp, _ = resolve_task(name)
         minima.append(float(np.min(stationary_distribution(mrp))))
     observed = -min(minima)
-    return _result("constructor-ergodicity", 0.0, observed,
+    return _result(0.0, observed,
                    {"min_stationary_mass": min(minima)})
 
 
@@ -289,7 +289,7 @@ def check_feature_ranks():
     boyan_phi = make_boyan_chain()[1].phi
     if int(np.sum(np.linalg.svd(boyan_phi, compute_uv=False) > 1e-10)) != 4:
         bad += 1
-    return _result("feature-ranks", 0.0, float(bad), {"maps": 4})
+    return _result(0.0, float(bad), {"maps": 4})
 
 
 def check_emphasis_pipeline_roundtrip():
@@ -306,7 +306,7 @@ def check_emphasis_pipeline_roundtrip():
         f = emphasis_from_noise(sigma, epsilon_floor=1e-12)
         scaled = np.exp(-sigma) / np.exp(-sigma).max()
         worst = max(worst, float(np.max(np.abs(f ** 2 - scaled))))
-    return _result("emphasis-pipeline-roundtrip", 1e-14, worst,
+    return _result(1e-14, worst,
                    {"draws": 400},
                    "squaring the pipeline output recovers the scaled "
                    "pre-square-root score")
@@ -327,7 +327,7 @@ def check_emphasis_bounds():
     f_exact = emphasis_abs_expected_td(mrp, fm, true_value(mrp), 1e-3)
     if not np.allclose(f_exact, 1.0, atol=1e-6):
         bad += 1.0
-    return _result("emphasis-bounds", 0.0, bad, {"draws": 100},
+    return _result(0.0, bad, {"draws": 100},
                    "adaptive emphasis stays in [floor, 1], is a pure "
                    "function of the weights, and is uniform at the exact "
                    "values")
@@ -341,7 +341,7 @@ def check_telescoping_identity():
         f = rng.uniform(0.05, 5.0, size=length)
         for lam in (0.0, 0.25, 0.5, 0.9):
             worst = max(worst, abs(identity_check(f, lam) - f[0]))
-    return _result("telescoping-identity", 1e-12, worst,
+    return _result(1e-12, worst,
                    {"sequences": 1000, "lambdas": [0.0, 0.25, 0.5, 0.9]})
 
 
@@ -363,7 +363,7 @@ def check_return_forms_agree():
         a = discerning_return_interp(traj, t, params, theta, fm)
         b = discerning_return_tdsum(traj, t, params, theta, fm)
         worst = max(worst, abs(a - b))
-    return _result("return-forms-agree", 1e-10, worst, {"trajectories": 1000})
+    return _result(1e-10, worst, {"trajectories": 1000})
 
 
 def check_advantage_backward_pass():
@@ -388,7 +388,7 @@ def check_advantage_backward_pass():
                 for j in range(t, t_len)) / f[t]
             for t in range(t_len)])
         worst = max(worst, float(np.max(np.abs(fast - slow))))
-    return _result("advantage-backward-pass", 1e-12, worst,
+    return _result(1e-12, worst,
                    {"trajectories": 300},
                    "single backward pass equals the quadratic double sum")
 
@@ -406,7 +406,7 @@ def check_unit_emphasis_reduction():
                                   record_theta=True)
         worst = max(worst, float(np.max(np.abs(
             out_td.theta_history - out_dtd.theta_history))))
-    return _result("unit-emphasis-reduction", 1e-15, worst,
+    return _result(1e-15, worst,
                    {"tasks": 3, "steps": 2000})
 
 
@@ -420,7 +420,7 @@ def check_emphasis_squared_scaling():
     out_dtd = simulate_curves(mrp, fm, dtd, seqs, 2000, record_theta=True)
     out_td = simulate_curves(mrp, fm, td0, seqs, 2000, record_theta=True)
     worst = float(np.max(np.abs(out_dtd.theta_history - out_td.theta_history)))
-    return _result("emphasis-squared-scaling", 1e-15, worst,
+    return _result(1e-15, worst,
                    {"scale": scale, "steps": 2000},
                    "constant emphasis c is one-step equivalent to a "
                    "c-squared step size at lam=0 with tabular features")
@@ -437,7 +437,7 @@ def check_offline_episode_equivalence():
         lam = (0.0, 0.5, 0.9, 1.0)[i % 4]
         worst = max(worst, offline_update_gap(mrp, fm, traj, f_state, lam,
                                               alpha=0.7, theta0=theta0))
-    return _result("offline-episode-equivalence", 1e-10, worst,
+    return _result(1e-10, worst,
                    {"episodes": 100})
 
 
@@ -450,7 +450,7 @@ def check_projection_idempotent():
         for weights in (geo.d, geo.lam_diag):
             pi = projection(fm, weights)
             worst = max(worst, float(np.max(np.abs(pi @ pi - pi))))
-    return _result("projection-idempotent", 1e-10, worst, {"tasks": 3})
+    return _result(1e-10, worst, {"tasks": 3})
 
 
 def check_projection_orthogonality():
@@ -465,7 +465,7 @@ def check_projection_orthogonality():
             v = rng.normal(0.0, 1.0, mrp.n_states)
             gap = fm.phi.T @ (geo.lam_diag * (v - pi @ v))
             worst = max(worst, float(np.max(np.abs(gap))))
-    return _result("projection-orthogonality", 1e-10, worst,
+    return _result(1e-10, worst,
                    {"draws": 100},
                    "the projection residual is orthogonal to the emphasized "
                    "feature span")
@@ -484,7 +484,7 @@ def check_projection_nonexpansive():
             growth = (lambda_weighted_norm(pi @ v, geo.lam_diag)
                       - lambda_weighted_norm(v, geo.lam_diag))
             worst = max(worst, growth)
-    return _result("projection-nonexpansive", 1e-12, worst, {"draws": 100})
+    return _result(1e-12, worst, {"draws": 100})
 
 
 def check_operator_one_step():
@@ -497,7 +497,7 @@ def check_operator_one_step():
         lhs = dtd_operator(v, mrp, f, lam=0.0)
         rhs = mrp.expected_reward + mrp.discount * (mrp.transition @ v)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return _result("operator-one-step", 1e-12, worst, {"instances": 20},
+    return _result(1e-12, worst, {"instances": 20},
                    "at lam=0 the operator is the one-step expected update")
 
 
@@ -537,7 +537,7 @@ def check_operator_update_consistency():
                     rhs = fm.phi.T @ (geo.lam_diag
                                       * (dtd_operator(v, mrp, f, lam) - v))
                     worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return _result("operator-update-consistency", 1e-8, worst,
+    return _result(1e-8, worst,
                    {"cases": len(cases)},
                    "expected update equals the emphasized operator residual "
                    "in the regimes where the operator's independence "
@@ -564,7 +564,7 @@ def check_operator_fixed_point():
         for lam in (0.5, 0.9):
             worst = max(worst, float(np.max(np.abs(
                 dtd_operator(v_true, mrp, f, lam) - v_true))))
-    return _result("operator-fixed-point", 1e-8, worst, {"tasks": 3},
+    return _result(1e-8, worst, {"tasks": 3},
                    "projected-operator and expected-update fixed points "
                    "coincide where exact; the true value is always a fixed "
                    "point of the operator")
@@ -581,7 +581,7 @@ def check_fixed_point_tabular():
             f = rng.uniform(0.3, 1.0, mrp.n_states)
             theta = fixed_point(compute_A_b(mrp, fm, f, lam))
             worst = max(worst, float(np.max(np.abs(fm.phi @ theta - v_true))))
-    return _result("fixed-point-tabular", 1e-8, worst,
+    return _result(1e-8, worst,
                    {"tasks": 3, "lambdas": [0.0, 0.9, 1.0]},
                    "with tabular features the fixed point is the true value "
                    "for any positive emphasis")
@@ -596,7 +596,7 @@ def check_expected_update_monte_carlo():
                                  seed=77)
     a_err = float(np.linalg.norm(a_mc - system.A) / np.linalg.norm(system.A))
     b_err = float(np.linalg.norm(b_mc - system.b) / np.linalg.norm(system.b))
-    return _result("expected-update-monte-carlo", 0.01, max(a_err, b_err),
+    return _result(0.01, max(a_err, b_err),
                    {"steps": 1_000_000, "lam": lam, "seed": 77},
                    "closed-form A, b match long-run simulated averages")
 
@@ -622,8 +622,7 @@ def check_negative_definite():
             mrp, rng.uniform(0.3, 1.5, mrp.n_states), lam)
         report = contraction_condition(mrp, f, lam)
         if not report.holds:
-            return CheckResult("negative-definite", False, -np.inf,
-                               {"instances": 60},
+            return CheckResult(None, False, -np.inf, {"instances": 60},
                                "scaling failed to certify the condition")
         system = compute_A_b(mrp, fm, f, lam)
         max_eig = float(np.max(np.linalg.eigvalsh(
@@ -633,7 +632,7 @@ def check_negative_definite():
             worst = max(worst, max_eig)
         elif max_eig >= 0.0:
             condition_only_violations += 1
-    return _result("negative-definite", 0.0, worst,
+    return _result(0.0, worst,
                    {"instances": 60, "norm_certified": certified,
                     "condition_only_violations": condition_only_violations},
                    "largest symmetric-part eigenvalue of the expected-update "
@@ -658,7 +657,7 @@ def check_operator_contraction_sampled():
             ratio = (lambda_weighted_norm(tx - t_zero, geo.lam_diag)
                      / lambda_weighted_norm(x, geo.lam_diag))
             worst = max(worst, ratio)
-    return _result("operator-contraction-sampled", 1.0 - 1e-9, worst,
+    return _result(1.0 - 1e-9, worst,
                    {"instances": 20, "pairs": 30},
                    "sampled modulus of the operator in the emphasized norm "
                    "under the sound scale-invariant certificate")
@@ -682,7 +681,7 @@ def check_composition_contraction():
             ratio = (lambda_weighted_norm(tx - t_zero, geo.lam_diag)
                      / lambda_weighted_norm(x, geo.lam_diag))
             worst = max(worst, ratio)
-    return _result("composition-contraction", 1.0 - 1e-9, worst,
+    return _result(1.0 - 1e-9, worst,
                    {"tasks": 2, "pairs": 40},
                    "projected operator stays contracting under the "
                    "certified condition")
@@ -714,7 +713,7 @@ def check_induced_norm_oracle():
         slow = (lambda_weighted_norm(m @ x, lam_diag)
                 / lambda_weighted_norm(x, lam_diag))
         worst = max(worst, abs(fast - slow))
-    return _result("induced-norm-oracle", 1e-8, worst, {"instances": 25})
+    return _result(1e-8, worst, {"instances": 25})
 
 
 def check_weighted_norm_of_ones():
@@ -727,7 +726,7 @@ def check_weighted_norm_of_ones():
         direct = lambda_weighted_norm(np.ones(mrp.n_states), geo.lam_diag)
         expected = float(np.sqrt(np.sum(geo.d * f ** 2)))
         worst = max(worst, abs(direct - expected))
-    return _result("weighted-norm-of-ones", 1e-14, worst, {"tasks": 2},
+    return _result(1e-14, worst, {"tasks": 2},
                    "the emphasized norm of the all-ones vector equals the "
                    "square root of the mean squared emphasis under the "
                    "stationary distribution (the root, not the mean itself)")
@@ -745,7 +744,7 @@ def check_priority_sampling_identity():
                    for s in states]
         res = per_equivalence(dataset, f)
         worst = max(worst, abs(res.lhs - res.rhs))
-    return _result("priority-sampling-identity", 1e-12, worst,
+    return _result(1e-12, worst,
                    {"datasets": 400})
 
 
@@ -765,7 +764,7 @@ def check_precondition_robustness():
             failures += 1  # should have raised
         except (ValueError, TypeError):
             pass
-    return _result("precondition-robustness", 0.0, float(failures),
+    return _result(0.0, float(failures),
                    {"calls": 5},
                    "corrupted inputs raise clean precondition errors")
 
@@ -785,7 +784,7 @@ def check_simulation_determinism():
                              500, eval_every=50)
     row_match = np.array_equal(single.curves[0], a.curves[0])
     observed = 0.0 if (same and row_match) else 1.0
-    return _result("simulation-determinism", 0.0, observed,
+    return _result(0.0, observed,
                    {"runs": 3, "steps": 500},
                    "repeated batched runs are identical and row results do "
                    "not depend on the batch size")
@@ -806,7 +805,7 @@ def check_sequential_reduction():
         run_episode(mrp, fm, dtd, emph_b, learner_b, rng_b, 10_000)
         worst = max(worst, float(np.max(np.abs(learner_a.theta
                                                - learner_b.theta))))
-    return _result("sequential-reduction", 1e-15, worst, {"episodes": 200},
+    return _result(1e-15, worst, {"episodes": 200},
                    "episode-level API: unit emphasis reproduces the plain "
                    "trace learner")
 
@@ -847,16 +846,18 @@ REGISTRY = (
 
 def verify_all(name_filter: str | None = None):
     """Run every registered check (or those whose name contains the filter)
-    and return the results; exceptions become failed results."""
+    and return the results, each named after its function; exceptions
+    become failed results."""
     results = []
     for fn in REGISTRY:
         name = fn.__name__.removeprefix("check_").replace("_", "-")
         if name_filter and name_filter not in name:
             continue
         try:
-            results.append(fn())
+            result = fn()
         except Exception as exc:  # report, never crash the verifier
-            results.append(CheckResult(check=name, passed=False,
-                                       margin=float("-inf"),
-                                       details=f"raised {exc!r}"))
+            result = CheckResult(None, False, float("-inf"),
+                                 details=f"raised {exc!r}")
+        result.check = name
+        results.append(result)
     return results

@@ -97,28 +97,21 @@ def _parser() -> argparse.ArgumentParser:
 
 def _cells(groups):
     """The cells of ``dtd run`` and ``dtd sweep``: an ``AlgoConfig`` per
-    (algorithm, lambdas, alphas, emphasis) group, number lambda and alpha."""
-    return [AlgoConfig(Algorithm(name), emphasis=emphasis,
-                       lam=float(_checked(lam, "a number", f"{name} lambda")),
-                       alpha=float(_checked(alpha, "a number",
-                                            f"{name} alpha")))
+    (algorithm, lambdas, alphas, emphasis) group."""
+    return [AlgoConfig(name, lam, alpha, emphasis)
             for name, lambdas, alphas, emphasis in groups
             for lam in lambdas for alpha in alphas]
 
 
 def _run_and_emit(config, out, fmt, aggregated, environment=None):
     """Simulate ``config`` and write its curves or aggregates to ``out``.
-    A repeated cell (whose records would merge), a CSV field that would
-    break its line, or an output path that is a directory, is refused before
-    simulating; a run that ends with a non-finite MSPBE draws a warning."""
-    cells = config.cells()
-    if len(set(cells)) < len(cells):
-        twice = next(c for i, c in enumerate(cells) if c in cells[:i])
-        raise ValueError(f"the cell {twice} is listed more than once")
+    A CSV field that would break its line, or an output path that is a
+    directory, is refused before simulating; a run that ends with a
+    non-finite MSPBE draws a warning."""
     if os.path.isdir(out):
         raise IsADirectoryError(f"output path {out!r} is a directory")
     if str(fmt).lower() == "csv":
-        check_csv_cells(cells)
+        check_csv_cells(config.cells())
     table = run_experiment(config, environment=environment)
     diverged = table.diverged_runs()
     if diverged:
@@ -194,10 +187,9 @@ def cmd_sweep(args) -> int:
         emphasis = entry.get("emphasis", {"kind": "constant"})
         where = f"{where}.emphasis"
         _require_keys(emphasis, ("kind",), where)
-        defaults = {"constant": 1.0, "epsilon_floor": DEFAULT_EPSILON_FLOOR}
-        numbers = {key: float(_checked(emphasis.get(key, value), "a number",
+        numbers = {key: float(_checked(emphasis[key], "a number",
                                        f"{where} {key!r}"))
-                   for key, value in defaults.items()}
+                   for key in ("constant", "epsilon_floor") if key in emphasis}
         table = emphasis.get("table")
         if table is not None:
             table = [_checked(x, "a number", f"{where} 'table' entry")

@@ -89,13 +89,16 @@ class ExperimentConfig:
             raise ValueError("eval_every must divide steps")
         if self.base_seed < 0:
             raise ValueError("base_seed must be nonnegative")
+        cells = self.cells()
+        if len(set(cells)) < len(cells):  # their records would merge
+            twice = next(c for i, c in enumerate(cells) if c in cells[:i])
+            raise ValueError(f"the cell {twice} is listed more than once")
 
     def cells(self):
         """The record cell (task, algorithm, lambda, alpha, emphasis label)
         of each configured algorithm, in config order."""
-        return [(self.task, algo.algorithm.value, float(algo.lam),
-                 float(algo.alpha), emphasis_label(algo))
-                for algo in self.algorithms]
+        return [(self.task, algo.algorithm.value, algo.lam, algo.alpha,
+                 emphasis_label(algo)) for algo in self.algorithms]
 
 
 class _CurveFields(NamedTuple):
@@ -295,12 +298,10 @@ def emphasis_label(config: AlgoConfig) -> str:
 
 def cell_key(task: str, config: AlgoConfig) -> int:
     """Stable 32-bit identifier of a hyperparameter cell for seed spawning."""
-    alpha = config.alpha
-    alpha_text = repr(alpha) if isinstance(alpha, DecayingAlpha) \
-        else repr(float(alpha))
     text = "|".join([
-        str(task), config.algorithm.value, repr(float(config.lam)), alpha_text,
-        emphasis_label(config), repr(float(config.emphasis.epsilon_floor)),
+        str(task), config.algorithm.value, repr(config.lam),
+        repr(config.alpha), emphasis_label(config),
+        repr(float(config.emphasis.epsilon_floor)),
     ])
     return zlib.crc32(text.encode("utf-8"))
 
@@ -372,12 +373,8 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     # Static emphasis per row and state; count rows overwrite theirs every
     # chunk and adaptive rows every step.
     w_table = np.ones((n_rows, n))
-    tables = {}
     for row in np.flatnonzero(static):
-        spec = configs[row].emphasis
-        if id(spec) not in tables:
-            tables[id(spec)] = init_emphasis_state(spec, mrp).values
-        w_table[row] = tables[id(spec)]
+        w_table[row] = init_emphasis_state(configs[row].emphasis, mrp).values
 
     phi = feature_map.phi
     phi_pad = np.vstack([phi, np.zeros((1, k))])
@@ -501,11 +498,10 @@ def run_experiment(config: ExperimentConfig, environment=None):
                                        runs))
     out = simulate_curves(mrp, fm, configs, seqs, config.steps,
                           config.eval_every)
-    index = {}
-    cells = [index.setdefault(key, len(index)) for key in config.cells()]
+    cells = config.cells()
     n_points = len(out.eval_steps)
     return CurveTable(
-        index, np.repeat(cells, runs * n_points),
+        cells, np.repeat(np.arange(len(cells)), runs * n_points),
         np.tile(np.repeat(config.base_seed + np.arange(runs), n_points),
                 len(cells)),
         np.tile(out.eval_steps, len(cells) * runs), out.curves.ravel())

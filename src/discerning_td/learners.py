@@ -7,6 +7,7 @@ differ only in its coefficients.  The kernel steps a batch of runs at once
 """
 
 import enum
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,9 @@ class DecayingAlpha:
 
 @dataclass(frozen=True)
 class AlgoConfig:
+    """One learner's hyperparameters: lambda and alpha are real numbers (a
+    bool is none), stored as floats, or alpha is a ``DecayingAlpha``."""
+
     algorithm: Algorithm
     lam: float
     alpha: object  # float or DecayingAlpha
@@ -58,6 +62,14 @@ class AlgoConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "algorithm", Algorithm(self.algorithm))
+        for name, what in (("lam", "lambda"), ("alpha", "alpha")):
+            value = getattr(self, name)
+            if name == "alpha" and isinstance(value, DecayingAlpha):
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{self.algorithm} {what} must be a number, "
+                                 f"not {value!r}")
+            object.__setattr__(self, name, float(value))
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must lie in [0, 1]")
         spec = self.emphasis
@@ -66,12 +78,8 @@ class AlgoConfig:
                 or spec.kind is EmphasisKind.TABLE and spec.table.max() > 1.0):
             raise ValueError("PTD preferences (emphasis values) must lie in "
                              "[0, 1]")
-        if isinstance(self.alpha, DecayingAlpha):
-            return
-        alpha = float(self.alpha)
-        if not 0.0 < alpha < np.inf:
+        if not 0.0 < self.alpha_at(0) < np.inf:  # a schedule starts at a
             raise ValueError("alpha must be positive and finite")
-        object.__setattr__(self, "alpha", alpha)
 
     def alpha_at(self, step: int) -> float:
         if isinstance(self.alpha, DecayingAlpha):

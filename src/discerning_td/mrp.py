@@ -280,10 +280,7 @@ def true_value(mrp: MarkovRewardProcess) -> np.ndarray:
 
 
 def exact_solution(mrp: MarkovRewardProcess) -> ExactSolution:
-    d = mrp.stationary
-    if abs(d.sum() - 1.0) > 1e-10:
-        raise ChainStructureError("stationary distribution does not sum to 1")
-    return ExactSolution(d_pi=d, true_value=true_value(mrp))
+    return ExactSolution(d_pi=mrp.stationary, true_value=true_value(mrp))
 
 
 def sample_transition(mrp: MarkovRewardProcess, state: int, rng):
@@ -531,16 +528,8 @@ def mrp_from_dict(data: dict) -> MarkovRewardProcess:
     )
 
 
-def feature_map_to_dict(fm: FeatureMap) -> dict:
-    return {"phi": fm.phi.tolist()}
-
-
-def feature_map_from_dict(data: dict) -> FeatureMap:
-    return FeatureMap(data["phi"])
-
-
 def save_environment(path, mrp: MarkovRewardProcess, fm: FeatureMap) -> None:
-    payload = {"mrp": mrp_to_dict(mrp), "feature_map": feature_map_to_dict(fm)}
+    payload = {"mrp": mrp_to_dict(mrp), "feature_map": {"phi": fm.phi.tolist()}}
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
@@ -560,7 +549,7 @@ def load_environment(path):
     payload = read_json(path)
     try:
         mrp = mrp_from_dict(payload["mrp"])
-        fm = feature_map_from_dict(payload["feature_map"])
+        fm = FeatureMap(payload["feature_map"]["phi"])
     except KeyError as exc:
         raise ValueError(f"{path} is missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:  # TypeError: not a JSON object
