@@ -25,9 +25,9 @@ from .analysis import exact_solution, mspbe_rows, projection
 from .emphasis import EmphasisKind, abs_expected_td_rows, \
     count_inverse_path, init_emphasis_state
 from .learners import AlgoConfig, DecayingAlpha, TraceKernel
-from .mrp import FeatureMap, MarkovRewardProcess, make_boyan_chain, \
-    make_feature_map, make_noisy_chain, make_random_walk, read_json, \
-    restart_path, start_states, transition_ranks
+from .mrp import FeatureMap, MarkovRewardProcess, checked_int, \
+    make_boyan_chain, make_feature_map, make_noisy_chain, make_random_walk, \
+    read_json, restart_path, start_states, transition_ranks
 
 # A record's cell: its first five fields.
 CELL_COLUMNS = ("task", "algorithm", "lambda", "alpha", "emphasis_kind")
@@ -83,6 +83,9 @@ class ExperimentConfig:
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if not self.algorithms:
             raise ValueError("need at least one algorithm")
+        for name in ("runs", "steps", "eval_every", "base_seed"):
+            object.__setattr__(self, name,
+                               checked_int(name, getattr(self, name)))
         if self.runs < 1 or self.steps < 1 or self.eval_every < 1:
             raise ValueError("runs, steps and eval_every must be positive")
         if self.steps % self.eval_every != 0:

@@ -9,6 +9,7 @@ initial distribution.
 
 import functools
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,14 @@ class ChainStructureError(RuntimeError):
 
 class ConvergenceError(RuntimeError):
     """An iterative solver hit its iteration cap before reaching tolerance."""
+
+
+def checked_int(name, value) -> int:
+    """``value`` as an int; ValueError unless it is an integer, numpy's
+    included (a bool is none)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
 
 
 def _as_array(name, value, shape, allow_none=False):
@@ -75,7 +84,7 @@ class MarkovRewardProcess:
     move_rewards: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = int(self.n_states)
+        n = checked_int("n_states", self.n_states)
         if n < 1:
             raise ValueError("n_states must be positive")
         object.__setattr__(self, "n_states", n)
@@ -517,7 +526,7 @@ def mrp_from_dict(data: dict) -> MarkovRewardProcess:
     """Inverse of :func:`mrp_to_dict`; the attached-reward keys are
     optional."""
     return MarkovRewardProcess(
-        n_states=int(data["n_states"]),
+        n_states=data["n_states"],
         transition=data["transition"],
         expected_reward=data["expected_reward"],
         reward_noise_std=data["reward_noise_std"],

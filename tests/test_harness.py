@@ -118,6 +118,22 @@ class TestConfigValidation:
     def test_cell_key_is_pinned(self, task, config, key):
         assert cell_key(task, config) == key
 
+    @pytest.mark.parametrize("value", [True, 2.0, "2"])
+    @pytest.mark.parametrize("field", ["runs", "steps", "eval_every",
+                                       "base_seed"])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field} must be an integer, not {value!r}")):
+            small_config(**{field: value})
+
+    def test_numpy_integer_counts_are_stored_as_ints(self):
+        config = small_config(runs=np.int64(3), steps=np.int32(200),
+                              eval_every=np.uint16(50), base_seed=np.int8(0))
+        assert all(type(getattr(config, field)) is int for field in (
+            "runs", "steps", "eval_every", "base_seed"))
+        assert config == small_config()
+        assert run_experiment(config) == run_experiment(small_config())
+
 
 class TestSimulateCurves:
     def test_deterministic_given_seeds(self):

@@ -1,8 +1,11 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from discerning_td import (
     TERMINAL,
@@ -69,6 +72,18 @@ class TestValidation:
                 2, [[0.0, 0.5], [0.5, 0.0]], [0.0, 0.5], [0, 0], [1, 0], 1.0,
                 transition_reward=np.zeros((2, 2)),
                 terminal_reward=np.zeros(2))
+
+    @pytest.mark.parametrize("value", [2.7, 2.0, True, "2", None])
+    def test_n_states_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_states must be an integer, not {value!r}")):
+            MarkovRewardProcess(value, [[0.5, 0.5], [0.5, 0.5]], [0, 0],
+                                [0, 0], [1, 0], 1.0)
+
+    def test_numpy_integer_n_states_is_stored_as_an_int(self):
+        mrp = MarkovRewardProcess(np.int64(2), [[0.5, 0.5], [0.5, 0.5]],
+                                  [0, 0], [0, 0], [1, 0], 1.0)
+        assert type(mrp.n_states) is int and mrp.n_states == 2
 
     def test_arrays_are_read_only(self):
         mrp, fm = make_random_walk(5, "middle")
@@ -422,6 +437,142 @@ def test_dense_chain_keeps_restart_path_memory_small():
         np.testing.assert_array_equal(have, want)
 
 
+@st.composite
+def sub_stochastic_chains(draw, max_states=8):
+    """Chains whose rows hold zero-probability moves (repeated CDF values)
+    and an exit share, from none to the whole row."""
+    n = draw(st.integers(1, max_states))
+    share = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    weights = draw(hnp.arrays(np.float64, (n, n + 1), elements=share))
+    weights[weights.sum(axis=1) == 0.0, n] = 1.0  # a row of nothing exits
+    p = weights[:, :n] / weights.sum(axis=1, keepdims=True)
+    rho = draw(hnp.arrays(np.float64, n, elements=share))
+    rho[np.argmax(rho)] += 1.0  # never all zero
+    return MarkovRewardProcess(n, p, np.zeros(n), np.zeros(n),
+                               rho / rho.sum(), 1.0)
+
+
+def planted_uniforms(mrp, rng, shape):
+    """Uniforms with about a third replaced by 0, an exact CDF value or
+    the largest double below 1."""
+    u = rng.random(shape)
+    planted = rng.random(shape) < 0.3
+    u[planted] = rng.choice(edge_uniforms(mrp), planted.sum())
+    return u
+
+
+def assert_walk_matches_reference(mrp, seed, n_chains, steps):
+    rng = np.random.default_rng(seed)
+    u_trans, u_restart = (planted_uniforms(mrp, rng, (n_chains, steps))
+                          for _ in range(2))
+    s0 = start_states(mrp, rng.random(n_chains))
+    got = coded_path(mrp, s0, u_trans, u_restart)
+    for want, have in zip(reference_path(mrp, s0, u_trans, u_restart), got):
+        np.testing.assert_array_equal(have, want)
+
+
+class TestRestartPathProperties:
+    """``restart_path`` equals the per-step reference
+    ``(u >= transition_cdf[s]).sum()`` on random chains."""
+
+    @pytest.mark.parametrize("walk", ["table", "search"])
+    @given(mrp=sub_stochastic_chains(), seed=st.integers(0, 2 ** 32 - 1),
+           n_chains=st.integers(1, 6), steps=st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_small_chains(self, walk, mrp, seed, n_chains, steps):
+        with pytest.MonkeyPatch.context() as patch:
+            if walk == "search":
+                patch.setattr(mrp_module, "_TABLE_ENTRIES", 0)
+            assert_walk_matches_reference(mrp, seed, n_chains, steps)
+        assert (mrp.step_table[2] is None) == (walk == "search")
+
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=4, deadline=None)
+    def test_dense_chains_past_the_table_limit(self, seed):
+        # 128 states with about 90% of moves possible: some 15,000
+        # distinct CDF values, so a count table would need about 1.9
+        # million entries, past the real limit of 2^20
+        rng = np.random.default_rng(seed)
+        n = 128
+        p = rng.random((n, n)) * (rng.random((n, n)) < 0.9)
+        p *= rng.uniform(0.5, 1.0, (n, 1)) / p.sum(axis=1, keepdims=True)
+        mrp = MarkovRewardProcess(n, p, np.zeros(n), np.zeros(n),
+                                  np.full(n, 1.0 / n), 1.0)
+        assert_walk_matches_reference(mrp, seed, 20, 30)
+        assert mrp.step_table[2] is None
+
+
+def chain_fields(n):
+    """Valid constructor arguments of an ``n``-state chain with attached
+    rewards."""
+    p = np.full((n, n), 0.5 / n)
+    return {"n_states": n, "transition": p, "expected_reward": np.zeros(n),
+            "reward_noise_std": np.ones(n),
+            "initial_dist": np.full(n, 1.0 / n), "discount": 0.9,
+            "transition_reward": np.zeros((n, n)),
+            "terminal_reward": np.zeros(n)}
+
+
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+ARRAY_FIELDS = ("transition", "expected_reward", "reward_noise_std",
+                "initial_dist", "transition_reward", "terminal_reward")
+
+
+@st.composite
+def bad_chain_fields(draw):
+    """Chain arguments with one fault: a NaN or infinite entry, a negative
+    entry where none may be, a wrong shape, or a row that sums to more
+    than 1."""
+    n = draw(st.integers(1, 6))
+    fields = chain_fields(n)
+    fault = draw(st.sampled_from(["non-finite", "negative", "shape",
+                                  "row-sum"]))
+    if fault == "row-sum":
+        row = draw(st.integers(0, n - 1))
+        fields["transition"][row] *= (1.0 + draw(st.floats(1e-9, 10.0))) \
+            / fields["transition"][row].sum()
+        return fields
+    names = ("transition", "reward_noise_std", "initial_dist") \
+        if fault == "negative" else ARRAY_FIELDS
+    name = draw(st.sampled_from(names))
+    value = fields[name]
+    if fault == "shape":
+        shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                      max_side=7).filter(
+            lambda shape: shape != value.shape))
+        fields[name] = np.zeros(shape)
+        return fields
+    bad = draw(NON_FINITE if fault == "non-finite"
+               else st.floats(-10.0, -1e-9))
+    value.flat[draw(st.integers(0, value.size - 1))] = bad
+    return fields
+
+
+class TestValidationProperties:
+    """The constructors refuse bad input with ``ValueError`` only."""
+
+    @given(fields=bad_chain_fields())
+    @settings(max_examples=200, deadline=None)
+    def test_chain_faults_raise_value_error(self, fields):
+        with pytest.raises(ValueError):
+            MarkovRewardProcess(**fields)
+
+    @given(phi=st.one_of(
+        hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                max_side=6),
+                   elements=st.one_of(NON_FINITE, st.floats(-5.0, 5.0)))
+        .filter(lambda phi: not np.isfinite(phi).all()),
+        hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=4,
+                                                min_side=0, max_side=6)
+                   .filter(lambda shape: len(shape) != 2 or 0 in shape
+                           or shape[1] > shape[0]),
+                   elements=st.floats(-5.0, 5.0))))
+    @settings(max_examples=200, deadline=None)
+    def test_feature_faults_raise_value_error(self, phi):
+        with pytest.raises(ValueError):
+            FeatureMap(phi)
+
+
 class TestConstructors:
     def test_walk_initial_distributions(self):
         for init, idx in (("left", 0), ("middle", 2), ("right", 4)):
@@ -560,6 +711,18 @@ class TestSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError,
                            match="env.json is missing key 'discount'"):
+            load_environment(path)
+
+    def test_environment_file_n_states_must_be_an_integer(self, tmp_path):
+        mrp, fm = make_random_walk(5, "middle")
+        path = tmp_path / "env.json"
+        save_environment(path, mrp, fm)
+        payload = json.loads(path.read_text())
+        payload["mrp"]["n_states"] = 5.0
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(
+                "env.json is not an environment: n_states must be an "
+                "integer, not 5.0")):
             load_environment(path)
 
     def test_environment_file_round_trip(self, tmp_path):
