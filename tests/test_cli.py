@@ -532,6 +532,43 @@ class TestGoldenBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "408ded96d0a0b18c0fa41207e9c9401a3d05ffd6470d1f1db29daa03bb53709c")
 
+    @staticmethod
+    def sweep(tmp_path, name, task, entries, fmt, aggregate):
+        out = tmp_path / name
+        config = {"task": task, "runs": 4, "steps": 600, "eval_every": 100,
+                  "base_seed": 17, "aggregate": aggregate, "format": fmt,
+                  "out": str(out), "algorithms": entries}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(path)]) == 0
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+    def test_adaptive_sweep_json_with_adaptive_rows_in_one_block(self,
+                                                                 tmp_path):
+        # TD and ETD ignore emphasis, so the weighted rows (PTD, TDW, DTD)
+        # are one block of rows in cell-major order
+        adaptive = {"kind": "abs_expected_td"}
+        entries = [{"algorithm": a, "lambda": [0.0, 0.9],
+                    "alpha": [2.0 ** -6, 2.0 ** -3], "emphasis": adaptive}
+                   for a in ("TD", "ETD", "PTD", "TDW", "DTD")]
+        assert self.sweep(tmp_path, "agg.json", "BOYAN13", entries, "json",
+                          True) == (
+            "df4fab87b27d6823633c7a3d05c2af567261f9630b7e06ea6b49effa48f4af8b")
+
+    def test_adaptive_sweep_csv_with_adaptive_rows_apart(self, tmp_path):
+        adaptive = {"kind": "abs_expected_td", "epsilon_floor": 0.01}
+        entries = [
+            {"algorithm": "DTD", "lambda": 0.9, "alpha": [0.0625, 0.25],
+             "emphasis": adaptive},
+            {"algorithm": "TD", "lambda": 0.9, "alpha": 0.125},
+            {"algorithm": "TDW", "lambda": 0.5, "alpha": 0.125,
+             "emphasis": {"kind": "count_inverse"}},
+            {"algorithm": "PTD", "lambda": [0.5, 0.9], "alpha": 0.125,
+             "emphasis": adaptive}]
+        assert self.sweep(tmp_path, "curves.csv", "RW5_TABULAR", entries,
+                          "csv", False) == (
+            "ae04dae7ae6f7211e4e18c7d1f541150517ed7f7c0d7b533091d3e83812fea8a")
+
 
 class TestVerifyCommand:
     def test_filtered_check_passes(self, tmp_path, capsys):

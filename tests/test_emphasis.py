@@ -265,6 +265,28 @@ class TestAdaptiveVisited:
         assert got[0] == 1.0 and got[1] == 1.0
         assert got[2] == 0.2  # theta 0: the score is |r|, zero at state 1
 
+    def test_only_zero_and_nan_peaks_get_weight_one(self):
+        # each row's raw score is below its peak, so a scored row's weight
+        # lies below 1; rows of the three kinds are interleaved
+        raw = np.array([0.0, 0.3, np.nan, 0.0, 2.0, np.nan, 0.25, 0.0])
+        peak = np.array([0.0, 0.6, np.nan, 0.0, 8.0, np.nan, 1.0, 3.0])
+        unscored = np.isnan(peak) | (peak == 0.0)
+        with np.errstate(invalid="ignore"):
+            got = emphasis_module._scale_sqrt_floor(raw, np.full(8, 0.1),
+                                                    peak)
+        np.testing.assert_array_equal(got == 1.0, unscored)
+        np.testing.assert_array_equal(
+            got[~unscored], np.sqrt([0.5, 0.25, 0.25, 0.0]).clip(0.1))
+
+    def test_all_scored_rows_match_one_row_calls(self):
+        raw = np.array([0.3, 2.0, 0.25, 0.01])
+        peak = np.array([0.6, 8.0, 1.0, 4.0])
+        got = emphasis_module._scale_sqrt_floor(raw, 0.1, peak)
+        for i in range(4):
+            assert got[i] == emphasis_module._scale_sqrt_floor(
+                raw[i:i + 1], 0.1, peak[i:i + 1])[0]
+        np.testing.assert_array_equal(got, [np.sqrt(0.5), 0.5, 0.5, 0.1])
+
     def test_boyan_chain(self):
         mrp, fm = make_boyan_chain()
         rng = np.random.default_rng(3)
