@@ -187,17 +187,19 @@ def cmd_sweep(args) -> int:
         emphasis = entry.get("emphasis", {"kind": "constant"})
         where = f"{where}.emphasis"
         _require_keys(emphasis, ("kind",), where)
-        numbers = {key: float(_checked(emphasis[key], "a number",
-                                       f"{where} {key!r}"))
-                   for key in ("constant", "epsilon_floor") if key in emphasis}
+        numbers = {key: emphasis[key] for key in ("constant", "epsilon_floor")
+                   if key in emphasis}
         table = emphasis.get("table")
         if table is not None:
-            table = [_checked(x, "a number", f"{where} 'table' entry")
-                     for x in _checked(table, "a list", f"{where} 'table'")]
+            _checked(table, "a list", f"{where} 'table'")
+        try:
+            weighting = EmphasisSpec(emphasis["kind"], table=table,
+                                     **numbers)
+        except ValueError as exc:
+            raise ValueError(f"{where} {exc}") from None
         groups.append((entry["algorithm"], *(
             value if isinstance(value, list) else [value]
-            for value in (entry["lambda"], entry["alpha"])), EmphasisSpec(
-            emphasis["kind"], table=table, **numbers)))
+            for value in (entry["lambda"], entry["alpha"])), weighting))
     config = ExperimentConfig(task=spec["task"], algorithms=_cells(groups), **{
         k: spec[k] for k in ("runs", "steps", "eval_every", "base_seed")})
     _run_and_emit(config, spec["out"], spec["format"], spec["aggregate"])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mrp import FeatureMap, MarkovRewardProcess
+from .mrp import FeatureMap, MarkovRewardProcess, checked_real
 
 DEFAULT_EPSILON_FLOOR = 1e-3
 PATH_BUDGET = 1 << 20  # running counts held at once by count_inverse_path
@@ -31,7 +31,9 @@ class EmphasisKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class EmphasisSpec:
-    """Declarative choice of emphasis; per-run state lives in EmphasisState."""
+    """Declarative choice of emphasis; per-run state lives in EmphasisState.
+    ``constant``, ``epsilon_floor`` and the ``table`` entries are real
+    numbers (a bool is none); the two scalars are stored as floats."""
 
     kind: EmphasisKind
     constant: float = 1.0
@@ -41,6 +43,9 @@ class EmphasisSpec:
     def __post_init__(self):
         kind = EmphasisKind(self.kind)
         object.__setattr__(self, "kind", kind)
+        for name in ("constant", "epsilon_floor"):
+            object.__setattr__(self, name,
+                               checked_real(repr(name), getattr(self, name)))
         if not 0.0 < self.epsilon_floor < 1.0:
             raise ValueError("epsilon_floor must lie in (0, 1)")
         if kind is EmphasisKind.CONSTANT and not 0 < self.constant < np.inf:
@@ -48,6 +53,8 @@ class EmphasisSpec:
         if kind is EmphasisKind.TABLE:
             if self.table is None:
                 raise ValueError("table emphasis requires a table")
+            for entry in np.ravel(np.asarray(self.table, dtype=object)):
+                checked_real("'table' entry", entry)
             table = np.asarray(self.table, dtype=np.float64)
             if table.ndim != 1 or not np.all((table > 0) & (table < np.inf)):
                 raise ValueError("table entries must be positive and finite")
@@ -74,6 +81,9 @@ def _scale_sqrt_floor(raw: np.ndarray, epsilon_floor, peak=None) -> np.ndarray:
     that max taken beforehand, and ``raw`` holds only the entries read."""
     peak = raw.max(axis=-1, keepdims=True) if peak is None else peak
     scored = peak > 0.0
+    if scored.all():  # both np.where calls below would pick their first
+        scaled = np.sqrt(raw / peak)
+        return np.maximum(scaled, epsilon_floor, out=scaled)
     scaled = np.sqrt(raw / np.where(scored, peak, 1.0))
     return np.where(scored, np.maximum(scaled, epsilon_floor, out=scaled), 1.0)
 
@@ -147,14 +157,22 @@ def abs_expected_td_rows(mrp: MarkovRewardProcess, feature_map: FeatureMap,
                          visited=None) -> np.ndarray:
     """Unchecked core of :func:`emphasis_abs_expected_td`: weights of shape
     (k,) or (B, k), a floor that is a scalar or a (B, 1) column; or, given
-    one ``visited`` state per row, the (B,) weights there, floor (B,)."""
+    one ``visited`` state per row, the (B,) weights there, floor (B,).
+
+    The score |r + gamma*(v P^T) - v| is formed in place in that order of
+    operations, and each row's peak is taken along the batch axis of the
+    transposed scores; a max is exact, so neither moves a bit."""
     v = theta @ feature_map.phi.T
-    raw = np.abs(mrp.expected_reward
-                 + mrp.discount * (v @ mrp.transition.T) - v)
+    raw = v @ mrp.transition.T
+    raw *= mrp.discount
+    raw += mrp.expected_reward
+    raw -= v
+    np.abs(raw, out=raw)
     if visited is None:
         return _scale_sqrt_floor(raw, epsilon_floor)
     return _scale_sqrt_floor(raw[np.arange(len(raw)), visited],
-                             epsilon_floor, raw.max(axis=-1))
+                             epsilon_floor,
+                             np.ascontiguousarray(raw.T).max(axis=0))
 
 
 def emphasis_abs_expected_td(mrp: MarkovRewardProcess, feature_map: FeatureMap,

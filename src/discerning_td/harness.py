@@ -83,15 +83,12 @@ class ExperimentConfig:
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if not self.algorithms:
             raise ValueError("need at least one algorithm")
-        for name in ("runs", "steps", "eval_every", "base_seed"):
+        for name, least in (("runs", 1), ("steps", 1), ("eval_every", 1),
+                            ("base_seed", 0)):
             object.__setattr__(self, name,
-                               checked_int(name, getattr(self, name)))
-        if self.runs < 1 or self.steps < 1 or self.eval_every < 1:
-            raise ValueError("runs, steps and eval_every must be positive")
+                               checked_int(name, getattr(self, name), least))
         if self.steps % self.eval_every != 0:
             raise ValueError("eval_every must divide steps")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be nonnegative")
         cells = self.cells()
         if len(set(cells)) < len(cells):  # their records would merge
             twice = next(c for i, c in enumerate(cells) if c in cells[:i])
@@ -304,7 +301,7 @@ def cell_key(task: str, config: AlgoConfig) -> int:
     text = "|".join([
         str(task), config.algorithm.value, repr(config.lam),
         repr(config.alpha), emphasis_label(config),
-        repr(float(config.emphasis.epsilon_floor)),
+        repr(config.emphasis.epsilon_floor),
     ])
     return zlib.crc32(text.encode("utf-8"))
 
@@ -343,15 +340,24 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     the static and count-inverse emphasis at each visited state
     (``emphasis.count_inverse_path``).  Each step does only what depends on
     θ: the adaptive emphasis at the visited state, the kernel step, trace
-    resets and the MSPBE.  A row's weights and curve are the same in any
-    batch, except in a one-row call on chains of ten or more states, which
-    numpy multiplies by its matrix-vector path.  Its curve can then differ
-    in the last bit, and under adaptive emphasis the difference feeds back
-    through θ and can grow: on BOYAN13 (DTD, λ 0.9, seed 0, 5000 steps) a
-    one-row call and row 0 of a two-row call differ in θ by 0.138 and in
-    the final MSPBE by 0.023 at α = 2⁻⁴, and in θ by 6e-13 at α = 2⁻⁶.
+    resets and the MSPBE.  The adaptive rows' weights, visited states and
+    emphasis values are read through one slice when those rows form one
+    block, as ``run_experiment``'s cell-major order makes them when the
+    cells of the learners that read emphasis are listed together, and
+    through their index array otherwise; both read the same values, so the
+    output is the same.  ``steps`` and ``eval_every`` are nonnegative
+    integers (a bool is none); ``eval_every`` 0 records no curve.  A row's
+    weights and curve are the same in any batch, except in a one-row call
+    on chains of ten or more states, which numpy multiplies by its
+    matrix-vector path.  Its curve can then differ in the last bit, and
+    under adaptive emphasis the difference feeds back through θ and can
+    grow: on BOYAN13 (DTD, λ 0.9, seed 0, 5000 steps) a one-row call and
+    row 0 of a two-row call differ in θ by 0.138 and in the final MSPBE by
+    0.023 at α = 2⁻⁴, and in θ by 6e-13 at α = 2⁻⁶.
     Non-finite error measurements (diverged rows) are recorded as +inf.
     """
+    steps = checked_int("steps", steps, least=0)
+    eval_every = checked_int("eval_every", eval_every, least=0)
     n_rows = len(seed_seqs)
     if isinstance(config, AlgoConfig):
         configs = [config] * n_rows
@@ -411,6 +417,11 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
 
     count_rows = np.flatnonzero(counted)
     adaptive_rows = np.flatnonzero(adaptive)
+    has_adaptive = adaptive_rows.size > 0
+    if has_adaptive and adaptive_rows[-1] - adaptive_rows[0] \
+            == adaptive_rows.size - 1:  # one block: read it through views
+        adaptive_rows = slice(adaptive_rows[0], adaptive_rows[-1] + 1)
+    adaptive_eps = eps[adaptive_rows]
     counts = np.zeros((n, count_rows.size),
                       np.int32 if steps < 2 ** 31 else np.int64)
 
@@ -455,10 +466,10 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
                         counts, states[:, count_rows], eps[count_rows])
             s, nxt = states[c], nexts[c]
 
-            if adaptive_rows.size:
+            if has_adaptive:
                 weights[c, adaptive_rows] = abs_expected_td_rows(
-                    mrp, feature_map, theta[adaptive_rows],
-                    eps[adaptive_rows], s[adaptive_rows])
+                    mrp, feature_map, theta[adaptive_rows], adaptive_eps,
+                    s[adaptive_rows])
             theta, trace, followon = kernel.step(
                 theta, trace, followon, phi.take(s, axis=0),
                 phi_pad.take(nxt, axis=0), rewards[c], weights[c], alphas[t])

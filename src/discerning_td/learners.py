@@ -7,14 +7,13 @@ differ only in its coefficients.  The kernel steps a batch of runs at once
 """
 
 import enum
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .emphasis import EmphasisKind, EmphasisSpec, EmphasisState, \
     emphasis_abs_expected_td, init_emphasis_state, update_counts
-from .mrp import FeatureMap, MarkovRewardProcess
+from .mrp import FeatureMap, MarkovRewardProcess, checked_real
 from .returns import simulate_trajectory
 
 
@@ -66,10 +65,8 @@ class AlgoConfig:
             value = getattr(self, name)
             if name == "alpha" and isinstance(value, DecayingAlpha):
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{self.algorithm} {what} must be a number, "
-                                 f"not {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name,
+                               checked_real(f"{self.algorithm} {what}", value))
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must lie in [0, 1]")
         spec = self.emphasis
@@ -144,6 +141,7 @@ class TraceKernel:
         self.gamma = gamma
         self.lam = np.array([c.lam for c in configs], dtype=np.float64)
         self.glam = gamma * self.lam
+        self._one_minus_lam = 1.0 - self.lam
         takes = [a.takes_emphasis for a in algos]
         self.weighted = np.array(takes, dtype=bool)
         self._unweighted = _rows_of(takes, False)
@@ -166,7 +164,7 @@ class TraceKernel:
         if self._etd is not None:
             followon = self.gamma * followon + 1.0
             c_in = _select(self._etd,
-                           self.lam + (1.0 - self.lam) * followon, w)
+                           self.lam + self._one_minus_lam * followon, w)
         c_decay = self._glam_col
         if self._ptd is not None:
             c_decay = _select(self._ptd, self.glam * (1.0 - w),

@@ -32,12 +32,22 @@ class ConvergenceError(RuntimeError):
     """An iterative solver hit its iteration cap before reaching tolerance."""
 
 
-def checked_int(name, value) -> int:
+def checked_int(name, value, least=None) -> int:
     """``value`` as an int; ValueError unless it is an integer, numpy's
-    included (a bool is none)."""
+    included (a bool is none), and, given ``least``, at least that."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, not {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, not {value!r}")
     return int(value)
+
+
+def checked_real(name, value) -> float:
+    """``value`` as a float; ValueError unless it is a real number, numpy's
+    included (a bool is none)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    return float(value)
 
 
 def _as_array(name, value, shape, allow_none=False):
@@ -84,9 +94,7 @@ class MarkovRewardProcess:
     move_rewards: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = checked_int("n_states", self.n_states)
-        if n < 1:
-            raise ValueError("n_states must be positive")
+        n = checked_int("n_states", self.n_states, least=1)
         object.__setattr__(self, "n_states", n)
         p = _as_array("transition", self.transition, (n, n))
         if np.any(p < 0.0):
@@ -101,7 +109,7 @@ class MarkovRewardProcess:
         rho = _as_array("initial_dist", self.initial_dist, (n,))
         if np.any(rho < 0.0) or abs(rho.sum() - 1.0) > 1e-12:
             raise ValueError("initial_dist must be a probability vector")
-        gamma = float(self.discount)
+        gamma = checked_real("discount", self.discount)
         if not 0.0 <= gamma <= 1.0:
             raise ValueError("discount must lie in [0, 1]")
         tr = _as_array("transition_reward", self.transition_reward, (n, n),
@@ -531,7 +539,7 @@ def mrp_from_dict(data: dict) -> MarkovRewardProcess:
         expected_reward=data["expected_reward"],
         reward_noise_std=data["reward_noise_std"],
         initial_dist=data["initial_dist"],
-        discount=float(data["discount"]),
+        discount=data["discount"],
         transition_reward=data.get("transition_reward"),
         terminal_reward=data.get("terminal_reward"),
     )

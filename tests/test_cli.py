@@ -106,6 +106,21 @@ class TestRunCommand:
         assert err.startswith(f"error: {tmp_path}") and message in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("discount", [True, "0.9"])
+    def test_env_file_discount_must_be_a_number(self, tmp_path, capsys,
+                                                discount):
+        mrp, fm = make_random_walk(5, "middle")
+        env_path = tmp_path / "env.json"
+        save_environment(env_path, mrp, fm)
+        payload = json.loads(env_path.read_text())
+        payload["mrp"]["discount"] = discount
+        env_path.write_text(json.dumps(payload))
+        assert main(run_args(tmp_path) + ["--env-file", str(env_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {env_path} is not an environment: discount "
+                       f"must be a number, not {discount!r}\n")
+        assert not (tmp_path / "out.csv").exists()
+
     def test_env_file_with_a_periodic_chain(self, tmp_path, capsys):
         # no positive stationary distribution: a named error, not a traceback
         mrp = MarkovRewardProcess(
@@ -399,6 +414,25 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err == (f"error: sweep config algorithms[0].emphasis "
                        f"{message}\n")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("emphasis, message", [
+        ({"kind": "constant", "constant": True},
+         "'constant' must be a number, not True"),
+        ({"kind": "count_inverse", "epsilon_floor": False},
+         "'epsilon_floor' must be a number, not False"),
+        ({"kind": "constant", "epsilon_floor": 1.5},
+         "epsilon_floor must lie in (0, 1)"),
+        ({"kind": "priority"}, "'priority' is not a valid EmphasisKind"),
+    ])
+    def test_emphasis_refused_by_the_library_names_the_entry(
+            self, tmp_path, capsys, monkeypatch, emphasis, message):
+        monkeypatch.setattr(cli, "run_experiment", None)  # never simulate
+        config = self._config(tmp_path)
+        config["algorithms"][0].update(algorithm="DTD", emphasis=emphasis)
+        assert self._run(tmp_path, config) == 2
+        assert capsys.readouterr().err == (
+            f"error: sweep config algorithms[0].emphasis {message}\n")
         assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("entry", [

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,6 +52,29 @@ class TestSpecValidation:
             EmphasisSpec(EmphasisKind.CONSTANT, epsilon_floor=0.0)
         with pytest.raises(ValueError):
             EmphasisSpec(EmphasisKind.CONSTANT, epsilon_floor=1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("constant", True), ("constant", "2"), ("constant", None),
+        ("epsilon_floor", True), ("epsilon_floor", "0.01"),
+        ("epsilon_floor", None)])
+    def test_scalars_must_be_numbers(self, field, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"'{field}' must be a number, not {value!r}")):
+            EmphasisSpec(EmphasisKind.CONSTANT, **{field: value})
+
+    @pytest.mark.parametrize("table", [
+        [True, 0.5, 1.0], np.array([True, True]), [1.0, "0.5"]])
+    def test_table_entries_must_be_numbers(self, table):
+        with pytest.raises(ValueError, match="'table' entry must be a number"):
+            EmphasisSpec(EmphasisKind.TABLE, table=table)
+
+    def test_scalars_are_stored_as_floats(self):
+        spec = EmphasisSpec(EmphasisKind.CONSTANT, constant=2,
+                            epsilon_floor=np.float64(0.25))
+        assert type(spec.constant) is float and spec.constant == 2.0
+        assert type(spec.epsilon_floor) is float
+        table = EmphasisSpec(EmphasisKind.TABLE, table=[1, 2, np.int64(3)])
+        np.testing.assert_array_equal(table.table, [1.0, 2.0, 3.0])
 
     def test_kind_from_string(self):
         spec = EmphasisSpec("count_inverse")

@@ -136,6 +136,28 @@ class TestConfigValidation:
 
 
 class TestSimulateCurves:
+    @pytest.mark.parametrize("field, value", [
+        ("eval_every", 50.5), ("steps", 100.0), ("steps", -5),
+        ("eval_every", -5), ("steps", True), ("eval_every", True)])
+    def test_counts_must_be_nonnegative_integers(self, field, value):
+        mrp, fm = resolve_task("RW5_MIDDLE")
+        config = AlgoConfig(Algorithm.TD, lam=0.5, alpha=0.1)
+        counts = {"steps": 100, "eval_every": 50, field: value}
+        message = (f"{field} must be an integer, not {value!r}"
+                   if value != -5 else f"{field} must be at least 0, not -5")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate_curves(mrp, fm, config,
+                            run_seed_sequences("RW5_MIDDLE", config, 0, 1),
+                            **counts)
+
+    def test_zero_counts_simulate_nothing(self):
+        mrp, fm = resolve_task("RW5_MIDDLE")
+        config = AlgoConfig(Algorithm.TD, lam=0.5, alpha=0.1)
+        out = simulate_curves(mrp, fm, config,
+                              run_seed_sequences("RW5_MIDDLE", config, 0, 2),
+                              steps=0, eval_every=0)
+        assert out.curves.shape == (2, 0) and not out.final_theta.any()
+
     def test_deterministic_given_seeds(self):
         mrp, fm = resolve_task("RW5_MIDDLE")
         config = AlgoConfig(Algorithm.DTD, lam=0.9, alpha=0.2,

@@ -80,6 +80,18 @@ class TestValidation:
             MarkovRewardProcess(value, [[0.5, 0.5], [0.5, 0.5]], [0, 0],
                                 [0, 0], [1, 0], 1.0)
 
+    @pytest.mark.parametrize("value", [True, False, "0.9", None])
+    def test_discount_must_be_a_number(self, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"discount must be a number, not {value!r}")):
+            MarkovRewardProcess(2, [[0.5, 0.5], [0.5, 0.5]], [0, 0], [0, 0],
+                                [1, 0], value)
+
+    def test_numpy_discount_is_stored_as_a_float(self):
+        mrp = MarkovRewardProcess(2, [[0.5, 0.5], [0.5, 0.5]], [0, 0],
+                                  [0, 0], [1, 0], np.float32(0.5))
+        assert type(mrp.discount) is float and mrp.discount == 0.5
+
     def test_numpy_integer_n_states_is_stored_as_an_int(self):
         mrp = MarkovRewardProcess(np.int64(2), [[0.5, 0.5], [0.5, 0.5]],
                                   [0, 0], [0, 0], [1, 0], 1.0)
