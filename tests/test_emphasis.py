@@ -303,15 +303,6 @@ class TestAdaptiveVisited:
         np.testing.assert_array_equal(
             got[~unscored], np.sqrt([0.5, 0.25, 0.25, 0.0]).clip(0.1))
 
-    def test_all_scored_rows_match_one_row_calls(self):
-        raw = np.array([0.3, 2.0, 0.25, 0.01])
-        peak = np.array([0.6, 8.0, 1.0, 4.0])
-        got = emphasis_module._scale_sqrt_floor(raw, 0.1, peak)
-        for i in range(4):
-            assert got[i] == emphasis_module._scale_sqrt_floor(
-                raw[i:i + 1], 0.1, peak[i:i + 1])[0]
-        np.testing.assert_array_equal(got, [np.sqrt(0.5), 0.5, 0.5, 0.1])
-
     def test_boyan_chain(self):
         mrp, fm = make_boyan_chain()
         rng = np.random.default_rng(3)
