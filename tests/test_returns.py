@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from discerning_td import (
     TERMINAL,
@@ -31,6 +32,31 @@ def random_episode(rng, n_states, max_len=20, terminal=True):
 
 FM3 = make_feature_map("tabular", 3)
 FM6 = make_feature_map("tabular", 6)
+
+# lambda and gamma: the ends of [0, 1] and its inside
+UNIT = st.one_of(st.sampled_from([0.0, 1.0]),
+                 st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+@st.composite
+def forward_view_cases(draw, terminal=None):
+    """A random trajectory over FM6's states (ending terminal or
+    truncated), weights, emphasis values, a start position, lambda and
+    gamma.  Rewards and weights lie in [-1, 1] and emphasis values in
+    [0.1, 1], so the round-off of every form stays far below 1e-10."""
+    length = draw(st.integers(1, 20))
+    states = draw(st.lists(st.integers(0, 5), min_size=length + 1,
+                           max_size=length + 1))
+    if draw(st.booleans()) if terminal is None else terminal:
+        states[-1] = TERMINAL
+    numbers = st.floats(-1.0, 1.0)
+    rewards = draw(st.lists(numbers, min_size=length, max_size=length))
+    theta = np.array(draw(st.lists(numbers, min_size=6, max_size=6)))
+    f = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=length,
+                               max_size=length)))
+    t = draw(st.integers(0, length - 1))
+    return (Trajectory(np.array(states), np.array(rewards)), theta, f, t,
+            draw(UNIT), draw(UNIT))
 
 
 class TestTrajectory:
@@ -279,3 +305,50 @@ class TestAdvantage:
                 reference[k] = acc
             np.testing.assert_allclose(dae(traj, params, theta, FM6),
                                        reference, atol=1e-12)
+
+
+class TestReturnFormProperties:
+    """The return-form identities on random trajectories."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(forward_view_cases())
+    def test_lambda_return_is_the_unit_emphasis_discerning_return(self, case):
+        traj, theta, _, t, lam, gamma = case
+        params = ReturnParams(lam, gamma, np.ones(traj.num_transitions))
+        assert lambda_return(traj, t, theta, FM6, gamma, lam) == \
+            discerning_return_interp(traj, t, params, theta, FM6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(forward_view_cases())
+    def test_lambda_zero_is_the_one_step_return(self, case):
+        traj, theta, _, t, _, gamma = case
+        assert lambda_return(traj, t, theta, FM6, gamma, 0.0) == \
+            n_step_return(traj, t, 1, theta, FM6, gamma)
+
+    @settings(max_examples=200, deadline=None)
+    @given(forward_view_cases(terminal=True))
+    def test_lambda_one_on_an_episode_is_the_monte_carlo_return(self, case):
+        traj, theta, _, t, _, gamma = case
+        monte_carlo = sum(gamma ** (k - t) * traj.rewards[k]
+                          for k in range(t, traj.num_transitions))
+        assert lambda_return(traj, t, theta, FM6, gamma, 1.0) == \
+            pytest.approx(monte_carlo, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(forward_view_cases())
+    def test_mixture_and_error_sum_forms_agree(self, case):
+        traj, theta, f, t, lam, gamma = case
+        params = ReturnParams(lam, gamma, f)
+        assert abs(discerning_return_interp(traj, t, params, theta, FM6)
+                   - discerning_return_tdsum(traj, t, params, theta, FM6)) \
+            < 1e-10
+
+    @settings(max_examples=200, deadline=None)
+    @given(forward_view_cases())
+    def test_advantage_matches_the_double_sum(self, case):
+        traj, theta, f, _, lam, gamma = case
+        params = ReturnParams(lam, gamma, f)
+        np.testing.assert_allclose(
+            dae(traj, params, theta, FM6),
+            TestAdvantage.double_sum_oracle(traj, params, theta, FM6),
+            atol=1e-12)
