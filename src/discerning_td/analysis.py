@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mrp import ConvergenceError, FeatureMap, MarkovRewardProcess, \
-    exact_solution
+    checked_unit
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def mspbe_rows(theta, mrp: MarkovRewardProcess, phi, d, proj_t) -> np.ndarray:
 def mspbe(theta, mrp: MarkovRewardProcess, feature_map: FeatureMap) -> float:
     """Distance (in the stationary-distribution norm) between the current
     value estimate and the projected one-step image of it."""
-    d = exact_solution(mrp).d_pi
+    d = mrp.stationary
     theta = np.asarray(theta, dtype=np.float64)[None, :]
     return float(mspbe_rows(theta, mrp, feature_map.phi, d,
                             projection(feature_map, d).T)[0])
@@ -100,15 +100,10 @@ def mspbe(theta, mrp: MarkovRewardProcess, feature_map: FeatureMap) -> float:
 SERIES_TOL = 1e-14  # series stop once lam**n * max|weight| is below this
 
 
-def _check_lambda(lam: float) -> None:
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
-
-
 def _operator_emphasis(mrp: MarkovRewardProcess, f_values,
                        lam: float) -> np.ndarray:
     """Check an operator's lam and emphasis; return the emphasis array."""
-    _check_lambda(lam)
+    checked_unit("lam", lam)
     if mrp.discount * lam >= 1.0:
         raise ValueError("gamma * lam must be below 1")
     return _emphasis_vector(mrp, f_values)
@@ -183,7 +178,7 @@ def dtd_operator_matrix(mrp: MarkovRewardProcess, f_values, lam: float,
 
 def _resolvent_solve(mrp: MarkovRewardProcess, lam: float, rhs) -> np.ndarray:
     """(I - gamma*lam*P)^{-1} rhs, for compute_A_b and the exact map."""
-    _check_lambda(lam)
+    checked_unit("lam", lam)
     lhs = np.eye(mrp.n_states) - mrp.discount * lam * mrp.transition
     try:
         return np.linalg.solve(lhs, rhs)
@@ -290,7 +285,7 @@ def contraction_condition(mrp: MarkovRewardProcess, f_values, lam: float,
 
     The headline ``holds`` is scale dependent and is not a sound
     certificate; see ``ContractionReport`` for the sound tests."""
-    _check_lambda(lam)
+    checked_unit("lam", lam)
     geo = emphasized_geometry(mrp, f_values)
     gamma = mrp.discount
     f_norm = float(np.max(geo.f))

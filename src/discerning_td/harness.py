@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import exact_solution, mspbe_rows, projection
+from .analysis import mspbe_rows, projection
 from .emphasis import EmphasisKind, abs_expected_td_rows, \
     count_inverse_path, init_emphasis_state
 from .learners import AlgoConfig, DecayingAlpha, TraceKernel
@@ -409,7 +409,7 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     coders = [(trans_gens, transition_ranks), (restart_gens, start_states)]
 
     if eval_every > 0:
-        d = exact_solution(mrp).d_pi
+        d = mrp.stationary
         proj_t = projection(feature_map, d).T
         eval_steps = np.arange(eval_every, steps + 1, eval_every)
     else:

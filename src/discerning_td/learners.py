@@ -13,7 +13,8 @@ import numpy as np
 
 from .emphasis import EmphasisKind, EmphasisSpec, EmphasisState, \
     emphasis_abs_expected_td, init_emphasis_state, update_counts
-from .mrp import FeatureMap, MarkovRewardProcess, checked_real
+from .mrp import FeatureMap, MarkovRewardProcess, checked_int, \
+    checked_real, checked_unit
 from .returns import simulate_trajectory
 
 
@@ -67,8 +68,7 @@ class AlgoConfig:
                 continue
             object.__setattr__(self, name,
                                checked_real(f"{self.algorithm} {what}", value))
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lam must lie in [0, 1]")
+        checked_unit("lam", self.lam)
         spec = self.emphasis
         if self.algorithm is Algorithm.PTD and (
                 spec.kind is EmphasisKind.CONSTANT and spec.constant > 1.0
@@ -190,9 +190,7 @@ def run_episode(mrp: MarkovRewardProcess, feature_map: FeatureMap,
 
     Returns ``(learner, emphasis_state, steps_used)``.
     """
-    if step_budget < 0:
-        raise ValueError("step_budget must be nonnegative")
-    if step_budget == 0:
+    if checked_int("step_budget", step_budget, least=0) == 0:
         return learner, emphasis_state, 0
     traj = simulate_trajectory(mrp, rng, step_budget)
     kernel = TraceKernel([config], mrp.discount)

@@ -50,6 +50,14 @@ def checked_real(name, value) -> float:
     return float(value)
 
 
+def checked_unit(name, value) -> float:
+    """``checked_real(name, value)``; ValueError unless it lies in [0, 1]."""
+    value = checked_real(name, value)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1]")
+    return value
+
+
 def _as_array(name, value, shape, allow_none=False):
     if value is None:
         if allow_none:
@@ -109,9 +117,7 @@ class MarkovRewardProcess:
         rho = _as_array("initial_dist", self.initial_dist, (n,))
         if np.any(rho < 0.0) or abs(rho.sum() - 1.0) > 1e-12:
             raise ValueError("initial_dist must be a probability vector")
-        gamma = checked_real("discount", self.discount)
-        if not 0.0 <= gamma <= 1.0:
-            raise ValueError("discount must lie in [0, 1]")
+        gamma = checked_unit("discount", self.discount)
         tr = _as_array("transition_reward", self.transition_reward, (n, n),
                        allow_none=True)
         term_r = _as_array("terminal_reward", self.terminal_reward, (n,),

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mrp import TERMINAL, FeatureMap, MarkovRewardProcess, \
-    sample_transition, start_states
+from .mrp import TERMINAL, FeatureMap, MarkovRewardProcess, checked_int, \
+    checked_unit, sample_transition, start_states
 
 __all__ = [
     "Trajectory", "ReturnParams", "simulate_trajectory", "n_step_return",
@@ -60,18 +60,18 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class ReturnParams:
-    """Mixing rate, discount and the per-step positive emphasis values
-    (one per transition, aligned with the visited states)."""
+    """Mixing rate and discount, each a number in [0, 1] stored as a
+    float, and the per-step positive emphasis values (one per transition,
+    aligned with the visited states)."""
 
     lam: float
     gamma: float
     f_values: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lam must lie in [0, 1]")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
+        for name in ("lam", "gamma"):
+            object.__setattr__(self, name,
+                               checked_unit(name, getattr(self, name)))
         f = np.asarray(self.f_values, dtype=np.float64)
         if f.ndim != 1 or np.any(~np.isfinite(f)) or np.any(f <= 0.0):
             raise ValueError("f_values must be positive and finite")
@@ -90,7 +90,9 @@ class ReturnParams:
 
 def simulate_trajectory(mrp: MarkovRewardProcess, rng,
                         max_steps: int = 100_000) -> Trajectory:
-    """Roll out one episode (or a truncated rollout of ``max_steps``)."""
+    """Roll out one episode (or a truncated rollout of ``max_steps``, an
+    integer of at least 1)."""
+    max_steps = checked_int("max_steps", max_steps, least=1)
     state = int(start_states(mrp, rng.random()))
     states = [state]
     rewards = []
@@ -152,10 +154,10 @@ def td_errors(traj: Trajectory, theta, feature_map: FeatureMap,
 def n_step_return(traj: Trajectory, t: int, n: int, theta, feature_map: FeatureMap,
                   gamma: float) -> float:
     """Discounted n-step return from position ``t``, bootstrapping from the
-    estimated value of the state reached (zero at or beyond TERMINAL)."""
+    estimated value of the state reached (zero at or beyond TERMINAL);
+    ``n`` is an integer of at least 1."""
+    n = checked_int("n", n, least=1)
     returns = _n_step_returns(traj, t, n, theta, feature_map, gamma)
-    if n < 1:
-        raise ValueError("n must be at least 1")
     if len(returns) < n and not traj.ends_terminal:
         raise IndexError("n-step horizon exceeds the truncated trajectory")
     return returns[-1]
@@ -164,15 +166,11 @@ def n_step_return(traj: Trajectory, t: int, n: int, theta, feature_map: FeatureM
 def lambda_return(traj: Trajectory, t: int, theta, feature_map: FeatureMap,
                   gamma: float, lam: float) -> float:
     """Exponentially mixed n-step returns; the final return absorbs the
-    residual geometric weight."""
-    *returns, g_last = _n_step_returns(traj, t, traj.num_transitions, theta,
-                                       feature_map, gamma)
-    lam_pow = 1.0
-    total = 0.0
-    for g_n in returns:
-        total += (1.0 - lam) * lam_pow * g_n
-        lam_pow *= lam
-    return total + lam_pow * g_last
+    residual geometric weight.  It is the discerning return under unit
+    emphasis, bit for bit, with ``ReturnParams``' checks of lam and gamma."""
+    return discerning_return_interp(
+        traj, t, ReturnParams(lam, gamma, np.ones(traj.num_transitions)),
+        theta, feature_map)
 
 
 def identity_check(f_seq, lam: float) -> float:

@@ -96,6 +96,15 @@ class TestMspbe:
         assert got > 0.0
 
 
+    def test_continuing_undiscounted_chain(self):
+        # gamma 1 and no exit: no value solve, but d is still defined
+        mrp = MarkovRewardProcess(2, np.full((2, 2), 0.5), [1.0, 0.0],
+                                  np.zeros(2), [0.5, 0.5], 1.0)
+        fm = make_feature_map("tabular", 2)
+        assert mspbe(np.zeros(2), mrp, fm) == \
+            pytest.approx(1.0 / np.sqrt(2.0), abs=1e-15)
+
+
 class TestOperator:
     def test_lambda_zero_is_one_step_update(self):
         rng = np.random.default_rng(3)
@@ -420,6 +429,15 @@ class TestLambdaRange:
                      lambda: dtd_operator_matrix(mrp, f, lam),
                      lambda: exact_update_map_norm(mrp, f, lam)):
             with pytest.raises(ValueError, match=r"lam must lie in \[0, 1\]"):
+                call()
+
+    def test_a_string_is_refused_as_not_a_number(self):
+        mrp, fm = make_random_walk(5, "middle")
+        f = np.ones(5)
+        for call in (lambda: compute_A_b(mrp, fm, f, "0.5"),
+                     lambda: contraction_condition(mrp, f, "0.5")):
+            with pytest.raises(ValueError,
+                               match="lam must be a number, not '0.5'"):
                 call()
 
     def test_ends_of_the_range_pass_the_check(self):

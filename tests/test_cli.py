@@ -135,6 +135,19 @@ class TestRunCommand:
         assert err.count("\n") == 1
         assert not (tmp_path / "out.csv").exists()
 
+    def test_env_file_with_a_continuing_undiscounted_chain(self, tmp_path):
+        # gamma 1 and no exit: the value system is singular, but the MSPBE
+        # reads only the stationary distribution
+        mrp = MarkovRewardProcess(
+            n_states=2, transition=[[0.5, 0.5], [0.5, 0.5]],
+            expected_reward=[1.0, 0.0], reward_noise_std=[0.0, 0.0],
+            initial_dist=[0.5, 0.5], discount=1.0)
+        env_path = tmp_path / "env.json"
+        save_environment(env_path, mrp, FeatureMap(np.eye(2)))
+        assert main(run_args(tmp_path) + ["--env-file", str(env_path)]) == 0
+        mspbes = [r.mspbe for r in load_records(tmp_path / "out.csv")]
+        assert len(mspbes) == 4 and np.all(np.isfinite(mspbes))
+
     def test_repeated_cell_refused_before_simulating(self, tmp_path, capsys,
                                                      monkeypatch):
         monkeypatch.setattr(cli, "run_experiment", None)  # never simulate

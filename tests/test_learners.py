@@ -333,6 +333,24 @@ class TestRunEpisode:
         assert used == 0
         np.testing.assert_array_equal(learner.theta, theta_before)
 
+    @pytest.mark.parametrize("budget", [2.5, 3.0, True, -1])
+    def test_budget_must_be_a_nonnegative_integer(self, budget):
+        mrp, fm = make_random_walk(5, "middle")
+        config = td_config(0.5, 0.1)
+        learner, emph = new_run(mrp, fm, config)
+        with pytest.raises(ValueError, match="step_budget must be"):
+            run_episode(mrp, fm, config, emph, learner,
+                        np.random.default_rng(0), budget)
+        assert learner.step_count == 0
+
+    def test_numpy_budget_is_accepted(self):
+        mrp = chain2()
+        config = td_config(0.0, 1.0)
+        learner, emph = new_run(mrp, FM2, config)
+        _, _, used = run_episode(mrp, FM2, config, emph, learner,
+                                 np.random.default_rng(0), np.int64(1))
+        assert used == 1
+
     def test_deterministic_chain_hand_rolled(self):
         # two steps, r = 1, gamma 1, lam 0, alpha 1, tabular, theta0 = 0:
         # each state moves to its one-step return, so theta = (1, 1)

@@ -81,6 +81,12 @@ class TestTrajectory:
         traj = simulate_trajectory(mrp, np.random.default_rng(1), max_steps=2)
         assert traj.num_transitions <= 2
 
+    @pytest.mark.parametrize("max_steps", [2.5, 3.0, True, 0, -1])
+    def test_step_cap_must_be_a_positive_integer(self, max_steps):
+        mrp, _ = make_random_walk(5, "middle")
+        with pytest.raises(ValueError, match="max_steps must be"):
+            simulate_trajectory(mrp, np.random.default_rng(1), max_steps)
+
 
 class TestNStepReturn:
     def test_one_step_is_td_target(self):
@@ -107,6 +113,17 @@ class TestNStepReturn:
         b = n_step_return(traj, 0, 50, np.ones(3), FM3, 1.0)
         assert a == b == 3.0
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, 0, -1])
+    def test_horizon_must_be_a_positive_integer(self, n):
+        traj = make_traj([0, 1, 2, TERMINAL], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="n must be"):
+            n_step_return(traj, 0, n, np.zeros(3), FM3, 1.0)
+
+    def test_numpy_horizon_is_accepted(self):
+        traj = make_traj([0, 1, 2, TERMINAL], [1.0, 2.0, 3.0])
+        assert n_step_return(traj, 0, np.int64(3), np.zeros(3), FM3,
+                             0.5) == 2.75
+
     def test_truncated_out_of_range(self):
         traj = make_traj([0, 1, 2], [1.0, 2.0])
         with pytest.raises(IndexError):
@@ -128,6 +145,14 @@ class TestLambdaReturn:
         traj = make_traj([0, 1, 2, TERMINAL], [1.0, 2.0, 3.0])
         got = lambda_return(traj, 0, np.full(3, 9.0), FM3, 1.0, 1.0)
         assert got == pytest.approx(6.0, abs=1e-12)
+
+    @pytest.mark.parametrize("lam, gamma, message", [
+        (1.5, 0.9, r"lam must lie in \[0, 1\]"),
+        (0.5, -0.1, r"gamma must lie in \[0, 1\]")])
+    def test_lambda_and_gamma_are_checked(self, lam, gamma, message):
+        traj = make_traj([0, 1, 2, TERMINAL], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=message):
+            lambda_return(traj, 0, np.zeros(3), FM3, gamma, lam)
 
     def test_matches_unit_emphasis_form(self):
         rng = np.random.default_rng(3)
@@ -239,6 +264,20 @@ class TestDiscerningReturn:
         params = ReturnParams(0.5, 1.0, np.ones(5))
         with pytest.raises(ValueError):
             discerning_return_interp(traj, 0, params, np.zeros(3), FM3)
+
+    @pytest.mark.parametrize("lam, gamma, message", [
+        (True, 1.0, "lam must be a number, not True"),
+        (0.5, "1", "gamma must be a number, not '1'"),
+        (float("nan"), 1.0, r"lam must lie in \[0, 1\]"),
+        (0.5, 1.5, r"gamma must lie in \[0, 1\]")])
+    def test_params_check_lambda_and_gamma(self, lam, gamma, message):
+        with pytest.raises(ValueError, match=message):
+            ReturnParams(lam, gamma, np.ones(2))
+
+    def test_params_store_lambda_and_gamma_as_floats(self):
+        params = ReturnParams(np.float32(0.5), 1, np.ones(2))
+        assert type(params.lam) is float and params.lam == 0.5
+        assert type(params.gamma) is float and params.gamma == 1.0
 
     def test_params_reject_nonpositive_f(self):
         with pytest.raises(ValueError):
