@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pickle
 import re
@@ -446,6 +447,59 @@ class TestCellBatching:
                         emphasis_label(cell), 4 + run, int(step),
                         float(out.curves[run, j])))
         assert run_experiment(config) == expected
+
+
+def theta_digests(out):
+    """sha256 of the final weights and of the weight history."""
+    return [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+            for a in (out.final_theta, out.theta_history)]
+
+
+class TestThetaBytes:
+    """sha256 of the weights themselves, pinned when they were first
+    written: the curve goldens see θ only through the MSPBE, so a change to
+    the kernel's arithmetic that moves one bit of θ fails here."""
+
+    @pytest.mark.parametrize("adaptive, digests", [
+        (True,
+         ["ef40a58247d630f0f27e774e1127a6b3e6fcce48ed4359f78b53b80b38c4b8de",
+          "3f2d1058ab392d6d87bda568efb6222332b64ec69a00dd4d1e2d5e5f221c4eb1"]),
+        (False,
+         ["66dc4c1858a9a597c1a52d5267fe6a3b730bbd61d64e4a3a3fac03329e66d783",
+          "be58ac1626ea16cee54fa7cfede8df18a4ce2251ade78e0712dd43a79bdfd5d5"])])
+    def test_mixed_batch_across_chunks(self, monkeypatch, adaptive, digests):
+        # every learner under every emphasis kind, so the adaptive rows
+        # (DTD, PTD, TDW under abs_expected_td) are not one block, or every
+        # kind but the adaptive one; plus a TD(1) cell at alpha 8 that
+        # overflows near step 670; twelve chunks, the last partial
+        task, runs, steps = "BOYAN13", 2, 800
+        mrp, fm = resolve_task(task)
+        cells = [c for c in mixed_cells(mrp.n_states) if adaptive
+                 or c.emphasis.kind is not EmphasisKind.ABS_EXPECTED_TD_ERROR]
+        cells.append(AlgoConfig(Algorithm.TD, lam=1.0, alpha=8.0))
+        configs, seqs = batched(task, cells, runs)
+        monkeypatch.setattr(harness, "CHUNK_FLOOR", 8)
+        monkeypatch.setattr(harness, "DRAW_BUDGET", 70 * len(configs))
+        out = simulate_curves(mrp, fm, configs, seqs, steps, 100,
+                              record_theta=True)
+        assert not np.any(np.isfinite(out.final_theta[-runs:]))
+        assert theta_digests(out) == digests
+
+    @pytest.mark.parametrize("algo, emphasis, digests", [
+        (Algorithm.DTD, EmphasisSpec("count_inverse"),
+         ["5068eae44155947c478dd0229b8265ce2765758751609bb5d62542858b1d7e4b",
+          "79b63727a1752e4cd7d1d2dd395cf868e8890d9971eef5a6591f448e8b01438a"]),
+        (Algorithm.ETD, EmphasisSpec("constant"),
+         ["93aca085f1bd7246eae136c1f9497ffff7f091220cd7091fba531c84b72e14cf",
+          "777cca0c3a56bc9b822fd4c91e51da52fa5c2704ee4e1783dbe55e1afd85fe42"])])
+    def test_decaying_step_size(self, algo, emphasis, digests):
+        mrp, fm = resolve_task("RW5_LEFT")
+        config = AlgoConfig(algo, lam=0.9, alpha=DecayingAlpha(0.2, 50),
+                            emphasis=emphasis)
+        out = simulate_curves(mrp, fm, config,
+                              run_seed_sequences("RW5_LEFT", config, 3, 4),
+                              400, 100, record_theta=True)
+        assert theta_digests(out) == digests
 
 
 class TestRunExperiment:
