@@ -336,11 +336,15 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     codes (``mrp.transition_ranks``, ``mrp.start_states``), and one
     ``mrp.restart_path`` call gives every row's states before and after
     each step of the chunk.  What depends on the path alone is taken per
-    chunk too, as (chunk, rows) arrays: the rewards with their noise, and
-    the static and count-inverse emphasis at each visited state
-    (``emphasis.count_inverse_path``).  Each step does only what depends on
-    θ: the adaptive emphasis at the visited state, the kernel step, trace
-    resets and the MSPBE.  The adaptive rows' weights, visited states and
+    chunk too, as (chunk, rows) arrays: the rewards with their noise, the
+    static and count-inverse emphasis at each visited state
+    (``emphasis.count_inverse_path``), ETD's follow-on trace
+    (``TraceKernel.followon_path``) and, when no row's emphasis is
+    adaptive, every row's kernel coefficients (``TraceKernel.coefficients``).
+    Each step does only what depends on θ: the adaptive emphasis at the
+    visited state and, with it, that step's coefficients; the kernel's
+    in-place ``TraceKernel.advance`` of θ and the trace; trace resets and
+    the MSPBE.  The adaptive rows' weights, visited states and
     emphasis values are read through one slice when those rows form one
     block, as ``run_experiment``'s cell-major order makes them when the
     cells of the learners that read emphasis are listed together, and
@@ -444,7 +448,8 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
         for t in range(steps):
             c = t % chunk
             if c == 0:
-                rewards = weights = None  # free the last chunk's arrays first
+                # free the last chunk's arrays first
+                rewards = weights = followons = coeffs = None
                 width = min(chunk, steps - t)
                 codes = []
                 for gens, code in coders:
@@ -464,23 +469,29 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
                 if count_rows.size:
                     weights[:, count_rows] = count_inverse_path(
                         counts, states[:, count_rows], eps[count_rows])
+                followons, followon = kernel.followon_path(followon, exits)
+                if not has_adaptive:
+                    coeffs = [np.broadcast_to(a, weights.shape) for a in
+                              kernel.coefficients(weights, followons)]
+                    weights = None
             s, nxt = states[c], nexts[c]
 
             if has_adaptive:
                 weights[c, adaptive_rows] = abs_expected_td_rows(
                     mrp, feature_map, theta[adaptive_rows], adaptive_eps,
                     s[adaptive_rows])
-            theta, trace, followon = kernel.step(
-                theta, trace, followon, phi.take(s, axis=0),
-                phi_pad.take(nxt, axis=0), rewards[c], weights[c], alphas[t])
+                step_coeffs = kernel.coefficients(weights[c], followons[c])
+            else:
+                step_coeffs = [a[c] for a in coeffs]
+            kernel.advance(theta, trace, phi.take(s, axis=0),
+                           phi_pad.take(nxt, axis=0), rewards[c], alphas[t],
+                           step_coeffs)
 
             if record_theta:
                 theta_hist[t] = theta
 
             if exit_steps[c]:
-                term = exits[c]
-                trace[term] = 0.0
-                followon[term] = 0.0
+                trace[exits[c]] = 0.0
 
             if eval_idx < len(eval_steps) and t + 1 == eval_steps[eval_idx]:
                 vals = mspbe_rows(theta, mrp, phi, d, proj_t)

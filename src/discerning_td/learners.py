@@ -130,10 +130,20 @@ class TraceKernel:
 
     where gl = gamma*lam, w is the row's emphasis at the visited state and
     M = lam + (1-lam)*F is the follow-on emphasis, F <- gamma*F + 1.  TD and
-    ETD rows ignore w; ``weighted`` marks the rows that read it.  The
-    products keep the grouping ``(alpha*delta)*w`` and ``gl*(1-w)``, and
-    each row's coefficients are selected, never blended by 0/1 masks, so a
-    diverged row's NaN stays in its row.
+    ETD rows ignore w; ``weighted`` marks the rows that read it.
+
+    The coefficients depend on w and F only, not on theta.  So
+    ``harness.simulate_curves`` takes F for a whole chunk of steps from the
+    sampled path (:meth:`followon_path`) and, unless some row's emphasis
+    reads theta, every coefficient of the chunk in one
+    :meth:`coefficients` call; per step it calls :meth:`advance`, which
+    does the theta-dependent rest (delta, then the trace and theta in
+    place).  :meth:`step` is the same for one step, on copies.  The
+    products keep the grouping ``(alpha*delta)*c_out`` and ``gl*(1-w)``;
+    each row's coefficients are selected, never blended by 0/1 masks, and
+    a coefficient of 1 multiplies exactly, so a diverged row's NaN stays in
+    its row and every bit is the same whether a coefficient was taken per
+    chunk or per step.
     """
 
     def __init__(self, configs, gamma: float):
@@ -146,34 +156,68 @@ class TraceKernel:
         self.weighted = np.array(takes, dtype=bool)
         self._unweighted = _rows_of(takes, False)
         self._ones = np.ones(len(configs))
-        self._glam_col = self.glam[:, None]
         self._dtd = _rows_of(algos, Algorithm.DTD)
         self._etd = _rows_of(algos, Algorithm.ETD)
         self._ptd = _rows_of(algos, Algorithm.PTD)
 
-    def step(self, theta, trace, followon, phi_s, phi_n, reward, w, alpha):
-        """Advance every row by one transition and return the new
-        ``(theta, trace, followon)``.  ``theta``, ``trace``, ``phi_s`` and
-        ``phi_n`` (zero at the terminal sink) are (B, k); the others are
-        (B,) or scalars."""
-        delta = reward + self.gamma * np.einsum("bk,bk->b", phi_n, theta) \
-            - np.einsum("bk,bk->b", phi_s, theta)
+    def _next_followon(self, followon):
+        return self.gamma * followon + 1.0
+
+    def followon_path(self, followon, exits):
+        """The follow-on trace of every row at each step of a path, (steps,
+        B), and the one carried past its end: ``F <- gamma*F + 1`` before
+        each step and 0 after a step that leaves the episode (``exits``,
+        (steps, B)).  Without ETD rows, which alone read it, F stays as it
+        was."""
+        if self._etd is None:
+            return np.broadcast_to(followon, exits.shape), followon
+        path = np.empty(exits.shape)
+        for c, ended in enumerate(exits):
+            path[c] = self._next_followon(followon)
+            followon = np.where(ended, 0.0, path[c])
+        return path, followon
+
+    def coefficients(self, w, followon):
+        """``(c_in, c_decay, c_out)`` for emphasis ``w`` and the stepped
+        follow-on trace ``followon`` (unused without ETD rows), each (B,)
+        or, for several steps at once, broadcasting against ``w``'s
+        (steps, B)."""
         if self._unweighted is not None:
             w = _select(self._unweighted, self._ones, w)
         c_in = w
         if self._etd is not None:
-            followon = self.gamma * followon + 1.0
             c_in = _select(self._etd,
                            self.lam + self._one_minus_lam * followon, w)
-        c_decay = self._glam_col
+        c_decay = self.glam
         if self._ptd is not None:
-            c_decay = _select(self._ptd, self.glam * (1.0 - w),
-                              self.glam)[:, None]
-        step = alpha * delta
+            c_decay = _select(self._ptd, self.glam * (1.0 - w), self.glam)
+        c_out = self._ones
         if self._dtd is not None:
-            step = _select(self._dtd, step * w, step)
-        trace = c_decay * trace + c_in[:, None] * phi_s
-        theta = theta + step[:, None] * trace
+            c_out = _select(self._dtd, w, 1.0)
+        return c_in, c_decay, c_out
+
+    def advance(self, theta, trace, phi_s, phi_n, reward, alpha, coefficients):
+        """Step ``theta`` and ``trace`` (both (B, k)) in place by one
+        transition with one step's ``coefficients``.  ``phi_s`` and
+        ``phi_n`` (zero at the terminal sink) are (B, k); ``reward`` and
+        ``alpha`` are (B,) or scalars."""
+        c_in, c_decay, c_out = coefficients
+        delta = reward + self.gamma * np.einsum("bk,bk->b", phi_n, theta) \
+            - np.einsum("bk,bk->b", phi_s, theta)
+        trace *= c_decay[:, None]
+        trace += c_in[:, None] * phi_s
+        theta += (alpha * delta * c_out)[:, None] * trace
+
+    def step(self, theta, trace, followon, phi_s, phi_n, reward, w, alpha):
+        """Advance every row by one transition and return the new
+        ``(theta, trace, followon)``; the inputs are left as they were.
+        ``theta``, ``trace``, ``phi_s`` and ``phi_n`` (zero at the terminal
+        sink) are (B, k); the others are (B,) or scalars."""
+        if self._etd is not None:
+            followon = self._next_followon(followon)
+        theta, trace = theta.copy(), trace.copy()
+        self.advance(theta, trace, phi_s, phi_n, reward, alpha,
+                     self.coefficients(w, followon))
         return theta, trace, followon
 
 

@@ -100,6 +100,25 @@ class TestConfig:
         assert (config.lam, config.alpha) == (lam, alpha)
 
 
+class TestKernel:
+    def test_step_leaves_its_inputs_alone(self):
+        # every learner in one batch; step returns new arrays and advances
+        # nothing it was given
+        kernel = TraceKernel([AlgoConfig(a, 0.7, 0.1) for a in Algorithm],
+                             0.9)
+        rng = np.random.default_rng(20)
+        inputs = [rng.random((5, 3)), rng.random((5, 3)), rng.random(5),
+                  rng.random((5, 3)), rng.random((5, 3)), rng.random(5),
+                  rng.random(5), rng.random(5)]
+        before = [a.copy() for a in inputs]
+        theta, trace, followon = kernel.step(*inputs)
+        for a, b in zip(inputs, before):
+            np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(theta, before[0])
+        assert not np.array_equal(trace, before[1])
+        assert not np.array_equal(followon, before[2])
+
+
 class TestTdStep:
     def test_three_step_hand_roll(self):
         # chain s0 -> s1 -> terminal, gamma 1, lam 0.5, alpha 0.1, r = 1
@@ -425,6 +444,20 @@ class TestRunEpisode:
                                  np.random.default_rng(3), 10_000)
         assert used >= 1
         assert np.any(learner.theta != 0.0)
+
+    @pytest.mark.parametrize("algo", list(Algorithm))
+    def test_caller_weights_are_left_alone(self, algo):
+        # the kernel steps its weights in place, from a one-row view of
+        # learner.theta; the array the caller held keeps its values
+        mrp, fm = make_random_walk(5, "middle")
+        config = AlgoConfig(algo, 0.5, 0.1,
+                            emphasis=EmphasisSpec("count_inverse"))
+        learner, emph = new_run(mrp, fm, config)
+        held = learner.theta = np.full(fm.n_features, 0.3)
+        run_episode(mrp, fm, config, emph, learner,
+                    np.random.default_rng(19), 100)
+        np.testing.assert_array_equal(held, np.full(fm.n_features, 0.3))
+        assert not np.array_equal(learner.theta, held)
 
     def test_adaptive_emphasis_refreshes(self):
         mrp, fm = make_random_walk(5, "middle")
