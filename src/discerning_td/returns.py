@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mrp import TERMINAL, FeatureMap, MarkovRewardProcess, checked_int, \
-    checked_unit, sample_transition, start_states
+    checked_real, checked_unit, sample_transition, start_states
 
 __all__ = [
     "Trajectory", "ReturnParams", "simulate_trajectory", "n_step_return",
@@ -113,9 +113,13 @@ def _check_f(params: ReturnParams, traj: Trajectory) -> np.ndarray:
     return f
 
 
-def _check_t(traj: Trajectory, t: int) -> None:
+def _check_t(traj: Trajectory, t: int) -> int:
+    """``t`` as an int: ValueError unless it is an integer (a bool is
+    none), IndexError unless it is a position of ``traj``."""
+    t = checked_int("t", t)
     if not 0 <= t < traj.num_transitions:
         raise IndexError(f"t={t} outside trajectory")
+    return t
 
 
 def _value(feature_map: FeatureMap, theta: np.ndarray, state: int) -> float:
@@ -126,10 +130,9 @@ def _value(feature_map: FeatureMap, theta: np.ndarray, state: int) -> float:
 
 def _n_step_returns(traj: Trajectory, t: int, n: int, theta,
                     feature_map: FeatureMap, gamma: float) -> list:
-    """The returns g_1 ... g_N from position ``t``, N being ``n`` capped at
-    the transitions left: g_k is the discounted sum of the next k rewards
-    plus the discounted value of the state reached."""
-    _check_t(traj, t)
+    """The returns g_1 ... g_N from position ``t`` (checked by the caller),
+    N being ``n`` capped at the transitions left: g_k is the discounted sum
+    of the next k rewards plus the discounted value of the state reached."""
     returns = []
     reward_part = 0.0
     disc = 1.0
@@ -157,6 +160,7 @@ def n_step_return(traj: Trajectory, t: int, n: int, theta, feature_map: FeatureM
     estimated value of the state reached (zero at or beyond TERMINAL);
     ``n`` is an integer of at least 1."""
     n = checked_int("n", n, least=1)
+    t = _check_t(traj, t)
     returns = _n_step_returns(traj, t, n, theta, feature_map, gamma)
     if len(returns) < n and not traj.ends_terminal:
         raise IndexError("n-step horizon exceeds the truncated trajectory")
@@ -183,6 +187,7 @@ def identity_check(f_seq, lam: float) -> float:
     f = np.asarray(f_seq, dtype=np.float64)
     if f.ndim != 1 or f.size == 0 or np.any(f <= 0.0) or np.any(~np.isfinite(f)):
         raise ValueError("f_seq must be a nonempty positive vector")
+    lam = checked_real("lam", lam)
     if not 0.0 <= lam < 1.0:
         raise ValueError("lam must lie in [0, 1)")
     total = 0.0
@@ -203,6 +208,7 @@ def discerning_return_interp(traj: Trajectory, t: int, params: ReturnParams,
     onto the final (full-horizon) return.
     """
     f = _check_f(params, traj)
+    t = _check_t(traj, t)
     *returns, g_last = _n_step_returns(traj, t, traj.num_transitions, theta,
                                        feature_map, params.gamma)
     lam = params.lam
@@ -219,7 +225,7 @@ def discerning_return_tdsum(traj: Trajectory, t: int, params: ReturnParams,
     """Same target written as the start value plus the discounted sum of
     emphasis-weighted one-step errors (weights frozen at ``theta``)."""
     f = _check_f(params, traj)
-    _check_t(traj, t)
+    t = _check_t(traj, t)
     lam, gamma = params.lam, params.gamma
     deltas = td_errors(traj, theta, feature_map, gamma)
     total = 0.0

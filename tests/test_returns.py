@@ -130,6 +130,39 @@ class TestNStepReturn:
             n_step_return(traj, 0, 3, np.zeros(3), FM3, 1.0)
 
 
+def position_forms():
+    """Each target that takes a position ``t``, as a function of it, on a
+    three-step terminal trajectory."""
+    traj = make_traj([0, 1, 2, TERMINAL], [1.0, 2.0, 3.0])
+    params = ReturnParams(0.5, 0.9, np.ones(3))
+    theta = np.arange(3.0)
+    return [
+        lambda t: lambda_return(traj, t, theta, FM3, 0.9, 0.5),
+        lambda t: discerning_return_interp(traj, t, params, theta, FM3),
+        lambda t: discerning_return_tdsum(traj, t, params, theta, FM3),
+        lambda t: n_step_return(traj, t, 2, theta, FM3, 0.9)]
+
+
+class TestPosition:
+    @pytest.mark.parametrize("form", range(4))
+    @pytest.mark.parametrize("t", [True, 1.0, 1.5, "1"])
+    def test_position_must_be_an_integer(self, form, t):
+        with pytest.raises(ValueError,
+                           match=f"t must be an integer, not {t!r}"):
+            position_forms()[form](t)
+
+    @pytest.mark.parametrize("form", range(4))
+    def test_numpy_position_is_accepted(self, form):
+        target = position_forms()[form]
+        assert target(np.int64(1)) == target(1)
+
+    @pytest.mark.parametrize("form", range(4))
+    @pytest.mark.parametrize("t", [-1, 3])
+    def test_position_must_lie_in_the_trajectory(self, form, t):
+        with pytest.raises(IndexError, match=f"t={t} outside trajectory"):
+            position_forms()[form](t)
+
+
 class TestLambdaReturn:
     def test_lambda_zero_is_one_step(self):
         rng = np.random.default_rng(2)
@@ -196,6 +229,12 @@ class TestIdentity:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             identity_check(np.array([1.0, 0.0]), 0.5)
+
+    @pytest.mark.parametrize("lam", ["0.5", None, False])
+    def test_lambda_must_be_a_number(self, lam):
+        with pytest.raises(ValueError,
+                           match=f"lam must be a number, not {lam!r}"):
+            identity_check(np.ones(3), lam)
 
 
 class TestDiscerningReturn:
