@@ -466,16 +466,23 @@ class TestThetaBytes:
           "3f2d1058ab392d6d87bda568efb6222332b64ec69a00dd4d1e2d5e5f221c4eb1"]),
         (False,
          ["66dc4c1858a9a597c1a52d5267fe6a3b730bbd61d64e4a3a3fac03329e66d783",
-          "be58ac1626ea16cee54fa7cfede8df18a4ce2251ade78e0712dd43a79bdfd5d5"])])
+          "be58ac1626ea16cee54fa7cfede8df18a4ce2251ade78e0712dd43a79bdfd5d5"]),
+        ("block",
+         ["931870b529cad6b30492368d6e4646ce5196568c235eb1c51aafabb2dc29a434",
+          "d13b79478d1d14d17bc74d3db945663d5bb6e6c2f30b4235117c69abdd2f31ad"])])
     def test_mixed_batch_across_chunks(self, monkeypatch, adaptive, digests):
         # every learner under every emphasis kind, so the adaptive rows
-        # (DTD, PTD, TDW under abs_expected_td) are not one block, or every
-        # kind but the adaptive one; plus a TD(1) cell at alpha 8 that
-        # overflows near step 670; twelve chunks, the last partial
+        # (DTD, PTD, TDW under abs_expected_td) are not one block, or are
+        # listed last as one ("block"), or every kind but the adaptive one;
+        # plus a TD(1) cell at alpha 8 that overflows near step 670; twelve
+        # chunks, the last partial
         task, runs, steps = "BOYAN13", 2, 800
         mrp, fm = resolve_task(task)
         cells = [c for c in mixed_cells(mrp.n_states) if adaptive
                  or c.emphasis.kind is not EmphasisKind.ABS_EXPECTED_TD_ERROR]
+        if adaptive == "block":
+            cells.sort(key=lambda c: c.algorithm.takes_emphasis and c.emphasis
+                       .kind is EmphasisKind.ABS_EXPECTED_TD_ERROR)
         cells.append(AlgoConfig(Algorithm.TD, lam=1.0, alpha=8.0))
         configs, seqs = batched(task, cells, runs)
         monkeypatch.setattr(harness, "CHUNK_FLOOR", 8)
@@ -491,7 +498,10 @@ class TestThetaBytes:
           "79b63727a1752e4cd7d1d2dd395cf868e8890d9971eef5a6591f448e8b01438a"]),
         (Algorithm.ETD, EmphasisSpec("constant"),
          ["93aca085f1bd7246eae136c1f9497ffff7f091220cd7091fba531c84b72e14cf",
-          "777cca0c3a56bc9b822fd4c91e51da52fa5c2704ee4e1783dbe55e1afd85fe42"])])
+          "777cca0c3a56bc9b822fd4c91e51da52fa5c2704ee4e1783dbe55e1afd85fe42"]),
+        (Algorithm.PTD, EmphasisSpec("abs_expected_td"),
+         ["0e363bb9252e91486100ca458627eb034319d86829f080fb122643eadfff3478",
+          "0fbd7a6770d351d3ace3fcd9b46911d6d1e726811154648b3b74cb6a66517ea4"])])
     def test_decaying_step_size(self, algo, emphasis, digests):
         mrp, fm = resolve_task("RW5_LEFT")
         config = AlgoConfig(algo, lam=0.9, alpha=DecayingAlpha(0.2, 50),

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -16,6 +17,7 @@ from discerning_td import (
     make_random_walk,
     TraceKernel,
     new_run,
+    resolve_task,
     run_episode,
 )
 from discerning_td.cli import main as cli_main
@@ -467,6 +469,39 @@ class TestRunEpisode:
         run_episode(mrp, fm, config, emph, learner,
                     np.random.default_rng(18), 10_000)
         assert not np.array_equal(emph.values, np.ones(5))
+
+
+class TestEpisodeBytes:
+    """sha256 of what 30 episodes leave in the learner and the emphasis
+    state, pinned when first written, so a change to how ``run_episode``
+    drives the kernel that moves one bit fails here."""
+
+    EMPHASES = [EmphasisSpec("constant", constant=0.7),
+                EmphasisSpec("count_inverse"), EmphasisSpec("noise_prior"),
+                EmphasisSpec("abs_expected_td")]
+
+    @pytest.mark.parametrize("task, digest", [
+        ("BOYAN13",
+         "98879bfd2e6ad884e3843c180052b63797f8c8006de7f29a8d384d3b3083c1ba"),
+        ("RW5_LEFT",
+         "eb2b95b9a531019a17809c315ebd9767615ba2103c398023d20a8d068920d63f"),
+        ("NOISY10:1",
+         "4152d2d191283708079a308e7c72d3c964c36034b90ec626e8b6ec2be10fa303")])
+    def test_every_learner_emphasis_and_step_size(self, task, digest):
+        mrp, fm = resolve_task(task)
+        sha = hashlib.sha256()
+        for algo in Algorithm:
+            for emphasis in self.EMPHASES:
+                for alpha in (0.05, DecayingAlpha(0.2, 50)):
+                    config = AlgoConfig(algo, 0.8, alpha, emphasis=emphasis)
+                    learner, emph = new_run(mrp, fm, config)
+                    rng = np.random.default_rng(21)
+                    for _ in range(30):
+                        run_episode(mrp, fm, config, emph, learner, rng, 200)
+                    for a in (learner.theta, learner.trace,
+                              [learner.followon], emph.values):
+                        sha.update(np.asarray(a, dtype=np.float64).tobytes())
+        assert sha.hexdigest() == digest
 
 
 class TestEmphasisScaling:
