@@ -339,17 +339,17 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     chunk too, as (chunk, rows) arrays: the rewards with their noise, the
     static and count-inverse emphasis at each visited state
     (``emphasis.count_inverse_path``), ETD's follow-on trace
-    (``TraceKernel.followon_path``) and, when no row's emphasis is
-    adaptive, every row's kernel coefficients (``TraceKernel.coefficients``).
-    Each step does only what depends on θ: the adaptive emphasis at the
-    visited state and, with it, that step's coefficients; the kernel's
-    in-place ``TraceKernel.advance`` of θ and the trace; trace resets and
-    the MSPBE.  The adaptive rows' weights, visited states and
-    emphasis values are read through one slice when those rows form one
-    block, as ``run_experiment``'s cell-major order makes them when the
-    cells of the learners that read emphasis are listed together, and
-    through their index array otherwise; both read the same values, so the
-    output is the same.  ``steps`` and ``eval_every`` are nonnegative
+    (``TraceKernel.followon_path``) and every row's kernel coefficients
+    (``TraceKernel.coefficients``).  Each step does only what depends on θ:
+    the adaptive rows' emphasis at the visited state and, from a second
+    kernel over those rows alone, their coefficients for that step, written
+    over the chunk's; the kernel's in-place ``TraceKernel.advance`` of θ and
+    the trace; trace resets and the MSPBE.  The adaptive rows' weights,
+    visited states and coefficients are read and written through one slice
+    when those rows form one block, as ``run_experiment``'s cell-major order
+    makes them when the cells of the learners that read emphasis are listed
+    together, and through their index array otherwise; both touch the same
+    values, so the output is the same.  ``steps`` and ``eval_every`` are nonnegative
     integers (a bool is none); ``eval_every`` 0 records no curve.  A row's
     weights and curve are the same in any batch, except in a one-row call
     on chains of ten or more states, which numpy multiplies by its
@@ -422,6 +422,8 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     count_rows = np.flatnonzero(counted)
     adaptive_rows = np.flatnonzero(adaptive)
     has_adaptive = adaptive_rows.size > 0
+    adaptive_kernel = TraceKernel([configs[i] for i in adaptive_rows],
+                                  mrp.discount)
     if has_adaptive and adaptive_rows[-1] - adaptive_rows[0] \
             == adaptive_rows.size - 1:  # one block: read it through views
         adaptive_rows = slice(adaptive_rows[0], adaptive_rows[-1] + 1)
@@ -449,7 +451,7 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
             c = t % chunk
             if c == 0:
                 # free the last chunk's arrays first
-                rewards = weights = followons = coeffs = None
+                rewards = followons = coeffs = None
                 width = min(chunk, steps - t)
                 codes = []
                 for gens, code in coders:
@@ -470,22 +472,24 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
                     weights[:, count_rows] = count_inverse_path(
                         counts, states[:, count_rows], eps[count_rows])
                 followons, followon = kernel.followon_path(followon, exits)
-                if not has_adaptive:
-                    coeffs = [np.broadcast_to(a, weights.shape) for a in
-                              kernel.coefficients(weights, followons)]
-                    weights = None
+                # writable copies: the adaptive rows' entries are taken
+                # per step, and a coefficient may be the kernel's own
+                # array, the weights or another coefficient
+                coeffs = [np.array(np.broadcast_to(a, weights.shape)) for a
+                          in kernel.coefficients(weights, followons)]
+                weights = None
             s, nxt = states[c], nexts[c]
 
             if has_adaptive:
-                weights[c, adaptive_rows] = abs_expected_td_rows(
-                    mrp, feature_map, theta[adaptive_rows], adaptive_eps,
-                    s[adaptive_rows])
-                step_coeffs = kernel.coefficients(weights[c], followons[c])
-            else:
-                step_coeffs = [a[c] for a in coeffs]
+                w = abs_expected_td_rows(mrp, feature_map,
+                                         theta[adaptive_rows], adaptive_eps,
+                                         s[adaptive_rows])
+                for a, step_a in zip(coeffs, adaptive_kernel.coefficients(
+                        w, followons[c, adaptive_rows])):
+                    a[c, adaptive_rows] = step_a
             kernel.advance(theta, trace, phi.take(s, axis=0),
                            phi_pad.take(nxt, axis=0), rewards[c], alphas[t],
-                           step_coeffs)
+                           [a[c] for a in coeffs])
 
             if record_theta:
                 theta_hist[t] = theta

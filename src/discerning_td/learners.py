@@ -132,18 +132,18 @@ class TraceKernel:
     M = lam + (1-lam)*F is the follow-on emphasis, F <- gamma*F + 1.  TD and
     ETD rows ignore w; ``weighted`` marks the rows that read it.
 
-    The coefficients depend on w and F only, not on theta.  So
-    ``harness.simulate_curves`` takes F for a whole chunk of steps from the
-    sampled path (:meth:`followon_path`) and, unless some row's emphasis
-    reads theta, every coefficient of the chunk in one
-    :meth:`coefficients` call; per step it calls :meth:`advance`, which
+    The coefficients depend on w and F only, not on theta.  So a driver
+    takes F along a sampled path (:meth:`followon_path`) and the
+    coefficients (:meth:`coefficients`) for the whole path, or per step for
+    rows whose w it refreshes, and per step calls :meth:`advance`, which
     does the theta-dependent rest (delta, then the trace and theta in
-    place).  :meth:`step` is the same for one step, on copies.  The
-    products keep the grouping ``(alpha*delta)*c_out`` and ``gl*(1-w)``;
-    each row's coefficients are selected, never blended by 0/1 masks, and
-    a coefficient of 1 multiplies exactly, so a diverged row's NaN stays in
-    its row and every bit is the same whether a coefficient was taken per
-    chunk or per step.
+    place).  The products keep the grouping
+    ``(alpha*delta)*c_out`` and ``gl*(1-w)``; each row's coefficients are
+    selected, never blended by 0/1 masks, and a coefficient of 1 multiplies
+    exactly, so a diverged row's NaN stays in its row, a kernel over a
+    subset of the rows gives those rows' coefficients bit for bit, and
+    every bit is the same whether a coefficient was taken per path or per
+    step.
     """
 
     def __init__(self, configs, gamma: float):
@@ -160,9 +160,6 @@ class TraceKernel:
         self._etd = _rows_of(algos, Algorithm.ETD)
         self._ptd = _rows_of(algos, Algorithm.PTD)
 
-    def _next_followon(self, followon):
-        return self.gamma * followon + 1.0
-
     def followon_path(self, followon, exits):
         """The follow-on trace of every row at each step of a path, (steps,
         B), and the one carried past its end: ``F <- gamma*F + 1`` before
@@ -173,7 +170,7 @@ class TraceKernel:
             return np.broadcast_to(followon, exits.shape), followon
         path = np.empty(exits.shape)
         for c, ended in enumerate(exits):
-            path[c] = self._next_followon(followon)
+            path[c] = self.gamma * followon + 1.0
             followon = np.where(ended, 0.0, path[c])
         return path, followon
 
@@ -208,17 +205,6 @@ class TraceKernel:
         trace += c_in[:, None] * phi_s
         theta += (alpha * delta * c_out)[:, None] * trace
 
-    def step(self, theta, trace, followon, phi_s, phi_n, reward, w, alpha):
-        """Advance every row by one transition and return the new
-        ``(theta, trace, followon)``; the inputs are left as they were.
-        ``theta``, ``trace``, ``phi_s`` and ``phi_n`` (zero at the terminal
-        sink) are (B, k); the others are (B,) or scalars."""
-        if self._etd is not None:
-            followon = self._next_followon(followon)
-        theta, trace = theta.copy(), trace.copy()
-        self.advance(theta, trace, phi_s, phi_n, reward, alpha,
-                     self.coefficients(w, followon))
-        return theta, trace, followon
 
 
 def run_episode(mrp: MarkovRewardProcess, feature_map: FeatureMap,
@@ -238,21 +224,23 @@ def run_episode(mrp: MarkovRewardProcess, feature_map: FeatureMap,
         return learner, emphasis_state, 0
     traj = simulate_trajectory(mrp, rng, step_budget)
     kernel = TraceKernel([config], mrp.discount)
-    theta = learner.theta[None, :]
-    trace, followon = np.zeros_like(theta), np.zeros(1)  # both start at zero
+    theta = learner.theta[None, :].copy()
+    trace = np.zeros_like(theta)  # the trace and F start at zero
+    followons, followon = kernel.followon_path(
+        np.zeros(1), np.zeros((traj.num_transitions, 1), bool))
     states = traj.states.tolist()
-    for state, next_state, reward in zip(states, states[1:],
-                                         traj.rewards.tolist()):
+    for state, next_state, reward, stepped in zip(
+            states, states[1:], traj.rewards.tolist(), followons):
         if emphasis_state.kind is EmphasisKind.COUNT_INVERSE:
             update_counts(state, emphasis_state)
         elif emphasis_state.kind is EmphasisKind.ABS_EXPECTED_TD_ERROR:
             emphasis_state.values = emphasis_abs_expected_td(
                 mrp, feature_map, theta[0], emphasis_state.epsilon_floor)
-        theta, trace, followon = kernel.step(
-            theta, trace, followon, feature_map.phi[state][None, :],
-            feature_map.feature(next_state)[None, :], reward,
-            emphasis_state.values[state:state + 1],
-            config.alpha_at(learner.step_count))
+        kernel.advance(theta, trace, feature_map.phi[state][None, :],
+                       feature_map.feature(next_state)[None, :], reward,
+                       config.alpha_at(learner.step_count),
+                       kernel.coefficients(
+                           emphasis_state.values[state:state + 1], stepped))
         learner.step_count += 1
     learner.theta, learner.trace = theta[0], trace[0]
     learner.followon = float(followon[0])

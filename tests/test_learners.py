@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from discerning_td import (
     TERMINAL,
@@ -29,12 +31,16 @@ FM3 = make_feature_map("tabular", 3)
 def kernel_step(state, reward, next_state, w, learner, config, mrp,
                 feature_map):
     """One TraceKernel step of a single learner, with emphasis ``w`` at
-    ``state``."""
-    theta, trace, followon = TraceKernel([config], mrp.discount).step(
-        learner.theta[None, :], learner.trace[None, :],
-        np.array([learner.followon]), feature_map.phi[state][None, :],
-        feature_map.feature(next_state)[None, :], reward, np.array([w]),
-        config.alpha_at(learner.step_count))
+    ``state``: the follow-on stepped along a one-step path that does not
+    exit, that step's coefficients, then ``advance``."""
+    kernel = TraceKernel([config], mrp.discount)
+    (stepped,), followon = kernel.followon_path(
+        np.array([learner.followon]), np.zeros((1, 1), bool))
+    theta, trace = learner.theta[None, :].copy(), learner.trace[None, :].copy()
+    kernel.advance(theta, trace, feature_map.phi[state][None, :],
+                   feature_map.feature(next_state)[None, :], reward,
+                   config.alpha_at(learner.step_count),
+                   kernel.coefficients(np.array([w]), stepped))
     learner.theta, learner.trace = theta[0], trace[0]
     learner.followon = float(followon[0])
     learner.step_count += 1
@@ -103,22 +109,32 @@ class TestConfig:
 
 
 class TestKernel:
-    def test_step_leaves_its_inputs_alone(self):
-        # every learner in one batch; step returns new arrays and advances
-        # nothing it was given
-        kernel = TraceKernel([AlgoConfig(a, 0.7, 0.1) for a in Algorithm],
-                             0.9)
-        rng = np.random.default_rng(20)
-        inputs = [rng.random((5, 3)), rng.random((5, 3)), rng.random(5),
-                  rng.random((5, 3)), rng.random((5, 3)), rng.random(5),
-                  rng.random(5), rng.random(5)]
-        before = [a.copy() for a in inputs]
-        theta, trace, followon = kernel.step(*inputs)
-        for a, b in zip(inputs, before):
-            np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(theta, before[0])
-        assert not np.array_equal(trace, before[1])
-        assert not np.array_equal(followon, before[2])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_a_subset_kernel_gives_those_rows_coefficients(self, data):
+        # each row's coefficients are selected, never blended with another
+        # row's, so a kernel over any subset of the rows gives the full
+        # kernel's coefficients on those rows, bit for bit, for one step
+        # or several
+        unit = st.floats(0.0, 1.0)
+        n = data.draw(st.integers(1, 8))
+        configs = [AlgoConfig(data.draw(st.sampled_from(list(Algorithm))),
+                              data.draw(unit), 0.1) for _ in range(n)]
+        gamma = data.draw(unit)
+        shape = data.draw(st.sampled_from([(), (3,)])) + (n,)
+        w = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(
+            0.0, 10.0)))
+        followon = data.draw(hnp.arrays(np.float64, shape,
+                                        elements=st.floats(0.0, 100.0)))
+        rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                  unique=True))
+        full = TraceKernel(configs, gamma).coefficients(w, followon)
+        subset = TraceKernel([configs[i] for i in rows], gamma).coefficients(
+            w[..., rows], followon[..., rows])
+        for a, b in zip(full, subset):
+            a = np.ascontiguousarray(np.broadcast_to(a, shape)[..., rows])
+            b = np.ascontiguousarray(np.broadcast_to(b, a.shape))
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestTdStep:
