@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mrp import ConvergenceError, FeatureMap, MarkovRewardProcess, \
-    checked_unit
+    checked_int, checked_unit
 
 
 @dataclass(frozen=True)
@@ -372,7 +372,9 @@ def per_equivalence(dataset, f_values) -> PerEquivalenceResult:
     if not rows:
         raise ValueError("dataset must be nonempty")
     f = np.asarray(f_values, dtype=np.float64)
-    states = np.array([int(s) for s, _, _ in rows])
+    if f.ndim != 1:
+        raise ValueError("f_values must be a vector")
+    states = np.array([checked_int("dataset state", s) for s, _, _ in rows])
     if np.any(states < 0) or np.any(states >= len(f)):
         raise ValueError("dataset state outside the emphasis vector")
     if np.any(f[states] <= 0.0):

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mrp import FeatureMap, MarkovRewardProcess, checked_real
+from .mrp import FeatureMap, MarkovRewardProcess, checked_int, \
+    checked_real
 
 DEFAULT_EPSILON_FLOOR = 1e-3
 PATH_BUDGET = 1 << 20  # running counts held at once by count_inverse_path
@@ -27,6 +28,21 @@ class EmphasisKind(str, enum.Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+def checked_floor(epsilon_floor):
+    """The emphasis floor rule: ``epsilon_floor`` as a float; ValueError
+    unless it is a real number (a bool is none) in (0, 1).  A numpy array
+    holds one floor per row; each entry is checked so, and the floors are
+    returned as a float array."""
+    if isinstance(epsilon_floor, np.ndarray) and epsilon_floor.ndim:
+        for entry in epsilon_floor.ravel().tolist():
+            checked_floor(entry)
+        return epsilon_floor.astype(np.float64)
+    floor = checked_real("'epsilon_floor'", epsilon_floor)
+    if not 0.0 < floor < 1.0:
+        raise ValueError("epsilon_floor must lie in (0, 1)")
+    return floor
 
 
 @dataclass(frozen=True)
@@ -46,8 +62,7 @@ class EmphasisSpec:
         for name in ("constant", "epsilon_floor"):
             object.__setattr__(self, name,
                                checked_real(repr(name), getattr(self, name)))
-        if not 0.0 < self.epsilon_floor < 1.0:
-            raise ValueError("epsilon_floor must lie in (0, 1)")
+        checked_floor(self.epsilon_floor)
         if kind is EmphasisKind.CONSTANT and not 0 < self.constant < np.inf:
             raise ValueError("constant emphasis must be positive and finite")
         if kind is EmphasisKind.TABLE:
@@ -140,7 +155,7 @@ def emphasis_from_counts(counts, epsilon_floor: float = DEFAULT_EPSILON_FLOOR):
         raise ValueError("counts must be nonnegative")
     imputed = np.where(counts > 0.0, counts, 1.0)
     share = imputed / imputed.sum(axis=-1, keepdims=True)
-    return _scale_sqrt_floor(1.0 / share, epsilon_floor)
+    return _scale_sqrt_floor(1.0 / share, checked_floor(epsilon_floor))
 
 
 def emphasis_from_noise(sigma, epsilon_floor: float = DEFAULT_EPSILON_FLOOR):
@@ -149,7 +164,7 @@ def emphasis_from_noise(sigma, epsilon_floor: float = DEFAULT_EPSILON_FLOOR):
     sigma = np.asarray(sigma, dtype=np.float64)
     if np.any(sigma < 0.0):
         raise ValueError("noise levels must be nonnegative")
-    return _scale_sqrt_floor(np.exp(-sigma), epsilon_floor)
+    return _scale_sqrt_floor(np.exp(-sigma), checked_floor(epsilon_floor))
 
 
 def abs_expected_td_rows(mrp: MarkovRewardProcess, feature_map: FeatureMap,
@@ -187,7 +202,7 @@ def emphasis_abs_expected_td(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     """
     return abs_expected_td_rows(mrp, feature_map,
                                 np.asarray(theta, dtype=np.float64),
-                                epsilon_floor)
+                                checked_floor(epsilon_floor))
 
 
 def long_run_count_inverse(mrp: MarkovRewardProcess,
@@ -195,7 +210,7 @@ def long_run_count_inverse(mrp: MarkovRewardProcess,
     """Limit of the count-inverse emphasis: visitation shares converge to the
     stationary distribution of the restart chain."""
     share = mrp.stationary
-    return _scale_sqrt_floor(1.0 / share, epsilon_floor)
+    return _scale_sqrt_floor(1.0 / share, checked_floor(epsilon_floor))
 
 
 def init_emphasis_state(spec: EmphasisSpec, mrp: MarkovRewardProcess) -> EmphasisState:
@@ -223,6 +238,8 @@ def update_counts(state_index: int, state: EmphasisState) -> EmphasisState:
     """Record a visit and refresh the count-inverse values in place."""
     if state.kind is not EmphasisKind.COUNT_INVERSE:
         raise ValueError("update_counts applies to count_inverse emphasis only")
+    if not 0 <= checked_int("state", state_index) < len(state.visit_counts):
+        raise ValueError(f"state {state_index} out of range")
     state.visit_counts[state_index] += 1
     state.values = emphasis_from_counts(state.visit_counts, state.epsilon_floor)
     return state

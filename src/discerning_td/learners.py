@@ -36,12 +36,16 @@ class Algorithm(str, enum.Enum):
 
 @dataclass(frozen=True)
 class DecayingAlpha:
-    """Step sizes a / (1 + t/b): square-summable but not summable."""
+    """Step sizes a / (1 + t/b): square-summable but not summable.  ``a``
+    and ``b`` are real numbers (a bool is none), kept as given, since
+    ``harness.cell_key`` seeds runs from the schedule's repr."""
 
     a: float
     b: float
 
     def __post_init__(self):
+        for name in ("a", "b"):
+            checked_real(f"schedule {name}", getattr(self, name))
         if not (0.0 < self.a < np.inf and 0.0 < self.b < np.inf):
             raise ValueError("schedule parameters must be positive and finite")
 

@@ -402,9 +402,9 @@ def make_random_walk(n_states: int, init: str):
     Undiscounted, tabular features, point-mass start chosen by ``init``
     (one of left / middle / right).
     """
-    if n_states < 2:
+    n = checked_int("n_states", n_states)
+    if n < 2:
         raise ValueError("random walk needs at least 2 states")
-    n = n_states
     starts = {"left": 0, "middle": (n - 1) // 2, "right": n - 1}
     key = str(init).lower()
     if key not in starts:
@@ -444,7 +444,7 @@ def make_noisy_chain(reward_level: float):
     """
     n = 10
     p = np.full((n, n), 1.0 / (n + 1))
-    level = float(reward_level)
+    level = checked_real("reward_level", reward_level)
     mrp = MarkovRewardProcess(
         n_states=n,
         transition=p,
@@ -501,6 +501,7 @@ def make_feature_map(kind: str, n_states: int) -> FeatureMap:
     """Benchmark feature constructions: tabular identity, the inverted map
     (poor generalization) and the dependent map (rank-deficient span)."""
     key = str(kind).lower()
+    n_states = checked_int("n_states", n_states, least=1)
     if key == "tabular":
         return FeatureMap(np.eye(n_states))
     if key == "inverted":

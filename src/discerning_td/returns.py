@@ -23,17 +23,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A rollout: visited states (the last entry may be TERMINAL) and one
-    reward per transition."""
+    """A rollout: visited states, integers (the last entry may be
+    TERMINAL), and one reward per transition."""
 
     states: np.ndarray
     rewards: np.ndarray
 
     def __post_init__(self):
-        states = np.asarray(self.states, dtype=np.int64)
+        states = np.asarray(self.states)
         rewards = np.asarray(self.rewards, dtype=np.float64)
         if states.ndim != 1 or rewards.ndim != 1:
             raise ValueError("states and rewards must be vectors")
+        if states.size and states.dtype.kind not in "iu":
+            raise ValueError(f"states must be integers, not {states.dtype}")
+        states = states.astype(np.int64)
         if len(states) != len(rewards) + 1:
             raise ValueError("need exactly one more state than rewards")
         if len(rewards) < 1:

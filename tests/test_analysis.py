@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -481,6 +483,16 @@ class TestPriorityEquivalence:
             res = per_equivalence(dataset, f)
             assert abs(res.lhs - res.rhs) < 1e-12
             assert res.q.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("state", [1.5, 1.0, True, "1"])
+    def test_dataset_states_must_be_integers(self, state):
+        with pytest.raises(ValueError, match=re.escape(
+                f"dataset state must be an integer, not {state!r}")):
+            per_equivalence([(state, 1.0, 0.0)], np.ones(2))
+
+    def test_emphasis_must_be_a_vector(self):
+        with pytest.raises(ValueError, match="f_values must be a vector"):
+            per_equivalence([(1, 1.0, 0.0)], np.ones((2, 2)))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):

@@ -24,6 +24,53 @@ from discerning_td.mrp import FeatureMap
 from discerning_td.emphasis import abs_expected_td_rows, count_inverse_path
 
 
+WALK5 = make_random_walk(5, "middle")
+
+# each public emphasis function that takes a floor, called with ``floor``
+FLOOR_TAKERS = {
+    "emphasis_from_counts": lambda floor: emphasis_from_counts([1, 2], floor),
+    "emphasis_from_noise": lambda floor: emphasis_from_noise([0.1, 0.2],
+                                                             floor),
+    "emphasis_abs_expected_td": lambda floor: emphasis_abs_expected_td(
+        *WALK5, np.zeros(5), floor),
+    "long_run_count_inverse": lambda floor: long_run_count_inverse(
+        WALK5[0], floor),
+}
+
+
+class TestFloorRule:
+    """The four public functions take the floor under ``EmphasisSpec``'s
+    rule: a real number (a bool is none) in (0, 1)."""
+
+    @pytest.mark.parametrize("take", FLOOR_TAKERS.values(), ids=FLOOR_TAKERS)
+    @pytest.mark.parametrize("floor, message", [
+        (5, "epsilon_floor must lie in (0, 1)"),
+        (2.0, "epsilon_floor must lie in (0, 1)"),
+        (1.0, "epsilon_floor must lie in (0, 1)"),
+        (0.0, "epsilon_floor must lie in (0, 1)"),
+        (float("nan"), "epsilon_floor must lie in (0, 1)"),
+        ("0.1", "'epsilon_floor' must be a number, not '0.1'"),
+        (True, "'epsilon_floor' must be a number, not True"),
+        (None, "'epsilon_floor' must be a number, not None")])
+    def test_bad_floor_is_refused(self, take, floor, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            take(floor)
+
+    @pytest.mark.parametrize("take", FLOOR_TAKERS.values(), ids=FLOOR_TAKERS)
+    def test_numpy_floor_is_accepted(self, take):
+        np.testing.assert_array_equal(take(np.float64(0.01)), take(0.01))
+
+    @pytest.mark.parametrize("floors, message", [
+        ([[0.5], [1.5]], "epsilon_floor must lie in (0, 1)"),
+        ([[True], [False]], "'epsilon_floor' must be a number, not True")])
+    def test_each_row_floor_is_checked(self, floors, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            emphasis_from_counts(np.ones((2, 2)), np.array(floors))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            emphasis_abs_expected_td(*WALK5, np.zeros((2, 5)),
+                                     np.array(floors))
+
+
 class TestSpecValidation:
     def test_constant_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -346,6 +393,18 @@ class TestState:
         state = init_emphasis_state(EmphasisSpec("count_inverse"), mrp)
         update_counts(2, state)
         np.testing.assert_array_equal(state.visit_counts, [0, 0, 1, 0, 0])
+
+    @pytest.mark.parametrize("visited, message", [
+        (-1, "state -1 out of range"), (5, "state 5 out of range"),
+        (7, "state 7 out of range"),
+        (1.0, "state must be an integer, not 1.0"),
+        (True, "state must be an integer, not True")])
+    def test_update_counts_refuses_a_bad_state(self, visited, message):
+        mrp, _ = make_random_walk(5, "middle")
+        state = init_emphasis_state(EmphasisSpec("count_inverse"), mrp)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            update_counts(visited, state)
+        np.testing.assert_array_equal(state.visit_counts, np.zeros(5))
 
     def test_update_counts_wrong_kind(self):
         mrp, _ = make_random_walk(5, "middle")

@@ -78,6 +78,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="positive and finite"):
             DecayingAlpha(a=a, b=b)
 
+    @pytest.mark.parametrize("a, b, message", [
+        (True, 10.0, "schedule a must be a number, not True"),
+        ("0.5", 10.0, "schedule a must be a number, not '0.5'"),
+        (0.5, None, "schedule b must be a number, not None"),
+        (0.5, False, "schedule b must be a number, not False")])
+    def test_decaying_schedule_needs_numbers(self, a, b, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DecayingAlpha(a, b)
+
+    def test_decaying_schedule_keeps_its_numbers(self):
+        # run seeds derive from the schedule's repr, so 50 stays 50
+        assert repr(DecayingAlpha(1, 50)) == "DecayingAlpha(a=1, b=50)"
+
     def test_decaying_schedule(self):
         sched = DecayingAlpha(a=0.5, b=1000.0)
         config = AlgoConfig(Algorithm.TD, lam=0.0, alpha=sched)

@@ -599,6 +599,30 @@ class TestConstructors:
         with pytest.raises(ValueError):
             make_random_walk(5, "center")
 
+    @pytest.mark.parametrize("build, args, message", [
+        (make_random_walk, (5.0, "left"),
+         "n_states must be an integer, not 5.0"),
+        (make_random_walk, (True, "left"),
+         "n_states must be an integer, not True"),
+        (make_feature_map, ("tabular", 5.0),
+         "n_states must be an integer, not 5.0"),
+        (make_feature_map, ("tabular", 0),
+         "n_states must be at least 1, not 0"),
+        (make_noisy_chain, (True,), "reward_level must be a number, not True"),
+        (make_noisy_chain, ("1",), "reward_level must be a number, not '1'")],
+        ids=["walk-float", "walk-bool", "features-float", "features-zero",
+             "noisy-bool", "noisy-string"])
+    def test_constructors_refuse_bad_numbers(self, build, args, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(*args)
+
+    def test_constructors_accept_numpy_numbers(self):
+        assert make_random_walk(np.int64(5), "left")[0].n_states == 5
+        assert make_feature_map("tabular", np.int64(3)).n_features == 3
+        np.testing.assert_array_equal(
+            make_noisy_chain(np.float64(-1.0))[0].expected_reward,
+            make_noisy_chain(-1.0)[0].expected_reward)
+
     def test_left_start_skews_visits_left(self):
         mrp, _ = make_random_walk(5, "left")
         d = stationary_distribution(mrp)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,6 +67,14 @@ class TestTrajectory:
             make_traj([0, 1], [1.0, 2.0])
         with pytest.raises(ValueError):
             make_traj([0], [])
+
+    @pytest.mark.parametrize("states, dtype", [
+        ([0.5, 1.7], "float64"), ([0.0, 1.0], "float64"),
+        ([True, False], "bool")])
+    def test_states_must_be_integers(self, states, dtype):
+        with pytest.raises(ValueError, match=re.escape(
+                f"states must be integers, not {dtype}")):
+            Trajectory(states, [1.0])
 
     def test_terminal_only_at_end(self):
         with pytest.raises(ValueError):
