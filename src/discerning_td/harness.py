@@ -349,11 +349,11 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     when those rows form one block, as ``run_experiment``'s cell-major order
     makes them when the cells of the learners that read emphasis are listed
     together, and through their index array otherwise; both touch the same
-    values, so the output is the same.  ``steps`` and ``eval_every`` are nonnegative
-    integers (a bool is none); ``eval_every`` 0 records no curve.  A row's
-    weights and curve are the same in any batch, except in a one-row call
-    on chains of ten or more states, which numpy multiplies by its
-    matrix-vector path.  Its curve can then differ in the last bit, and
+    values, so the output is the same.  ``steps`` and ``eval_every`` are
+    nonnegative integers (a bool is none); ``eval_every`` 0 records no
+    curve.  A row's weights and curve are the same in any batch, except in
+    a one-row call on chains of ten or more states, which numpy multiplies
+    by its matrix-vector path.  Its curve can then differ in the last bit, and
     under adaptive emphasis the difference feeds back through θ and can
     grow: on BOYAN13 (DTD, λ 0.9, seed 0, 5000 steps) a one-row call and
     row 0 of a two-row call differ in θ by 0.138 and in the final MSPBE by

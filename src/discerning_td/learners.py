@@ -141,13 +141,12 @@ class TraceKernel:
     coefficients (:meth:`coefficients`) for the whole path, or per step for
     rows whose w it refreshes, and per step calls :meth:`advance`, which
     does the theta-dependent rest (delta, then the trace and theta in
-    place).  The products keep the grouping
-    ``(alpha*delta)*c_out`` and ``gl*(1-w)``; each row's coefficients are
-    selected, never blended by 0/1 masks, and a coefficient of 1 multiplies
-    exactly, so a diverged row's NaN stays in its row, a kernel over a
-    subset of the rows gives those rows' coefficients bit for bit, and
-    every bit is the same whether a coefficient was taken per path or per
-    step.
+    place).  The products keep the grouping ``(alpha*delta)*c_out`` and
+    ``gl*(1-w)``; each row's coefficients are selected, never blended by
+    0/1 masks, and a coefficient of 1 multiplies exactly, so a diverged
+    row's NaN stays in its row, a kernel over a subset of the rows gives
+    those rows' coefficients bit for bit, and every bit is the same whether
+    a coefficient was taken per path or per step.
     """
 
     def __init__(self, configs, gamma: float):
@@ -208,7 +207,6 @@ class TraceKernel:
         trace *= c_decay[:, None]
         trace += c_in[:, None] * phi_s
         theta += (alpha * delta * c_out)[:, None] * trace
-
 
 
 def run_episode(mrp: MarkovRewardProcess, feature_map: FeatureMap,
