@@ -343,13 +343,14 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     (``TraceKernel.coefficients``).  Each step does only what depends on θ:
     the adaptive rows' emphasis at the visited state and, from a second
     kernel over those rows alone, their coefficients for that step, written
-    over the chunk's; the kernel's in-place ``TraceKernel.advance`` of θ and
-    the trace; trace resets and the MSPBE.  The adaptive rows' weights,
-    visited states and coefficients are read and written through one slice
-    when those rows form one block, as ``run_experiment``'s cell-major order
-    makes them when the cells of the learners that read emphasis are listed
-    together, and through their index array otherwise; both touch the same
-    values, so the output is the same.  ``steps`` and ``eval_every`` are
+    over a copy of the chunk's row; the kernel's in-place
+    ``TraceKernel.advance`` of θ and the trace; trace resets and the MSPBE.
+    The adaptive rows' weights, visited states and coefficients are read
+    and written through one slice when those rows form one block, as
+    ``run_experiment``'s cell-major order makes them when the cells of the
+    learners that read emphasis are listed together, and through their
+    index array otherwise; both touch the same values, so the output is the
+    same.  ``steps`` and ``eval_every`` are
     nonnegative integers (a bool is none); ``eval_every`` 0 records no
     curve.  A row's weights and curve are the same in any batch, except in
     a one-row call on chains of ten or more states, which numpy multiplies
@@ -474,24 +475,24 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
                 followons, followon = kernel.followon_path(followon, exits)
                 coeffs = [np.broadcast_to(a, weights.shape) for a in
                           kernel.coefficients(weights, followons)]
-                if has_adaptive:
-                    # unaliased and writable for the adaptive rows' per-step
-                    # entries; not copied otherwise, as the copies cost a
-                    # count-inverse sweep about 4% of its time
-                    coeffs = [a.copy() for a in coeffs]
                 weights = None
             s, nxt = states[c], nexts[c]
 
+            step_coeffs = [a[c] for a in coeffs]
             if has_adaptive:
                 w = abs_expected_td_rows(mrp, feature_map,
                                          theta[adaptive_rows], adaptive_eps,
                                          s[adaptive_rows])
-                for a, step_a in zip(coeffs, adaptive_kernel.coefficients(
-                        w, followons[c, adaptive_rows])):
-                    a[c, adaptive_rows] = step_a
+                # fresh rows: the chunk's may share memory with the
+                # kernel's arrays, the weights or each other
+                step_coeffs = [a.copy() for a in step_coeffs]
+                for a, step_a in zip(step_coeffs,
+                                     adaptive_kernel.coefficients(
+                                         w, followons[c, adaptive_rows])):
+                    a[adaptive_rows] = step_a
             kernel.advance(theta, trace, phi.take(s, axis=0),
                            phi_pad.take(nxt, axis=0), rewards[c], alphas[t],
-                           [a[c] for a in coeffs])
+                           step_coeffs)
 
             if record_theta:
                 theta_hist[t] = theta
