@@ -128,22 +128,24 @@ class TestKernel:
         # each row's coefficients are selected, never blended with another
         # row's, so a kernel over any subset of the rows gives the full
         # kernel's coefficients on those rows, bit for bit, for one step
-        # or several
+        # or several; an infinite or NaN entry stays in its row
         unit = st.floats(0.0, 1.0)
+        odd = st.sampled_from([np.inf, np.nan])
         n = data.draw(st.integers(1, 8))
         configs = [AlgoConfig(data.draw(st.sampled_from(list(Algorithm))),
                               data.draw(unit), 0.1) for _ in range(n)]
         gamma = data.draw(unit)
         shape = data.draw(st.sampled_from([(), (3,)])) + (n,)
-        w = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(
-            0.0, 10.0)))
-        followon = data.draw(hnp.arrays(np.float64, shape,
-                                        elements=st.floats(0.0, 100.0)))
+        w = data.draw(hnp.arrays(np.float64, shape, elements=st.one_of(
+            st.floats(0.0, 10.0), odd)))
+        followon = data.draw(hnp.arrays(np.float64, shape, elements=st.one_of(
+            st.floats(0.0, 100.0), odd)))
         rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
                                   unique=True))
-        full = TraceKernel(configs, gamma).coefficients(w, followon)
-        subset = TraceKernel([configs[i] for i in rows], gamma).coefficients(
-            w[..., rows], followon[..., rows])
+        kernel = TraceKernel([configs[i] for i in rows], gamma)
+        with np.errstate(all="ignore"):  # 0*inf, as in the sweep loop
+            full = TraceKernel(configs, gamma).coefficients(w, followon)
+            subset = kernel.coefficients(w[..., rows], followon[..., rows])
         for a, b in zip(full, subset):
             a = np.ascontiguousarray(np.broadcast_to(a, shape)[..., rows])
             b = np.ascontiguousarray(np.broadcast_to(b, a.shape))
