@@ -343,17 +343,16 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     (``TraceKernel.coefficients``).  Each step does only what depends on θ:
     the adaptive rows' emphasis at the visited state and, from a second
     kernel over those rows alone, their coefficients for that step, written
-    over a copy of the chunk's row; the kernel's in-place
-    ``TraceKernel.advance`` of θ and the trace; trace resets and the MSPBE.
-    The adaptive rows' weights, visited states and coefficients are read
-    and written through one slice when those rows form one block, as
-    ``run_experiment``'s cell-major order makes them when the cells of the
-    learners that read emphasis are listed together, and through their
-    index array otherwise; both touch the same values, so the output is the
-    same.  ``steps`` and ``eval_every`` are
+    over the chunk's; the kernel's in-place ``TraceKernel.advance`` of θ and
+    the trace; trace resets and the MSPBE.  The adaptive rows' weights,
+    visited states and coefficients are read and written through one slice
+    when those rows form one block, as ``run_experiment``'s cell-major order
+    makes them when the cells of the learners that read emphasis are listed
+    together, and through their index array otherwise; both touch the same
+    values, so the output is the same.  ``steps`` and ``eval_every`` are
     nonnegative integers (a bool is none); ``eval_every`` 0 records no
-    curve.  A row's weights and curve are the same in any batch, except in
-    a one-row call on chains of ten or more states, which numpy multiplies
+    curve.  A row's weights and curve are the same in any batch, except in a
+    one-row call on chains of ten or more states, which numpy multiplies
     by its matrix-vector path.  Its curve can then differ in the last bit, and
     under adaptive emphasis the difference feeds back through θ and can
     grow: on BOYAN13 (DTD, λ 0.9, seed 0, 5000 steps) a one-row call and
@@ -476,23 +475,24 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
                 coeffs = [np.broadcast_to(a, weights.shape) for a in
                           kernel.coefficients(weights, followons)]
                 weights = None
+                if has_adaptive:
+                    # writable and unshared, for the adaptive rows' per-step
+                    # entries; one at a time, so that at most one extra
+                    # chunk array is live
+                    for i, a in enumerate(coeffs):
+                        coeffs[i] = a.copy()
             s, nxt = states[c], nexts[c]
 
-            step_coeffs = [a[c] for a in coeffs]
             if has_adaptive:
                 w = abs_expected_td_rows(mrp, feature_map,
                                          theta[adaptive_rows], adaptive_eps,
                                          s[adaptive_rows])
-                # fresh rows: the chunk's may share memory with the
-                # kernel's arrays, the weights or each other
-                step_coeffs = [a.copy() for a in step_coeffs]
-                for a, step_a in zip(step_coeffs,
-                                     adaptive_kernel.coefficients(
-                                         w, followons[c, adaptive_rows])):
-                    a[adaptive_rows] = step_a
+                for a, step_a in zip(coeffs, adaptive_kernel.coefficients(
+                        w, followons[c, adaptive_rows])):
+                    a[c, adaptive_rows] = step_a
             kernel.advance(theta, trace, phi.take(s, axis=0),
                            phi_pad.take(nxt, axis=0), rewards[c], alphas[t],
-                           step_coeffs)
+                           [a[c] for a in coeffs])
 
             if record_theta:
                 theta_hist[t] = theta
