@@ -483,17 +483,16 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
                         coeffs[i] = a.copy()
             s, nxt = states[c], nexts[c]
 
-            step_coeffs = [a[c] for a in coeffs]
             if has_adaptive:
                 w = abs_expected_td_rows(mrp, feature_map,
                                          theta[adaptive_rows], adaptive_eps,
                                          s[adaptive_rows])
-                for a, step_a in zip(step_coeffs, adaptive_kernel.coefficients(
+                for a, step_a in zip(coeffs, adaptive_kernel.coefficients(
                         w, followons[c, adaptive_rows])):
-                    a[adaptive_rows] = step_a
+                    a[c, adaptive_rows] = step_a
             kernel.advance(theta, trace, phi.take(s, axis=0),
                            phi_pad.take(nxt, axis=0), rewards[c], alphas[t],
-                           step_coeffs)
+                           [a[c] for a in coeffs])
 
             if record_theta:
                 theta_hist[t] = theta
