@@ -136,7 +136,7 @@ class TraceKernel:
     M = lam + (1-lam)*F is the follow-on emphasis, F <- gamma*F + 1.  TD and
     ETD rows ignore w; ``weighted`` marks the rows that read it.
 
-    The coefficients depend on w and F only, not on theta.  So a driver
+    The coefficients depend on w and F only, not on theta.  So a caller
     takes F along a sampled path (:meth:`followon_path`) and the
     coefficients (:meth:`coefficients`) for the whole path, or per step for
     rows whose w it refreshes, and per step calls :meth:`advance`, which
