@@ -21,13 +21,17 @@ from discerning_td import (
     EmphasisKind,
     EmphasisSpec,
     ExperimentConfig,
+    FeatureMap,
+    MarkovRewardProcess,
     aggregate,
     aggregate_all,
     emit,
     load_aggregates,
+    load_environment,
     load_records,
     resolve_task,
     run_experiment,
+    save_environment,
     select_best,
     simulate_curves,
 )
@@ -510,6 +514,50 @@ class TestThetaBytes:
                               run_seed_sequences("RW5_LEFT", config, 3, 4),
                               400, 100, record_theta=True)
         assert theta_digests(out) == digests
+
+
+def saved_chain(path, initial_dist, seed):
+    """A chain over ``len(initial_dist)`` states that exits with share 0.3
+    from every state, with reward noise, discount 0.9 and three features,
+    written to an environment file and read back."""
+    rng = np.random.default_rng(seed)
+    n = len(initial_dist)
+    p = rng.random((n, n)) + 0.1
+    p *= 0.7 / p.sum(axis=1, keepdims=True)
+    mrp = MarkovRewardProcess(n, p, rng.normal(size=n), rng.uniform(0, 0.5, n),
+                              initial_dist, 0.9)
+    save_environment(path, mrp, FeatureMap(rng.random((n, 3))))
+    return load_environment(path)
+
+
+class TestStartBytes:
+    """sha256 of the final weights and curves of every learner under every
+    emphasis kind on chains read from environment files, pinned before
+    point-mass starts stopped drawing restart uniforms: the start
+    distribution is one interior state, one state whose initial CDF is
+    exactly 1.0 from its first entry on, or two states."""
+
+    @pytest.mark.parametrize("initial_dist, digests", [
+        ([0, 0, 0, 1, 0, 0],
+         ["9c39bf6dd3aa6901f0371ae354949136ccb6b9b4df2c6aa993c748f881cc953a",
+          "2385b68500ef6783aed52a8b954a6b2938db8a7ae0bba179a46dedffd9ddf410"]),
+        ([1, 0, 0, 0],
+         ["8836a842ed8d43697d3ecb2ec2378874918c7eaeb9c66784ba848f75fada04fe",
+          "77df3a22a4f5f99d39b7b0de8175a2a09eb85d20b24696dddbf5ae5c053abcbc"]),
+        ([0, 0.25, 0, 0.75, 0],
+         ["400d2025bcc371c2560eadf4fc9af8cb051b30758680c2247eb739f3cebcb98f",
+          "5c1715a01ce392241978c6f91315c200521e8c63d66b85f72d78692a4deefd3a"])],
+        ids=["interior", "first-of-four", "two-states"])
+    def test_mixed_batch(self, tmp_path, monkeypatch, initial_dist, digests):
+        mrp, fm = saved_chain(tmp_path / "chain.json", initial_dist, 5)
+        cells = mixed_cells(mrp.n_states)
+        configs, seqs = batched("CHAIN", cells, runs=2)
+        monkeypatch.setattr(harness, "CHUNK_FLOOR", 8)
+        monkeypatch.setattr(harness, "DRAW_BUDGET", 90 * len(configs))
+        out = simulate_curves(mrp, fm, configs, seqs, 600, 100)
+        assert np.isfinite(out.curves).all()
+        assert [hashlib.sha256(a.tobytes()).hexdigest()
+                for a in (out.final_theta, out.curves)] == digests
 
 
 class TestRunExperiment:
