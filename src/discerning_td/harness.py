@@ -335,10 +335,13 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     ``CHUNK_FLOOR`` steps.  Each chunk's uniforms become small-integer
     codes (``mrp.transition_ranks``, ``mrp.start_states``), and one
     ``mrp.restart_path`` call gives every row's states before and after
-    each step of the chunk.  What depends on the path alone is taken per
-    chunk too, as (chunk, rows) arrays: the rewards with their noise, the
-    static and count-inverse emphasis at each visited state
-    (``emphasis.count_inverse_path``), ETD's follow-on trace
+    each step of the chunk.  When no entry of ``mrp.initial_cdf`` but the
+    last lies strictly between 0 and 1 (a point-mass start), every restart
+    uniform codes to the same state: the restart part is then not read, and
+    that state is the restart code of every step.  What depends on the path
+    alone is taken per chunk too, as (chunk, rows) arrays: the rewards with
+    their noise, the static and count-inverse emphasis at each visited
+    state (``emphasis.count_inverse_path``), ETD's follow-on trace
     (``TraceKernel.followon_path``) and every row's kernel coefficients
     (``TraceKernel.coefficients``).  Each step does only what depends on θ:
     the adaptive rows' emphasis at the visited state and, from a second
@@ -394,7 +397,11 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     sigma = mrp.reward_noise_std
     has_noise = bool(sigma.any())
 
-    # Stream positions: [init | transitions | restarts | noise].
+    # Stream positions: [init | transitions | restarts | noise]; every
+    # uniform in [0, 1) codes to the one fixed start, if there is one.
+    cuts = mrp.initial_cdf[:-1]
+    fixed_start = None if ((cuts > 0.0) & (cuts < 1.0)).any() \
+        else start_states(mrp, 0.0)
     chunk = min(steps, max(CHUNK_FLOOR, DRAW_BUDGET // max(n_rows, 1)))
     u_init = np.empty(n_rows)
     trans_gens, restart_gens, noise_gens = [], [], []
@@ -402,15 +409,18 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
         gen = np.random.Generator(np.random.PCG64(seq))
         u_init[i] = gen.random()
         trans_gens.append(gen.random)
-        restart_gens.append(np.random.Generator(
-            np.random.PCG64(seq).advance(1 + steps)).random)
+        if fixed_start is None:
+            restart_gens.append(np.random.Generator(
+                np.random.PCG64(seq).advance(1 + steps)).random)
         if has_noise:
             noise_gens.append(np.random.Generator(
                 np.random.PCG64(seq).advance(1 + 2 * steps)).standard_normal)
     # one part's uniforms at a time, coded before the next part is drawn
     u_part = np.empty((n_rows, chunk))
     z_noise = np.empty((n_rows, chunk)) if has_noise else None
-    coders = [(trans_gens, transition_ranks), (restart_gens, start_states)]
+    coders = [(trans_gens, transition_ranks)]
+    if fixed_start is None:
+        coders.append((restart_gens, start_states))
 
     if eval_every > 0:
         d = mrp.stationary
@@ -458,6 +468,8 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
                     for i, draw in enumerate(gens):
                         draw(out=u_part[i, :width])
                     codes.append(code(mrp, u_part[:, :width]))
+                if fixed_start is not None:
+                    codes.append(np.broadcast_to(fixed_start, (n_rows, width)))
                 for i, draw in enumerate(noise_gens):
                     draw(out=z_noise[i, :width])
                 states, nexts, s_end = restart_path(mrp, s_end, *codes)

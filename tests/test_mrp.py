@@ -338,6 +338,14 @@ class TestRestartPath:
             monkeypatch.setattr(mrp_module, "_TABLE_ENTRIES", 0)
         return request.param
 
+    # chains with few distinct CDF values code uniforms by comparisons, the
+    # others by searchsorted
+    @pytest.fixture(params=["compare", "searchsorted"], autouse=True)
+    def coder(self, request, monkeypatch):
+        if request.param == "searchsorted":
+            monkeypatch.setattr(mrp_module, "_COMPARED_EDGES", 0)
+        return request.param
+
     def assert_matches_reference(self, mrp, rng, n_chains=12, steps=60,
                                  extra=()):
         u_trans = rng.random((n_chains, steps))
@@ -360,12 +368,13 @@ class TestRestartPath:
         return expected
 
     @pytest.mark.parametrize("name", TASK_NAMES)
-    def test_named_tasks(self, name, walk):
+    def test_named_tasks(self, name, walk, coder):
         mrp, _ = resolve_task(name)
         states, nexts, _ = self.assert_matches_reference(
             mrp, np.random.default_rng(3))
         assert np.any(nexts == mrp.n_states)  # exits and restarts happen
         assert (mrp.step_table[2] is None) == (walk == "search")
+        assert (mrp.uniform_coders[0][1] is None) == (coder == "searchsorted")
 
     @pytest.mark.parametrize("n_chains", [5, 40])
     def test_random_ergodic_chains(self, n_chains):
@@ -512,6 +521,136 @@ class TestRestartPathProperties:
                                   np.full(n, 1.0 / n), 1.0)
         assert_walk_matches_reference(mrp, seed, 20, 30)
         assert mrp.step_table[2] is None
+
+
+def searched(cuts, u):
+    """``np.searchsorted(cuts, u, side="right")`` in the coders' dtype."""
+    return np.searchsorted(cuts, u, side="right").astype(
+        np.min_scalar_type(len(cuts)))
+
+
+def assert_codes_like_searchsorted(code, cuts, u, dtype):
+    """``code`` gives the values and dtype of ``searched`` on the array
+    ``u``, and a numpy scalar for each of its first entries."""
+    want = searched(cuts, u).astype(dtype)
+    got = code(u)
+    assert got.dtype == dtype and got.shape == u.shape
+    np.testing.assert_array_equal(got, want)
+    for x, w in zip(u.flat[:20], want.flat):
+        one = code(x)
+        assert isinstance(one, np.generic) and one.dtype == dtype and one == w
+
+
+def coder_uniforms(cuts, rng, size=300):
+    """Random uniforms, then 0, 1.0, the largest double below 1 and every
+    cut exactly and one step either side of it."""
+    cuts = np.unique(cuts)
+    planted = np.concatenate([
+        [0.0, 1.0, np.nextafter(1.0, 0.0)], cuts,
+        np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf)])
+    u = np.concatenate([planted, rng.random(size)])
+    rng.shuffle(u)
+    return u.reshape(-1, 3) if u.size % 3 == 0 else u
+
+
+@st.composite
+def sorted_cuts(draw):
+    """Sorted values in [0, 1] with repeats, 0.0 and 1.0 among them: a
+    few distinct values, about as many as ``_COMPARED_EDGES``, or more."""
+    edge = mrp_module._COMPARED_EDGES
+    n_distinct = draw(st.one_of(st.integers(0, 12),
+                                st.integers(edge - 3, edge + 1),
+                                st.integers(edge + 2, 2 * edge)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = np.unique(np.concatenate([[0.0, 1.0], rng.random(n_distinct)]))
+    values = values[:n_distinct] if n_distinct < 2 else values
+    return np.repeat(values, rng.integers(1, 4, len(values))), rng
+
+
+class TestUniformCoders:
+    """``transition_ranks`` and ``start_states`` give exactly
+    ``np.searchsorted(..., side="right")`` of their CDF values, in value
+    and dtype, by comparisons or by search."""
+
+    @given(case=sorted_cuts())
+    @settings(max_examples=80, deadline=None)
+    def test_sorted_cuts_with_repeats(self, case):
+        cuts, rng = case
+        coder = mrp_module._uniform_coder(cuts)
+        assert (coder[1] is None) == \
+            (len(np.unique(cuts)) > mrp_module._COMPARED_EDGES)
+        dtype = np.min_scalar_type(len(cuts))
+        assert_codes_like_searchsorted(
+            lambda u: mrp_module._count_at_most(coder, u, dtype), cuts,
+            coder_uniforms(cuts, rng), dtype)
+
+    @pytest.mark.parametrize("coder", ["compare", "searchsorted"])
+    @given(mrp=sub_stochastic_chains(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_small_chains(self, coder, mrp, seed):
+        with pytest.MonkeyPatch.context() as patch:
+            if coder == "searchsorted":
+                patch.setattr(mrp_module, "_COMPARED_EDGES", 0)
+            self.assert_chain_codes(mrp, np.random.default_rng(seed))
+        assert (mrp.uniform_coders[0][1] is None) == (coder == "searchsorted")
+
+    def test_dense_chain_past_the_crossover(self):
+        # 20 states with every move possible: about 400 distinct CDF values
+        mrp = random_ergodic_mrp(np.random.default_rng(10), 20)
+        self.assert_chain_codes(mrp, np.random.default_rng(11))
+        assert len(mrp.step_table[0]) > mrp_module._COMPARED_EDGES
+        assert mrp.uniform_coders[0][1] is None
+        assert mrp.uniform_coders[1][1] is not None
+
+    @staticmethod
+    def assert_chain_codes(mrp, rng):
+        edges, cuts = mrp.step_table[0], mrp.initial_cdf[:-1]
+        assert_codes_like_searchsorted(
+            lambda u: transition_ranks(mrp, u), edges,
+            coder_uniforms(mrp.transition_cdf, rng),
+            np.min_scalar_type(len(edges)))
+        assert_codes_like_searchsorted(
+            lambda u: start_states(mrp, u), cuts,
+            coder_uniforms(mrp.initial_cdf, rng),
+            np.min_scalar_type(mrp.n_states))
+
+
+def exiting_chain(rng, n):
+    """A random chain with every move possible, an exit share of up to
+    0.4 from each state and a random start distribution."""
+    p = rng.random((n, n)) + 0.05
+    p *= rng.uniform(0.6, 1.0, (n, 1)) / p.sum(axis=1, keepdims=True)
+    rho = rng.random(n)
+    return MarkovRewardProcess(n, p, np.zeros(n), np.zeros(n),
+                               rho / rho.sum(), 1.0)
+
+
+class TestVisitFrequencies:
+    """Long ``restart_path`` walks on random chains, from stationary
+    starts, visit each state at the rate of ``mrp.stationary``: the mean
+    over independent walks of each state's visit share lies within four
+    standard errors of it."""
+
+    # 20 states with every move possible: about 400 distinct CDF values,
+    # so transition uniforms are coded by searchsorted
+    @pytest.mark.parametrize("seed, n, past_crossover", [
+        (21, 3, False), (22, 6, False), (23, 20, True)])
+    def test_random_chains(self, seed, n, past_crossover):
+        rng = np.random.default_rng(seed)
+        mrp = exiting_chain(rng, n)
+        d = mrp.stationary
+        n_walks, steps = 100, 3000
+        s0 = np.searchsorted(np.cumsum(d)[:-1], rng.random(n_walks), "right")
+        states, nexts, _ = coded_path(mrp, s0, rng.random((n_walks, steps)),
+                                      rng.random((n_walks, steps)))
+        assert np.any(nexts == n)  # the walks restart
+        visits = np.bincount(
+            (states + n * np.arange(n_walks)).ravel(),
+            minlength=n * n_walks).reshape(n_walks, n) / steps
+        z = (visits.mean(axis=0) - d) \
+            / (visits.std(axis=0, ddof=1) / np.sqrt(n_walks))
+        assert np.abs(z).max() < 4.0
+        assert (mrp.uniform_coders[0][1] is None) == past_crossover
 
 
 def chain_fields(n):
