@@ -45,6 +45,9 @@ class Trajectory:
             raise ValueError("rewards contain non-finite entries")
         if np.any(states[:-1] < 0):
             raise ValueError("TERMINAL may appear only as the final state")
+        if states[-1] < TERMINAL:
+            raise ValueError(f"the final state must be a state or TERMINAL, "
+                             f"not {states[-1]}")
         states = states.copy()
         rewards = rewards.copy()
         states.flags.writeable = False
@@ -87,6 +90,9 @@ class ReturnParams:
                           gamma: float) -> "ReturnParams":
         """Align a per-state emphasis vector with a trajectory."""
         f_state = np.asarray(f_state, dtype=np.float64)
+        if f_state.ndim != 1:
+            raise ValueError("f_state must be a vector")
+        _check_states(traj, len(f_state))
         return cls(lam=lam, gamma=gamma,
                    f_values=f_state[traj.states[:-1]])
 
@@ -107,6 +113,15 @@ def simulate_trajectory(mrp: MarkovRewardProcess, rng,
             break
         state = nxt
     return Trajectory(np.array(states), np.array(rewards))
+
+
+def _check_states(traj: Trajectory, n_states: int) -> None:
+    """ValueError unless every state of ``traj`` is one of ``n_states``
+    (or TERMINAL)."""
+    top = int(traj.states.max())
+    if top >= n_states:
+        raise ValueError(f"trajectory state {top} out of range for "
+                         f"{n_states} states")
 
 
 def _check_f(params: ReturnParams, traj: Trajectory) -> np.ndarray:
@@ -136,6 +151,7 @@ def _n_step_returns(traj: Trajectory, t: int, n: int, theta,
     """The returns g_1 ... g_N from position ``t`` (checked by the caller),
     N being ``n`` capped at the transitions left: g_k is the discounted sum
     of the next k rewards plus the discounted value of the state reached."""
+    _check_states(traj, feature_map.n_states)
     returns = []
     reward_part = 0.0
     disc = 1.0
@@ -151,6 +167,7 @@ def td_errors(traj: Trajectory, theta, feature_map: FeatureMap,
               gamma: float) -> np.ndarray:
     """The one-step errors R + gamma*v(S') - v(S) of every transition, with
     v read state by state, once per distinct state."""
+    _check_states(traj, feature_map.n_states)
     states = traj.states.tolist()
     value = {s: _value(feature_map, theta, s) for s in set(states)}
     values = np.array([value[s] for s in states])

@@ -80,6 +80,37 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             make_traj([0, TERMINAL, 1], [1.0, 2.0])
 
+    @pytest.mark.parametrize("last", [-2, -7])
+    def test_final_state_below_terminal_is_refused(self, last):
+        # numpy's negative indexing would read state n + last as its value
+        with pytest.raises(ValueError, match=re.escape(
+                f"the final state must be a state or TERMINAL, not {last}")):
+            make_traj([0, last], [1.0])
+
+    @pytest.mark.parametrize("states", [[0, 3], [3, 1, TERMINAL], [0, 5, 1]])
+    def test_states_past_the_feature_map_are_refused(self, states):
+        traj = make_traj(states, [1.0] * (len(states) - 1))
+        theta = np.array([5.0, 7.0, 11.0])
+        params = ReturnParams(0.5, 0.9, np.ones(traj.num_transitions))
+        message = re.escape(f"trajectory state {max(states)} out of range "
+                            "for 3 states")
+        for target in (
+                lambda: n_step_return(traj, 0, len(states) - 1, theta, FM3,
+                                      1.0),
+                lambda: lambda_return(traj, 0, theta, FM3, 0.9, 0.5),
+                lambda: discerning_return_interp(traj, 0, params, theta, FM3),
+                lambda: discerning_return_tdsum(traj, 0, params, theta, FM3),
+                lambda: dae(traj, params, theta, FM3),
+                lambda: ReturnParams.from_state_values(np.ones(3), traj, 0.5,
+                                                       0.9)):
+            with pytest.raises(ValueError, match=message):
+                target()
+
+    def test_emphasis_per_state_must_be_a_vector(self):
+        traj = make_traj([0, 1], [1.0])
+        with pytest.raises(ValueError, match="f_state must be a vector"):
+            ReturnParams.from_state_values(1.0, traj, 0.5, 0.9)
+
     def test_simulated_episode_ends_terminal(self):
         mrp, _ = make_random_walk(5, "middle")
         traj = simulate_trajectory(mrp, np.random.default_rng(0))
