@@ -199,14 +199,16 @@ class MarkovRewardProcess:
         return edges, keys, table
 
     @functools.cached_property
-    def uniform_coders(self):
-        """``(transition, start)``: the ``_uniform_coder`` of the sorted
-        CDF values whose count at most a uniform is its code, for
-        :func:`transition_ranks` (``step_table``'s edges) and
-        :func:`start_states` (all but the last entry of ``initial_cdf``),
-        built on first use."""
-        return (_uniform_coder(self.step_table[0]),
-                _uniform_coder(self.initial_cdf[:-1]))
+    def transition_coder(self):
+        """The ``_uniform_coder`` of ``step_table``'s edges, for
+        :func:`transition_ranks`, built on first use."""
+        return _uniform_coder(self.step_table[0])
+
+    @functools.cached_property
+    def start_coder(self):
+        """The ``_uniform_coder`` of all but the last entry of
+        ``initial_cdf``, for :func:`start_states`, built on first use."""
+        return _uniform_coder(self.initial_cdf[:-1])
 
 
 @dataclass(frozen=True)
@@ -374,7 +376,7 @@ def start_states(mrp: MarkovRewardProcess, u):
     CDF's end below one.  States come in the smallest integer dtype that
     holds ``n_states``.  Every simulator draws its episode starts and
     restarts here."""
-    return _count_at_most(mrp.uniform_coders[1], u,
+    return _count_at_most(mrp.start_coder, u,
                           np.min_scalar_type(mrp.n_states))
 
 
@@ -382,7 +384,7 @@ def transition_ranks(mrp: MarkovRewardProcess, u):
     """Rank of each transition uniform in ``u`` among the edges of
     ``mrp.step_table``: the small-integer code of the uniform that
     :func:`restart_path` reads."""
-    coder = mrp.uniform_coders[0]
+    coder = mrp.transition_coder
     return _count_at_most(coder, u, np.min_scalar_type(len(coder[0])))
 
 

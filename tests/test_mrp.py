@@ -285,6 +285,14 @@ class TestStartStates:
         assert np.cumsum(mrp.initial_dist)[-1] < 1.0
         assert start_states(mrp, np.nextafter(1.0, 0.0)) == 9
 
+    def test_drawing_starts_builds_no_step_table(self):
+        # the transition coder and its step table cost O(n^2) to build
+        mrp, _ = make_noisy_chain(0.0)
+        start_states(mrp, np.array([0.2, 0.7]))
+        assert "start_coder" in vars(mrp)
+        assert "step_table" not in vars(mrp)
+        assert "transition_coder" not in vars(mrp)
+
 
 def reference_starts(mrp, u):
     """Inverse CDF by counting the initial CDF entries at most ``u``."""
@@ -374,7 +382,7 @@ class TestRestartPath:
             mrp, np.random.default_rng(3))
         assert np.any(nexts == mrp.n_states)  # exits and restarts happen
         assert (mrp.step_table[2] is None) == (walk == "search")
-        assert (mrp.uniform_coders[0][1] is None) == (coder == "searchsorted")
+        assert (mrp.transition_coder[1] is None) == (coder == "searchsorted")
 
     @pytest.mark.parametrize("n_chains", [5, 40])
     def test_random_ergodic_chains(self, n_chains):
@@ -543,7 +551,8 @@ def assert_codes_like_searchsorted(code, cuts, u, dtype):
 
 def coder_uniforms(cuts, rng, size=300):
     """Random uniforms, then 0, 1.0, the largest double below 1 and every
-    cut exactly and one step either side of it."""
+    cut exactly and one step either side of it, shuffled; shaped (k, 3)
+    when their count allows, so that 2-d input is covered too."""
     cuts = np.unique(cuts)
     planted = np.concatenate([
         [0.0, 1.0, np.nextafter(1.0, 0.0)], cuts,
@@ -592,15 +601,15 @@ class TestUniformCoders:
             if coder == "searchsorted":
                 patch.setattr(mrp_module, "_COMPARED_EDGES", 0)
             self.assert_chain_codes(mrp, np.random.default_rng(seed))
-        assert (mrp.uniform_coders[0][1] is None) == (coder == "searchsorted")
+        assert (mrp.transition_coder[1] is None) == (coder == "searchsorted")
 
     def test_dense_chain_past_the_crossover(self):
         # 20 states with every move possible: about 400 distinct CDF values
         mrp = random_ergodic_mrp(np.random.default_rng(10), 20)
         self.assert_chain_codes(mrp, np.random.default_rng(11))
         assert len(mrp.step_table[0]) > mrp_module._COMPARED_EDGES
-        assert mrp.uniform_coders[0][1] is None
-        assert mrp.uniform_coders[1][1] is not None
+        assert mrp.transition_coder[1] is None
+        assert mrp.start_coder[1] is not None
 
     @staticmethod
     def assert_chain_codes(mrp, rng):
@@ -650,7 +659,7 @@ class TestVisitFrequencies:
         z = (visits.mean(axis=0) - d) \
             / (visits.std(axis=0, ddof=1) / np.sqrt(n_walks))
         assert np.abs(z).max() < 4.0
-        assert (mrp.uniform_coders[0][1] is None) == past_crossover
+        assert (mrp.transition_coder[1] is None) == past_crossover
 
 
 def chain_fields(n):
