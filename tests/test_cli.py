@@ -10,7 +10,8 @@ from discerning_td import cli, harness
 from discerning_td import mrp as mrp_module
 from discerning_td.checks import TASK_NAMES
 from discerning_td.cli import main, parse_emphasis
-from discerning_td.emphasis import EmphasisKind
+from discerning_td.emphasis import DEFAULT_EPSILON_FLOOR, \
+    EmphasisKind
 
 
 def run_args(tmp_path, name="out.csv", **overrides):
@@ -727,6 +728,158 @@ class TestFixedPointCommand:
                      "abs_expected_td", "--lambda", "0.5"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["emphasis_note"] == "self-consistent adaptive emphasis"
+
+
+class TestAdaptiveFixedPointBytes:
+    """sha256 of what ``dtd fixed-point`` makes of adaptive
+    (``abs_expected_td``) emphasis, pinned when first written: the emphasis
+    bytes and note that the iteration ends on for every named task and
+    lambda in {0, 0.5, 0.9, 1}, and the stdout of the solves at lambda
+    below 1 (at lambda 1 most of them end in a ``ZeroDivisionError`` of the
+    contraction report)."""
+
+    @pytest.mark.parametrize("task, lam, digest", [
+        ("RW5_LEFT", 0.0,
+         "6721a58ff021083883752b2462137161f2f55369887c2c7c0c02e8136e4c6a42"),
+        ("RW5_LEFT", 0.5,
+         "563a2127ab5b87753308be2758a5b3144fd2745696b3cc25926f6bed8ae09be3"),
+        ("RW5_LEFT", 0.9,
+         "376e38c99f4f23c43ca905098b748ea2342d0d6c39aed1d8c627fbcf4e282d49"),
+        ("RW5_LEFT", 1.0,
+         "024d6bc9bc8fd41c01b911f26bebb56ccb1fd3044ae3e384c4855866cfb8d187"),
+        ("RW5_MIDDLE", 0.0,
+         "024d6bc9bc8fd41c01b911f26bebb56ccb1fd3044ae3e384c4855866cfb8d187"),
+        ("RW5_MIDDLE", 0.5,
+         "1eda31db1adc2b733d48a094b072097e5670a55e807ed049371a18122963a747"),
+        ("RW5_MIDDLE", 0.9,
+         "195e0b2f0f2b5dace27b78450ccaadf3aac06c234cdcbc2d5f53331696d3dfaa"),
+        ("RW5_MIDDLE", 1.0,
+         "024d6bc9bc8fd41c01b911f26bebb56ccb1fd3044ae3e384c4855866cfb8d187"),
+        ("RW5_RIGHT", 0.0,
+         "024d6bc9bc8fd41c01b911f26bebb56ccb1fd3044ae3e384c4855866cfb8d187"),
+        ("RW5_RIGHT", 0.5,
+         "8640941fce570c074ee002701531c6528a5aa1d472711a58039e02b738b8a6e8"),
+        ("RW5_RIGHT", 0.9,
+         "2c50e9c418d0eba7af943c3a22ae862d265cc2741ed15f4be7f8569b66d55f2c"),
+        ("RW5_RIGHT", 1.0,
+         "37974cb2015cc78c84ae699d51cc48c245f4d198f087671fca874affe550a304"),
+        ("RW5_INVERTED", 0.0,
+         "6fbf4f06d84f0b4bb575da9304b115f039a50719772465833c8ec789998737b9"),
+        ("RW5_INVERTED", 0.5,
+         "354fa71d7bdc84c0d43d0fd9447eed0f40406863a3e95c8e1ffb134b8277d071"),
+        ("RW5_INVERTED", 0.9,
+         "86cebb480fc1a82301d278ce320b005a81889cea6dd916fac8e7487e1a1e72e2"),
+        ("RW5_INVERTED", 1.0,
+         "d764d70ece59470a2904273c94c16f8b9fc8d9d0fd82ba8b2259a3f709bf3dd4"),
+        ("RW5_DEPENDENT", 0.0,
+         "924021b059924a455bb4906376a358d7bbc325ff34dbe056c62ad2feb9740fa2"),
+        ("RW5_DEPENDENT", 0.5,
+         "6e975bf4746ef4bab669a1ef6fbf7841385b9ef97b785e6df755e507ec4e3f8f"),
+        ("RW5_DEPENDENT", 0.9,
+         "fdae54a42f7ff6a5e1d8b8f3d72203d250d0591b16568003fa64662f1ab1ecf9"),
+        ("RW5_DEPENDENT", 1.0,
+         "f369675ff0b196fcdaafb1741826d5a9a3c0e4c4c91d414ca4f9f7bb1a5b8b8b"),
+        ("BOYAN13", 0.0,
+         "6f06bcae06d4f117bd8df00e50899cc8fd756f4b9f0df5d1304c76b3c167348b"),
+        ("BOYAN13", 0.5,
+         "ef715d0b444ed7187f7a23529f357cf9f3b5f1634b458a2837dd0659d24a6cca"),
+        ("BOYAN13", 0.9,
+         "ff0493f66453b67a52cf7774ebf40cb21f752956bda711eb21ce9aa4ffb7b8e7"),
+        ("BOYAN13", 1.0,
+         "a958ee5b81b10f89724e6abde022c7c0ea997b7a52aa3baea71b6ba473ce466e"),
+        ("NOISY10:-1", 0.0,
+         "77db7d1a2ac3da5baf7dbcd284ec8b402c2da9f944fb25813935fd5c411729b0"),
+        ("NOISY10:-1", 0.5,
+         "5d10fafbb05ed3cda5aeeee78c1f3e60c2a1677845befc7c2648eb85464f7a3d"),
+        ("NOISY10:-1", 0.9,
+         "7a344ca5e45161d5532b7d8209e985b2605142a02bd3f4103a2f2fd619919692"),
+        ("NOISY10:-1", 1.0,
+         "c99a97d27229e3c30a327c3c30d3d9cceea00024d390d2c6bac10b08b08803f6"),
+        ("NOISY10:0", 0.0,
+         "17c314b18913aef112026da908abf1ec78de148ebc898d04592e02bab7b53067"),
+        ("NOISY10:0", 0.5,
+         "17c314b18913aef112026da908abf1ec78de148ebc898d04592e02bab7b53067"),
+        ("NOISY10:0", 0.9,
+         "17c314b18913aef112026da908abf1ec78de148ebc898d04592e02bab7b53067"),
+        ("NOISY10:0", 1.0,
+         "17c314b18913aef112026da908abf1ec78de148ebc898d04592e02bab7b53067"),
+        ("NOISY10:1", 0.0,
+         "77db7d1a2ac3da5baf7dbcd284ec8b402c2da9f944fb25813935fd5c411729b0"),
+        ("NOISY10:1", 0.5,
+         "5d10fafbb05ed3cda5aeeee78c1f3e60c2a1677845befc7c2648eb85464f7a3d"),
+        ("NOISY10:1", 0.9,
+         "7a344ca5e45161d5532b7d8209e985b2605142a02bd3f4103a2f2fd619919692"),
+        ("NOISY10:1", 1.0,
+         "c99a97d27229e3c30a327c3c30d3d9cceea00024d390d2c6bac10b08b08803f6"),
+    ])
+    def test_emphasis_and_note(self, task, lam, digest):
+        mrp, fm = resolve_task(task)
+        spec = parse_emphasis("abs_expected_td", DEFAULT_EPSILON_FLOOR)
+        f, note = cli._resolve_fixed_emphasis(spec, mrp, fm, lam)
+        assert hashlib.sha256(f.tobytes() + note.encode()).hexdigest() \
+            == digest
+
+    @pytest.mark.parametrize("task, lam, digest", [
+        ("RW5_LEFT", "0.0",
+         "dad7aaaac22c3af59a39e5ff08bc41de442815470eb33be9d7852db5bb7023a2"),
+        ("RW5_LEFT", "0.5",
+         "43d80a074c34fb5e25c49157a86a0a59429bae1f03aafb7d3e222eded937dde7"),
+        ("RW5_LEFT", "0.9",
+         "a78dc10e52fe43dde0c88eb6b43ecb75ad6d74225f97c79524b87d8f49f5aa2f"),
+        ("RW5_MIDDLE", "0.0",
+         "d3135b44616374196f545d5246711be7708cf35fd85981ad971bc02af8f67cfd"),
+        ("RW5_MIDDLE", "0.5",
+         "c96a9d4bc46430c086a680dfa9f7552f2902e0e00082e48382e424438e8932ff"),
+        ("RW5_MIDDLE", "0.9",
+         "98a4f712591da8bcf66938cfa7e6fdbac7d5410b49f9a9afaf10493ad896c51c"),
+        ("RW5_RIGHT", "0.0",
+         "20c6ae0a66768f71bc97b2c8173f9a510e3d0c71df4137c71decbd8b6ce52e55"),
+        ("RW5_RIGHT", "0.5",
+         "489650638dff074320476f7dbb519b6788e1acda3013d913a5c98bd70b7f2f75"),
+        ("RW5_RIGHT", "0.9",
+         "56b7d63106228b76ce3a0bf253713a11d259fecd2e0b3d73bd6925f4bcf870ae"),
+        ("RW5_INVERTED", "0.0",
+         "dfabc5c45408aac76c7c4eed467473eb3ef43380d8796a39ec92566b4454a22e"),
+        ("RW5_INVERTED", "0.5",
+         "3348d776fb8881916d167f2ea6fd682a0f2988aa9df8f76e170145a170fc7b82"),
+        ("RW5_INVERTED", "0.9",
+         "6eb7ad06c99f697610e2d2d0538f1ea3dc436ccf35fefabd13925522e87096d7"),
+        ("RW5_DEPENDENT", "0.0",
+         "472fe6c60a42c16c6d63301f902d36166cc8c5e7a6a6bc6ff3c0a1f3bbe8f9ae"),
+        ("RW5_DEPENDENT", "0.5",
+         "7140ae7595a90433b6175da429f407c76b0e0e87731acd1c34505bfe54c8a1b6"),
+        ("RW5_DEPENDENT", "0.9",
+         "bcbeeddafed2d1117e8dce2b395a073b9d2bc3aa02de9f31dfb43fa9fd99d021"),
+        ("BOYAN13", "0.0",
+         "36e77d59aeae17f3728637deeabbc7602c659831eb96cf0c980eb47979b4c10c"),
+        ("BOYAN13", "0.5",
+         "835a338c55c8abc1330016227d5391dee915a08cfbb399d57f4bcb48ef94f3a5"),
+        ("BOYAN13", "0.9",
+         "36ed6f5472878f4af297318ad9f1dced42ede6c3da320b9d83e16d137fb7ec0c"),
+        ("NOISY10:-1", "0.0",
+         "144bff30fd25fd6c5e1de4d1894734c0c85490e00ee8f94fbe99c10b156b7a89"),
+        ("NOISY10:-1", "0.5",
+         "ca08034318b9a257966735f5e775e810826759d492d7e210eec9d1b1f3117a1c"),
+        ("NOISY10:-1", "0.9",
+         "0947e5085c6d936129518d90a8aa407b1d2074b7a42ca651311b6e7a951df521"),
+        ("NOISY10:0", "0.0",
+         "b1078ee8d35000be9ee39f7039c644bcbd0701792ff24c529fcee5b5980b2bb9"),
+        ("NOISY10:0", "0.5",
+         "b7931c5fa07c568c1ef18cc071d9c318904133cee6c5adecff50623352bfc973"),
+        ("NOISY10:0", "0.9",
+         "088750bc4e373abc5a63f404ba14125c4bad37db48977df0eef6089935ad5739"),
+        ("NOISY10:1", "0.0",
+         "39c2a51dd14dfad68296c387e3befe06965daf262e3e36363d50587351941f4a"),
+        ("NOISY10:1", "0.5",
+         "54cde93c16222863d1b99b0bfb54ea2c89b9dacea8c92c8e807764cbe46ecf0f"),
+        ("NOISY10:1", "0.9",
+         "0b97c908ecdc6abf55b54c44824910736d505d3991080417c23ad9677dfff93e"),
+    ])
+    def test_solve_stdout(self, capsys, task, lam, digest):
+        assert main(["fixed-point", "--task", task, "--emphasis",
+                     "abs_expected_td", "--lambda", lam]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestRepeatedCalls:
