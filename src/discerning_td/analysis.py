@@ -176,29 +176,49 @@ def dtd_operator_matrix(mrp: MarkovRewardProcess, f_values, lam: float,
     raise ConvergenceError("operator series hit the cap before tolerance")
 
 
-def _resolvent_solve(mrp: MarkovRewardProcess, lam: float, rhs) -> np.ndarray:
-    """(I - gamma*lam*P)^{-1} rhs, for compute_A_b and the exact map."""
+def _resolvent(mrp: MarkovRewardProcess, lam: float) -> np.ndarray:
+    """I - gamma*lam*P, after checking lam."""
     checked_unit("lam", lam)
-    lhs = np.eye(mrp.n_states) - mrp.discount * lam * mrp.transition
+    return np.eye(mrp.n_states) - mrp.discount * lam * mrp.transition
+
+
+def _resolvent_solve(resolvent: np.ndarray, rhs) -> np.ndarray:
+    """``resolvent``^{-1} rhs, for the A, b builder and the exact map."""
     try:
-        return np.linalg.solve(lhs, rhs)
+        return np.linalg.solve(resolvent, rhs)
     except np.linalg.LinAlgError as exc:
         raise ValueError("resolvent (I - gamma*lam*P) is singular") from exc
+
+
+def system_builder(mrp: MarkovRewardProcess, feature_map: FeatureMap,
+                   lam: float):
+    """``compute_A_b`` for one chain, feature map and lam as a function of
+    the emphasis vector alone: the stationary distribution, the lam check,
+    I - gamma*lam*P and (gamma*P - I) Phi are formed once, here."""
+    d = mrp.stationary
+    resolvent = _resolvent(mrp, lam)
+    phi = feature_map.phi
+    drift = (mrp.discount * mrp.transition - np.eye(mrp.n_states)) @ phi
+
+    def build(f_values) -> LinearSystem:
+        f = _emphasis_vector(mrp, f_values)
+        solved = _resolvent_solve(resolvent, np.column_stack([
+            f[:, None] * drift, f * mrp.expected_reward]))
+        weighted = (f * d)[:, None] * solved
+        return LinearSystem(A=phi.T @ weighted[:, :-1],
+                            b=phi.T @ weighted[:, -1])
+
+    return build
 
 
 def compute_A_b(mrp: MarkovRewardProcess, feature_map: FeatureMap, f_values,
                 lam: float) -> LinearSystem:
     """Closed-form expected-update system for a fixed emphasis vector:
     A = Phi^T F D (I - gamma*lam*P)^{-1} F (gamma*P - I) Phi and the matching
-    offset b with r in place of (gamma*P - I) Phi."""
-    geo = emphasized_geometry(mrp, f_values)
-    phi = feature_map.phi
-    n = mrp.n_states
-    solved = _resolvent_solve(mrp, lam, np.column_stack([
-        geo.f[:, None] * ((mrp.discount * mrp.transition - np.eye(n)) @ phi),
-        geo.f * mrp.expected_reward]))
-    weighted = (geo.f * geo.d)[:, None] * solved
-    return LinearSystem(A=phi.T @ weighted[:, :-1], b=phi.T @ weighted[:, -1])
+    offset b with r in place of (gamma*P - I) Phi.  The emphasis is checked
+    before lam."""
+    _emphasis_vector(mrp, f_values)
+    return system_builder(mrp, feature_map, lam)(f_values)
 
 
 def exact_update_map_norm(mrp: MarkovRewardProcess, f_values, lam) -> float:
@@ -209,7 +229,8 @@ def exact_update_map_norm(mrp: MarkovRewardProcess, f_values, lam) -> float:
     geo = emphasized_geometry(mrp, f_values)
     n = mrp.n_states
     linear = np.eye(n) + (1.0 / geo.f)[:, None] * _resolvent_solve(
-        mrp, lam, geo.f[:, None] * (mrp.discount * mrp.transition - np.eye(n)))
+        _resolvent(mrp, lam),
+        geo.f[:, None] * (mrp.discount * mrp.transition - np.eye(n)))
     return induced_norm(linear, geo.lam_diag)
 
 

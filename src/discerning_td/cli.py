@@ -10,7 +10,7 @@ from functools import cache
 import numpy as np
 
 from .analysis import SingularSystemError, compute_A_b, contraction_condition, \
-    fixed_point, mspbe
+    fixed_point, mspbe, system_builder
 from .checks import verify_all
 from .emphasis import DEFAULT_EPSILON_FLOOR, EmphasisKind, EmphasisSpec, \
     emphasis_abs_expected_td, init_emphasis_state, long_run_count_inverse
@@ -223,19 +223,37 @@ def cmd_verify(args) -> int:
     return 0 if n_pass == len(results) else 1
 
 
+ADAPTIVE_ITERATIONS = 500  # cap of the adaptive emphasis iteration
+
+
 def _resolve_fixed_emphasis(spec: EmphasisSpec, mrp, fm, lam):
     """Concrete emphasis vector for the analytic fixed point; adaptive
-    emphasis is iterated to self-consistency."""
+    emphasis is iterated to self-consistency, f <- g(f) from f = 1, and
+    capped after ``ADAPTIVE_ITERATIONS`` steps.
+
+    A capped iteration returns the iterate it would end on, but stops at
+    the first iterate i whose bytes equal an earlier iterate j's: g is
+    deterministic, so from j on the iterates repeat with period i - j, and
+    the last one is iterate j + (cap - j) % (i - j).  No later step could
+    converge or raise, since every step of the cycle has already been taken
+    and failed the 1e-12 test."""
     if spec.kind is EmphasisKind.COUNT_INVERSE:
         return long_run_count_inverse(mrp, spec.epsilon_floor), \
             "long-run visitation limit"
     if spec.kind is EmphasisKind.ABS_EXPECTED_TD_ERROR:
+        build = system_builder(mrp, fm, lam)
         f = np.ones(mrp.n_states)
-        for _ in range(500):
-            theta = fixed_point(compute_A_b(mrp, fm, f, lam))
+        iterates, first_seen = [f], {f.tobytes(): 0}
+        for i in range(1, ADAPTIVE_ITERATIONS + 1):
+            theta = fixed_point(build(f))
             nxt = emphasis_abs_expected_td(mrp, fm, theta, spec.epsilon_floor)
             if np.max(np.abs(nxt - f)) < 1e-12:
                 return nxt, "self-consistent adaptive emphasis"
+            j = first_seen.setdefault(nxt.tobytes(), i)
+            if j < i:
+                f = iterates[j + (ADAPTIVE_ITERATIONS - j) % (i - j)]
+                break
+            iterates.append(nxt)
             f = nxt
         return f, "adaptive emphasis iteration hit its cap"
     return init_emphasis_state(spec, mrp).values, "fixed emphasis"

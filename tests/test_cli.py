@@ -8,10 +8,11 @@ from discerning_td import FeatureMap, MarkovRewardProcess, load_records, \
     make_random_walk, resolve_task, save_environment
 from discerning_td import cli, harness
 from discerning_td import mrp as mrp_module
+from discerning_td.analysis import compute_A_b, fixed_point
 from discerning_td.checks import TASK_NAMES
 from discerning_td.cli import main, parse_emphasis
 from discerning_td.emphasis import DEFAULT_EPSILON_FLOOR, \
-    EmphasisKind
+    EmphasisKind, emphasis_abs_expected_td
 
 
 def run_args(tmp_path, name="out.csv", **overrides):
@@ -880,6 +881,53 @@ class TestAdaptiveFixedPointBytes:
                      "abs_expected_td", "--lambda", lam]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestAdaptiveCycleSkip:
+    """The adaptive iteration stops at its first repeated iterate and
+    returns what the plain capped loop ends on.  On the named tasks this
+    covers cycles from iterate 0 (RW5_MIDDLE and RW5_RIGHT at lambda 0.5),
+    late ones (RW5_RIGHT at lambda 1, from iterate 308), long periods
+    (BOYAN13 at lambda 0.9, 115), solves that never cycle (RW5_DEPENDENT
+    at lambda 0.5) and solves that converge."""
+
+    @staticmethod
+    def plain_loop(mrp, fm, lam):
+        f = np.ones(mrp.n_states)
+        for _ in range(cli.ADAPTIVE_ITERATIONS):
+            theta = fixed_point(compute_A_b(mrp, fm, f, lam))
+            nxt = emphasis_abs_expected_td(mrp, fm, theta,
+                                           DEFAULT_EPSILON_FLOOR)
+            if np.max(np.abs(nxt - f)) < 1e-12:
+                return nxt, "self-consistent adaptive emphasis"
+            f = nxt
+        return f, "adaptive emphasis iteration hit its cap"
+
+    @pytest.mark.parametrize("task", TASK_NAMES)
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 0.9, 1.0])
+    def test_matches_the_plain_loop_bit_for_bit(self, task, lam):
+        mrp, fm = resolve_task(task)
+        spec = parse_emphasis("abs_expected_td", DEFAULT_EPSILON_FLOOR)
+        f, note = cli._resolve_fixed_emphasis(spec, mrp, fm, lam)
+        want_f, want_note = self.plain_loop(mrp, fm, lam)
+        assert f.tobytes() == want_f.tobytes() and note == want_note
+
+    def test_a_short_cycle_ends_the_iteration_early(self, monkeypatch):
+        # iterate 6 of RW5_LEFT at lambda 0 repeats iterate 2; the plain
+        # loop calls the emphasis 500 times
+        calls = []
+        score = cli.emphasis_abs_expected_td
+
+        def counted(*args):
+            calls.append(None)
+            return score(*args)
+
+        monkeypatch.setattr(cli, "emphasis_abs_expected_td", counted)
+        mrp, fm = resolve_task("RW5_LEFT")
+        spec = parse_emphasis("abs_expected_td", DEFAULT_EPSILON_FLOOR)
+        _, note = cli._resolve_fixed_emphasis(spec, mrp, fm, 0.0)
+        assert note == "adaptive emphasis iteration hit its cap"
+        assert len(calls) <= 6
 
 
 class TestRepeatedCalls:
