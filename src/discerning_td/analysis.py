@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mrp import ConvergenceError, FeatureMap, MarkovRewardProcess, \
-    checked_int, checked_unit
+    checked_int, checked_real, checked_unit
 
 
 @dataclass(frozen=True)
@@ -297,6 +297,14 @@ class ContractionReport:
     note: str = ""
 
 
+def _checked_nonnegative(name, value) -> float:
+    """``checked_real(name, value)``; ValueError if it is NaN or negative."""
+    value = checked_real(name, value)
+    if not value >= 0.0:
+        raise ValueError(f"{name} must be nonnegative")
+    return value
+
+
 def contraction_condition(mrp: MarkovRewardProcess, f_values, lam: float,
                           kappa: float | None = None,
                           r_max: float | None = None) -> ContractionReport:
@@ -308,6 +316,10 @@ def contraction_condition(mrp: MarkovRewardProcess, f_values, lam: float,
     certificate; see ``ContractionReport`` for the sound tests."""
     checked_unit("lam", lam)
     geo = emphasized_geometry(mrp, f_values)
+    if kappa is not None:
+        kappa = _checked_nonnegative("kappa", kappa)
+    if r_max is not None:
+        r_max = _checked_nonnegative("r_max", r_max)
     gamma = mrp.discount
     f_norm = float(np.max(geo.f))
     sigma_min = float(np.min(geo.f))
@@ -348,8 +360,6 @@ def contraction_condition(mrp: MarkovRewardProcess, f_values, lam: float,
         margin = rhs_i - f_norm
         return ContractionReport(bool(margin > 0.0), margin, f_norm, rhs_i,
                                  "i" if kappa is None else "ii", terms)
-    if kappa < 0.0:
-        raise ValueError("kappa must be nonnegative")
     if lam == 1.0 or gamma == 1.0:
         return ContractionReport(None, math.nan, f_norm, math.nan, "ii",
                                  terms, "bound vacuous at lam=1 or gamma=1")

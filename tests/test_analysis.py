@@ -405,6 +405,40 @@ class TestContractionCondition:
         assert report.rhs == contraction_condition(mrp, f, 0.4).rhs
         assert report.holds == (report.margin > 0)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    @pytest.mark.parametrize("name", ["kappa", "r_max"])
+    @pytest.mark.parametrize("value, message", [
+        (True, "must be a number, not True"),
+        ("x", "must be a number, not 'x'"),
+        (None, None),
+        (float("nan"), "must be nonnegative"),
+        (-1.0, "must be nonnegative"),
+        (-np.inf, "must be nonnegative"),
+    ])
+    def test_kappa_and_reward_bound_are_checked(self, gamma, name, value,
+                                                message):
+        # refused before the gamma = 0 reports, and None still means "not
+        # given"; the kappa of an r_max case is one that reaches the r_max
+        # arithmetic
+        mrp = MarkovRewardProcess(2, [[0.5, 0.5], [0.5, 0.5]], [1.0, 0.0],
+                                  [0.0, 0.0], [0.5, 0.5], gamma)
+        args = {"kappa": 1e-9, name: value}
+        if message is None:
+            contraction_condition(mrp, np.ones(2), 0.5, **args)
+            return
+        with pytest.raises(ValueError, match=f"^{name} {message}$"):
+            contraction_condition(mrp, np.ones(2), 0.5, **args)
+
+    def test_kappa_and_reward_bound_are_stored_as_floats(self):
+        rng = np.random.default_rng(16)
+        mrp = random_ergodic_mrp(rng, n_states=5, gamma=0.5)
+        f = rng.uniform(0.3, 1.0, 5)
+        report = contraction_condition(mrp, f, 0.4, kappa=np.float32(0.0),
+                                       r_max=np.int64(2))
+        assert type(report.terms["r_max"]) is float
+        assert report.terms["r_max"] == 2.0 and report.condition == "ii"
+        assert report.rhs == contraction_condition(mrp, f, 0.4).rhs
+
     def test_scaling_achieves_condition(self):
         rng = np.random.default_rng(14)
         for _ in range(20):

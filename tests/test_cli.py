@@ -707,6 +707,13 @@ class TestFixedPointCommand:
         assert payload["contraction"]["condition"] == "ii"
 
 
+    @pytest.mark.parametrize("kappa", ["nan", "-1", "-0.5"])
+    def test_kappa_must_be_nonnegative(self, capsys, kappa):
+        assert main(["fixed-point", "--task", "BOYAN13", "--emphasis",
+                     "constant:1", "--lambda", "0.5", "--kappa", kappa]) == 2
+        assert capsys.readouterr() == (
+            "", "error: kappa must be nonnegative\n")
+
     @pytest.mark.parametrize("emphasis", ["constant:1", "abs_expected_td"])
     @pytest.mark.parametrize("lam", ["1.5", "-0.5", "nan"])
     def test_lambda_outside_the_unit_interval(self, capsys, emphasis, lam):
