@@ -342,14 +342,14 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     alone is taken per chunk too, as (chunk, rows) arrays: the rewards with
     their noise, the static and count-inverse emphasis at each visited
     state (``emphasis.count_inverse_path``), ETD's follow-on trace
-    (``TraceKernel.followon_path``) and every row's kernel coefficients
-    (``TraceKernel.coefficients``).  Each step does only what depends on θ:
-    the adaptive rows' emphasis at the visited state and, from a second
-    kernel over those rows alone, their coefficients for that step, written
-    over the chunk's; the kernel's in-place ``TraceKernel.advance`` of θ and
-    the trace; trace resets and the MSPBE.  The adaptive rows' weights,
-    visited states and coefficients are read and written through one slice
-    when those rows form one block, as ``run_experiment``'s cell-major order
+    (``TraceKernel.followon_path``) and, when no row's weight reads θ,
+    every row's kernel coefficients (``TraceKernel.coefficients``).  Each
+    step does only what depends on θ: under adaptive emphasis, the adaptive
+    rows' weights at the visited state, written into the chunk's weights,
+    and then that step's coefficients of every row from the one kernel; the
+    kernel's in-place ``TraceKernel.advance`` of θ and the trace; trace
+    resets and the MSPBE.  The adaptive rows' weights and visited states
+    are read and written through one slice when those rows form one block, as ``run_experiment``'s cell-major order
     makes them when the cells of the learners that read emphasis are listed
     together, and through their index array otherwise; both touch the same
     values, so the output is the same.  ``steps`` and ``eval_every`` are
@@ -432,8 +432,6 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     count_rows = np.flatnonzero(counted)
     adaptive_rows = np.flatnonzero(adaptive)
     has_adaptive = adaptive_rows.size > 0
-    adaptive_kernel = TraceKernel([configs[i] for i in adaptive_rows],
-                                  mrp.discount)
     if has_adaptive and adaptive_rows[-1] - adaptive_rows[0] \
             == adaptive_rows.size - 1:  # one block: read it through views
         adaptive_rows = slice(adaptive_rows[0], adaptive_rows[-1] + 1)
@@ -461,7 +459,7 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
             c = t % chunk
             if c == 0:
                 # free the last chunk's arrays first
-                rewards = followons = coeffs = None
+                rewards = followons = coeffs = weights = None
                 width = min(chunk, steps - t)
                 codes = []
                 for gens, code in coders:
@@ -484,27 +482,22 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
                     weights[:, count_rows] = count_inverse_path(
                         counts, states[:, count_rows], eps[count_rows])
                 followons, followon = kernel.followon_path(followon, exits)
-                coeffs = [np.broadcast_to(a, weights.shape) for a in
-                          kernel.coefficients(weights, followons)]
-                weights = None
-                if has_adaptive:
-                    # writable and unshared, for the adaptive rows' per-step
-                    # entries; one at a time, so that at most one extra
-                    # chunk array is live
-                    for i, a in enumerate(coeffs):
-                        coeffs[i] = a.copy()
+                if not has_adaptive:
+                    coeffs = [np.broadcast_to(a, weights.shape) for a in
+                              kernel.coefficients(weights, followons)]
+                    weights = None
             s, nxt = states[c], nexts[c]
 
             if has_adaptive:
-                w = abs_expected_td_rows(mrp, feature_map,
-                                         theta[adaptive_rows], adaptive_eps,
-                                         s[adaptive_rows])
-                for a, step_a in zip(coeffs, adaptive_kernel.coefficients(
-                        w, followons[c, adaptive_rows])):
-                    a[c, adaptive_rows] = step_a
+                weights[c, adaptive_rows] = abs_expected_td_rows(
+                    mrp, feature_map, theta[adaptive_rows], adaptive_eps,
+                    s[adaptive_rows])
+                step_coeffs = kernel.coefficients(weights[c], followons[c])
+            else:
+                step_coeffs = [a[c] for a in coeffs]
             kernel.advance(theta, trace, phi.take(s, axis=0),
                            phi_pad.take(nxt, axis=0), rewards[c], alphas[t],
-                           [a[c] for a in coeffs])
+                           step_coeffs)
 
             if record_theta:
                 theta_hist[t] = theta

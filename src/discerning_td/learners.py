@@ -138,15 +138,16 @@ class TraceKernel:
 
     The coefficients depend on w and F only, not on theta.  So a caller
     takes F along a sampled path (:meth:`followon_path`) and the
-    coefficients (:meth:`coefficients`) for the whole path, or per step for
-    rows whose w it refreshes, and per step calls :meth:`advance`, which
-    does the theta-dependent rest (delta, then the trace and theta in
+    coefficients (:meth:`coefficients`) for the whole path, or per step
+    when some row's w reads theta, and per step calls :meth:`advance`,
+    which does the theta-dependent rest (delta, then the trace and theta in
     place).  The products keep the grouping ``(alpha*delta)*c_out`` and
     ``gl*(1-w)``; each row's coefficients are selected, never blended by
     0/1 masks, and a coefficient of 1 multiplies exactly, so a diverged
     row's NaN stays in its row, a kernel over a subset of the rows gives
-    those rows' coefficients bit for bit, and every bit is the same whether
-    a coefficient was taken per path or per step.
+    those rows' coefficients bit for bit (as :func:`run_episode`'s one-row
+    kernel does), and every bit is the same whether a coefficient was taken
+    per path or per step.
     """
 
     def __init__(self, configs, gamma: float):

@@ -281,6 +281,28 @@ class TestSimulateCurves:
         assert peak < 48 * 2 ** 20
         assert np.all(np.isfinite(out.curves))
 
+    def test_adaptive_emphasis_keeps_memory_small(self):
+        # 500 BOYAN13 rows, 300 of them adaptive: a step's coefficients are
+        # taken from the chunk's weights, so no (steps, rows) coefficient
+        # array is held for the chunk
+        mrp, fm = resolve_task("BOYAN13")
+        configs, seqs = [], []
+        for algo in Algorithm:
+            for alpha in (2.0 ** -6, 2.0 ** -3):
+                cell = AlgoConfig(algo, lam=0.9, alpha=alpha,
+                                  emphasis=EmphasisSpec("abs_expected_td"))
+                configs += [cell] * 50
+                seqs += run_seed_sequences("BOYAN13", cell, 0, 50)
+        tracemalloc.start()
+        try:
+            out = simulate_curves(mrp, fm, configs, seqs, 300,
+                                  eval_every=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        assert out.curves.shape == (500, 3)
+
 
 def mixed_cells(n_states):
     """Every learner under every emphasis kind, with varied lambda/alpha."""
