@@ -25,7 +25,7 @@ from .mrp import ChainStructureError, ConvergenceError, load_environment, \
 def parse_emphasis(text: str, epsilon_floor: float) -> EmphasisSpec:
     """Parse a compact emphasis spec: ``constant:2.0``, ``table:1,0.5,...``,
     ``count_inverse``, ``noise_prior`` or ``abs_expected_td``."""
-    head, _, param = str(text).partition(":")
+    head, colon, param = str(text).partition(":")
     kind = EmphasisKind(head.strip().lower())
     if kind is EmphasisKind.CONSTANT:
         value = float(param) if param else 1.0
@@ -35,6 +35,9 @@ def parse_emphasis(text: str, epsilon_floor: float) -> EmphasisSpec:
             raise ValueError("table emphasis needs comma-separated values")
         table = np.array([float(x) for x in param.split(",")])
         return EmphasisSpec(kind, table=table, epsilon_floor=epsilon_floor)
+    if colon:
+        raise ValueError(f"{kind.value} emphasis takes no parameter, not "
+                         f"{param!r}")
     return EmphasisSpec(kind, epsilon_floor=epsilon_floor)
 
 
@@ -162,17 +165,22 @@ def _checked(value, kind: str, what: str):
     return value
 
 
-def _require_keys(mapping, keys, where: str) -> None:
+def _require_keys(mapping, keys, where: str, optional=()) -> None:
+    """Refuse a ``mapping`` that is no JSON object, lacks one of ``keys`` or
+    holds a key that is neither in ``keys`` nor in ``optional``."""
     if not isinstance(mapping, dict):
         raise ValueError(f"{where} must be a JSON object")
     for key in keys:
         if key not in mapping:
             raise ValueError(f"{where} is missing key {key!r}")
+    for key in mapping:
+        if key not in keys and key not in optional:
+            raise ValueError(f"{where} has unknown key {key!r}")
 
 
 def cmd_sweep(args) -> int:
     spec = read_json(args.config)
-    _require_keys(spec, SWEEP_KEYS, "sweep config")
+    _require_keys(spec, SWEEP_KEYS, "sweep config", ("format", "aggregate"))
     spec = {"format": "csv", "aggregate": False, **spec}
     for key, kind in {**SWEEP_KEYS, "format": "a string",
                       "aggregate": "true or false"}.items():
@@ -183,10 +191,11 @@ def cmd_sweep(args) -> int:
     groups = []
     for i, entry in enumerate(spec["algorithms"]):
         where = f"sweep config algorithms[{i}]"
-        _require_keys(entry, SWEEP_ENTRY_KEYS, where)
+        _require_keys(entry, SWEEP_ENTRY_KEYS, where, ("emphasis",))
         emphasis = entry.get("emphasis", {"kind": "constant"})
         where = f"{where}.emphasis"
-        _require_keys(emphasis, ("kind",), where)
+        _require_keys(emphasis, ("kind",), where,
+                      ("constant", "epsilon_floor", "table"))
         numbers = {key: emphasis[key] for key in ("constant", "epsilon_floor")
                    if key in emphasis}
         table = emphasis.get("table")

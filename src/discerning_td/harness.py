@@ -55,9 +55,15 @@ def resolve_task(name: str):
     """Map a task name to its environment; NOISY10 takes an optional
     reward level suffix, e.g. ``NOISY10:-1``."""
     key = str(name).strip().upper()
-    head, colon, level = key.partition(":")
+    head, colon, _ = key.partition(":")
     if head == "NOISY10":
-        return make_noisy_chain(float(level) if colon else 0.0)
+        text = str(name).strip().partition(":")[2] if colon else "0"
+        try:
+            level = float(text)
+        except ValueError:
+            raise ValueError(f"NOISY10 reward level must be a number, not "
+                             f"{text!r} (task {name!r})") from None
+        return make_noisy_chain(level)
     if key in ("RW5_LEFT", "RW5_MIDDLE", "RW5_RIGHT"):
         return make_random_walk(5, key.split("_")[1].lower())
     if key == "RW5_TABULAR":

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from discerning_td import FeatureMap, MarkovRewardProcess, load_records, \
     make_random_walk, resolve_task, save_environment
@@ -52,6 +53,15 @@ class TestParseEmphasis:
         with pytest.raises(ValueError):
             parse_emphasis("priority", 1e-3)
 
+    @pytest.mark.parametrize("text", ["count_inverse:5", "noise_prior:x",
+                                      "abs_expected_td:", "COUNT_INVERSE:5"])
+    def test_kind_without_a_parameter_refuses_one(self, text):
+        param = text.partition(":")[2]
+        kind = text.partition(":")[0].lower()
+        with pytest.raises(ValueError, match=(
+                f"^{kind} emphasis takes no parameter, not {param!r}$")):
+            parse_emphasis(text, 1e-3)
+
 
 class TestRunCommand:
     def test_writes_parseable_csv(self, tmp_path, capsys):
@@ -84,6 +94,25 @@ class TestRunCommand:
         argv[argv.index("RW5_MIDDLE")] = "MAZE"
         assert main(argv) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("emphasis", ["count_inverse:5",
+                                          "noise_prior:0.1",
+                                          "abs_expected_td:2"])
+    def test_emphasis_parameter_refused(self, tmp_path, capsys, emphasis):
+        argv = run_args(tmp_path, **{"--algo": ["DTD"],
+                                     "--emphasis": emphasis})
+        assert main(argv) == 2
+        kind, _, param = emphasis.partition(":")
+        assert capsys.readouterr() == ("", (
+            f"error: {kind} emphasis takes no parameter, not {param!r}\n"))
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_noisy_level_that_is_not_a_number(self, tmp_path, capsys):
+        assert main(run_args(tmp_path, **{"--task": "NOISY10:abc"})) == 2
+        assert capsys.readouterr() == ("", (
+            "error: NOISY10 reward level must be a number, not 'abc' "
+            "(task 'NOISY10:abc')\n"))
+        assert not (tmp_path / "out.csv").exists()
 
     def test_env_file_override(self, tmp_path):
         mrp, fm = make_random_walk(5, "right")
@@ -373,6 +402,25 @@ class TestSweepCommand:
                        "missing key 'kind'\n")
         assert not (tmp_path / "sweep.csv").exists()
 
+
+    @pytest.mark.parametrize("path, key, where", [
+        ((), "agregate", "sweep config"),
+        (("algorithms", 0), "lamda", "sweep config algorithms[0]"),
+        (("algorithms", 0, "emphasis"), "constnat",
+         "sweep config algorithms[0].emphasis"),
+    ])
+    def test_unknown_key(self, tmp_path, capsys, path, key, where):
+        config = self._config(tmp_path)
+        config["algorithms"][0]["emphasis"] = {"kind": "constant",
+                                               "constant": 3.0}
+        target = config
+        for part in path:
+            target = target[part]
+        target[key] = True
+        assert self._run(tmp_path, config) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {where} has unknown key {key!r}\n")
+        assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("runs", 2.7), ("runs", True), ("steps", "100"), ("eval_every", 50.0),
@@ -731,6 +779,24 @@ class TestFixedPointCommand:
                      emphasis, "--lambda", "1.5"]) == 2
         assert capsys.readouterr() == ("", "error: lam must lie in [0, 1]\n")
 
+    @pytest.mark.parametrize("emphasis", ["count_inverse:5",
+                                          "noise_prior:1",
+                                          "abs_expected_td:x"])
+    def test_emphasis_parameter_refused(self, capsys, emphasis):
+        assert main(["fixed-point", "--task", "RW5_MIDDLE", "--emphasis",
+                     emphasis, "--lambda", "0.5"]) == 2
+        kind, _, param = emphasis.partition(":")
+        assert capsys.readouterr() == ("", (
+            f"error: {kind} emphasis takes no parameter, not {param!r}\n"))
+
+    @pytest.mark.parametrize("task, level", [("NOISY10:abc", "abc"),
+                                             ("noisy10:", "")])
+    def test_noisy_level_that_is_not_a_number(self, capsys, task, level):
+        assert main(["fixed-point", "--task", task, "--lambda", "0.5"]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: NOISY10 reward level must be a number, not {level!r} "
+            f"(task {task!r})\n"))
+
     def test_adaptive_emphasis_reaches_self_consistency(self, capsys):
         assert main(["fixed-point", "--task", "NOISY10:0", "--emphasis",
                      "abs_expected_td", "--lambda", "0.5"]) == 0
@@ -1006,3 +1072,160 @@ class TestRepeatedCalls:
             cli._parser.cache_clear()
         assert len(built) == 1
         assert build() is not build()
+
+
+
+# Most drawn values are valid, so that most examples simulate; the rest
+# probe a refusal.
+_UNIT = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                  st.sampled_from([0.0, 1.0, -0.5, 1.5, float("nan")]))
+_STEP = st.one_of(st.floats(1e-3, 1.0), st.floats(1e-3, 1.0),
+                  st.sampled_from([0.5, 4.0, 1e300, 0.0, -0.5,
+                                   float("inf")]))
+_WEIGHT = st.one_of(st.floats(0.1, 2.0),
+                    st.sampled_from([1.0, 0.0, -1.0, float("nan")]))
+_LEARNERS = ["TD", "DTD", "ETD", "PTD", "TDW"]
+
+
+@st.composite
+def _environments(draw):
+    """An environment payload of 1-4 states, sometimes with a bad field."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n * n,
+                                 max_size=n * n))).reshape(n, n)
+    stay = draw(st.lists(st.sampled_from([0.0, 0.5, 0.9, 1.0]), min_size=n,
+                         max_size=n))
+    sums = raw.sum(axis=1, keepdims=True)
+    transition = np.divide(raw, sums, out=np.zeros_like(raw),
+                           where=sums > 0) * np.array(stay)[:, None]
+    start = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n,
+                                   max_size=n))) + 1e-3
+    payload = {
+        "mrp": {"n_states": n, "transition": transition.tolist(),
+                "expected_reward": draw(st.lists(
+                    st.floats(-2.0, 2.0), min_size=n, max_size=n)),
+                "reward_noise_std": draw(st.lists(
+                    st.sampled_from([0.0, 0.1, 1.0]), min_size=n,
+                    max_size=n)),
+                "initial_dist": (start / start.sum()).tolist(),
+                "discount": draw(st.sampled_from([1.0, 0.9, 0.5, 0.0]))},
+        "feature_map": {"phi": (np.eye(n)[:, :k] + np.array(draw(st.lists(
+            st.floats(-0.5, 0.5), min_size=n * k, max_size=n * k))).reshape(
+                n, k)).tolist()},
+    }
+    fault = draw(st.sampled_from([None] * 12 + [
+        ("mrp", "n_states", n + 1), ("mrp", "discount", True),
+        ("mrp", "discount", 1.5), ("mrp", "initial_dist", [1.0] * n),
+        ("mrp", "transition", "x"), ("mrp", "n_states", None),
+        ("feature_map", "phi", [[1.0]] * (n + 1)),
+    ]))
+    if fault is not None:
+        part, key, value = fault
+        if value is None:
+            del payload[part][key]
+        else:
+            payload[part][key] = value
+    return payload
+
+
+_EMPHASIS_TEXT = st.one_of(
+    st.sampled_from(["constant:1", "constant:2.5", "count_inverse",
+                     "noise_prior", "abs_expected_td"]),
+    _WEIGHT.map(lambda w: f"constant:{w!r}"),
+    st.lists(_WEIGHT.map(repr), min_size=1, max_size=4).map(
+        lambda ws: "table:" + ",".join(ws)),
+    st.sampled_from(["constant", "constant:abc", "table:", "table:1,x",
+                     "count_inverse:5", "noise_prior:", "abs_expected_td:2",
+                     "bogus", "", ":"]),
+)
+
+_EMPHASIS_OBJECT = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["constant", "table", "count_inverse",
+                              "noise_prior", "abs_expected_td"])},
+    optional={"constant": _WEIGHT,
+              "epsilon_floor": st.sampled_from([1e-3, 0.1, 0.0, 2.0]),
+              "table": st.lists(_WEIGHT, min_size=1, max_size=14)})
+
+# one fault of a sweep config: (entry index or None, key, value), the
+# value None for a deleted key
+_SWEEP_FAULT = st.sampled_from([None] * 12 + [
+    (None, "task", "MAZE"), (None, "task", "NOISY10:x"),
+    (None, "runs", 1.5), (None, "runs", 0), (None, "steps", None),
+    (None, "format", "xml"), (None, "format", "JSON"),
+    (None, "aggregate", "false"), (None, "agregate", True),
+    (0, "algorithm", "XTD"), (0, "lambda", "0.5"), (0, "alpha", [True]),
+    (0, "lamda", 0.9), (0, "emphasis", {"kind": "bogus"}),
+    (0, "emphasis", {"kind": 3}), (0, "emphasis", []),
+    (0, "emphasis", {"kind": "constant", "constnat": 3.0}),
+    (0, "emphasis", {"kind": "table", "table": "1,2"}),
+    (0, "emphasis", {"kind": "constant", "constant": True}),
+    (0, "emphasis", {"kind": "count_inverse", "epsilon_floor": "x"}),
+])
+
+
+def _assert_clean_exit(code, err):
+    """Exit 0, or exit 2 with one ``error:`` line last on stderr; any other
+    stderr line is a divergence warning."""
+    lines = err.splitlines()
+    assert all(line.startswith(("warning: ", "error: ")) for line in lines)
+    errors = [line for line in lines if line.startswith("error: ")]
+    if code == 0:
+        assert errors == []
+    else:
+        assert code == 2 and len(errors) == 1 and lines[-1] == errors[0]
+
+
+class TestFuzz:
+    """Random inputs through ``cli.main``: a clean exit, never a raise."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(env=_environments(), lams=st.lists(_UNIT, min_size=1, max_size=2,
+                                              unique=True),
+           alpha=_STEP, emphasis=_EMPHASIS_TEXT,
+           algos=st.lists(st.sampled_from(_LEARNERS), min_size=1,
+                          max_size=2, unique=True),
+           fmt=st.sampled_from(["csv", "json"]), aggregate=st.booleans())
+    def test_run(self, tmp_path, capsys, env, lams, alpha, emphasis, algos,
+                 fmt, aggregate):
+        env_path = tmp_path / "env.json"
+        env_path.write_text(json.dumps(env))
+        argv = ["run", "--task", "FUZZ", "--algo", *algos, "--lambda",
+                *map(repr, lams), "--alpha", repr(alpha),
+                f"--emphasis={emphasis}", "--runs",
+                "2", "--steps", "6", "--eval-every", "3", "--env-file",
+                str(env_path), "--out", str(tmp_path / f"out.{fmt}"),
+                "--format", fmt] + (["--aggregate"] if aggregate else [])
+        _assert_clean_exit(main(argv), capsys.readouterr().err)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(task=st.sampled_from(["RW5_LEFT", "RW5_DEPENDENT", "BOYAN13",
+                                 "NOISY10:1"]),
+           entries=st.lists(st.fixed_dictionaries(
+               {"algorithm": st.sampled_from(_LEARNERS),
+                "lambda": st.one_of(_UNIT, st.lists(_UNIT, min_size=1,
+                                                    max_size=2, unique=True)),
+                "alpha": st.one_of(_STEP, st.just([0.1, 0.2]))},
+               optional={"emphasis": _EMPHASIS_OBJECT}),
+               min_size=1, max_size=2),
+           fmt=st.sampled_from(["csv", "json"]), aggregate=st.booleans(),
+           fault=_SWEEP_FAULT)
+    def test_sweep(self, tmp_path, capsys, task, entries, fmt, aggregate,
+                   fault):
+        config = {"task": task, "algorithms": entries, "runs": 2,
+                  "steps": 6, "eval_every": 3, "base_seed": 0,
+                  "out": str(tmp_path / "sweep.out"), "format": fmt,
+                  "aggregate": aggregate}
+        if fault is not None:
+            entry, key, value = fault
+            target = config if entry is None else entries[entry]
+            if value is None:
+                del target[key]
+            else:
+                target[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = main(["sweep", "--config", str(path)])
+        _assert_clean_exit(code, capsys.readouterr().err)
