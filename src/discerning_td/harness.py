@@ -355,10 +355,11 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     and then that step's coefficients of every row from the one kernel; the
     kernel's in-place ``TraceKernel.advance`` of θ and the trace; trace
     resets and the MSPBE.  The adaptive rows' weights and visited states
-    are read and written through one slice when those rows form one block, as ``run_experiment``'s cell-major order
-    makes them when the cells of the learners that read emphasis are listed
-    together, and through their index array otherwise; both touch the same
-    values, so the output is the same.  ``steps`` and ``eval_every`` are
+    are read and written through one slice when those rows form one block,
+    as ``run_experiment``'s cell-major order makes them when the cells of
+    the learners that read emphasis are listed together, and through their
+    index array otherwise; both touch the same values, so the output is the
+    same.  ``steps`` and ``eval_every`` are
     nonnegative integers (a bool is none); ``eval_every`` 0 records no
     curve.  A row's weights and curve are the same in any batch, except in a
     one-row call on chains of ten or more states, which numpy multiplies

@@ -145,9 +145,9 @@ class TraceKernel:
     ``gl*(1-w)``; each row's coefficients are selected, never blended by
     0/1 masks, and a coefficient of 1 multiplies exactly, so a diverged
     row's NaN stays in its row, a kernel over a subset of the rows gives
-    those rows' coefficients bit for bit (as :func:`run_episode`'s one-row
-    kernel does), and every bit is the same whether a coefficient was taken
-    per path or per step.
+    those rows' coefficients bit for bit (:func:`run_episode`'s one-row
+    kernel relies on it), and every bit is the same whether a coefficient
+    was taken per path or per step.
     """
 
     def __init__(self, configs, gamma: float):
