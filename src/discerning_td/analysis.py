@@ -30,12 +30,10 @@ class LinearSystem:
             raise ValueError("A must be square and b must match its size")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("system contains non-finite entries")
-        a = a.copy()
-        b = b.copy()
-        a.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "b", b)
+        for name, value in (("A", a), ("b", b)):
+            value = value.copy()
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -79,22 +77,34 @@ def projection(feature_map: FeatureMap, weight_diag) -> np.ndarray:
     return phi @ np.linalg.solve(gram, phi.T * w[None, :])
 
 
+def backed_up_values(theta, mrp: MarkovRewardProcess, phi):
+    """Values v = theta Phi^T of weights ``theta`` (k,) or (B, k) and their
+    backup r + gamma * (v P^T), both (max(B, 2), n), for callers to slice:
+    a lone row is multiplied as two, since numpy's matrix-vector product
+    rounds unlike its matrix-matrix one, so no row's bits depend on B."""
+    if theta.ndim == 1 or len(theta) == 1:
+        theta = np.vstack((theta, theta))
+    v = theta @ phi.T
+    backup = v @ mrp.transition.T
+    backup *= mrp.discount
+    backup += mrp.expected_reward
+    return v, backup
+
+
 def mspbe_rows(theta, mrp: MarkovRewardProcess, phi, d, proj_t) -> np.ndarray:
     """:func:`mspbe` of each row of weights ``theta`` (B, k), given the
     stationary distribution ``d`` and the projection's transpose ``proj_t``."""
-    v_all = theta @ phi.T
-    tv = mrp.expected_reward + mrp.discount * (v_all @ mrp.transition.T)
+    v_all, tv = backed_up_values(theta, mrp, phi)
     err = v_all - tv @ proj_t
-    return np.sqrt(np.einsum("bn,n,bn->b", err, d, err))
+    return np.sqrt(np.einsum("bn,n,bn->b", err, d, err))[:len(theta)]
 
 
 def mspbe(theta, mrp: MarkovRewardProcess, feature_map: FeatureMap) -> float:
     """Distance (in the stationary-distribution norm) between the current
     value estimate and the projected one-step image of it."""
-    d = mrp.stationary
     theta = np.asarray(theta, dtype=np.float64)[None, :]
-    return float(mspbe_rows(theta, mrp, feature_map.phi, d,
-                            projection(feature_map, d).T)[0])
+    return float(mspbe_rows(theta, mrp, feature_map.phi, mrp.stationary,
+                            projection(feature_map, mrp.stationary).T)[0])
 
 
 SERIES_TOL = 1e-14  # series stop once lam**n * max|weight| is below this

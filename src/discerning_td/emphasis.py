@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import backed_up_values
 from .mrp import FeatureMap, MarkovRewardProcess, checked_int, \
     checked_real
 
@@ -174,15 +175,13 @@ def abs_expected_td_rows(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     (k,) or (B, k), a floor that is a scalar or a (B, 1) column; or, given
     one ``visited`` state per row, the (B,) weights there, floor (B,).
 
-    The score |r + gamma*(v P^T) - v| is formed in place in that order of
-    operations, and each row's peak is taken along the batch axis of the
-    transposed scores; a max is exact, so neither moves a bit."""
-    v = theta @ feature_map.phi.T
-    raw = v @ mrp.transition.T
-    raw *= mrp.discount
-    raw += mrp.expected_reward
+    The score |r + gamma*(v P^T) - v| is formed in place, and each row's
+    peak is taken along the batch axis of the transposed scores; a max is
+    exact, so neither moves a bit."""
+    v, raw = backed_up_values(theta, mrp, feature_map.phi)
     raw -= v
     np.abs(raw, out=raw)
+    raw = raw[0] if theta.ndim == 1 else raw[:len(theta)]
     if visited is None:
         return _scale_sqrt_floor(raw, epsilon_floor)
     return _scale_sqrt_floor(raw[np.arange(len(raw)), visited],
@@ -198,8 +197,7 @@ def emphasis_abs_expected_td(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     shared pipeline row by row.
 
     When the current estimate is exactly self-consistent everywhere the raw
-    score vanishes and the emphasis is uniform 1.
-    """
+    score vanishes and the emphasis is uniform 1."""
     return abs_expected_td_rows(mrp, feature_map,
                                 np.asarray(theta, dtype=np.float64),
                                 checked_floor(epsilon_floor))

@@ -328,7 +328,7 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     one per seed stream, so that the rows of many hyperparameter cells step
     together in one loop.  Each step is one ``learners.TraceKernel`` step,
     whose docstring holds the per-learner coefficients.  Rows never mix: a
-    diverged row leaves every other row unchanged.  A ``DecayingAlpha``
+    row's weights and curve are the same in any batch.  A ``DecayingAlpha``
     step size is accepted for a single config only.
 
     Episodes restart from the initial distribution whenever the chain exits;
@@ -354,21 +354,13 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     rows' weights at the visited state, written into the chunk's weights,
     and then that step's coefficients of every row from the one kernel; the
     kernel's in-place ``TraceKernel.advance`` of θ and the trace; trace
-    resets and the MSPBE.  The adaptive rows' weights and visited states
-    are read and written through one slice when those rows form one block,
-    as ``run_experiment``'s cell-major order makes them when the cells of
-    the learners that read emphasis are listed together, and through their
-    index array otherwise; both touch the same values, so the output is the
-    same.  ``steps`` and ``eval_every`` are
-    nonnegative integers (a bool is none); ``eval_every`` 0 records no
-    curve.  A row's weights and curve are the same in any batch, except in a
-    one-row call on chains of ten or more states, which numpy multiplies
-    by its matrix-vector path.  Its curve can then differ in the last bit, and
-    under adaptive emphasis the difference feeds back through θ and can
-    grow: on BOYAN13 (DTD, λ 0.9, seed 0, 5000 steps) a one-row call and
-    row 0 of a two-row call differ in θ by 0.138 and in the final MSPBE by
-    0.023 at α = 2⁻⁴, and in θ by 6e-13 at α = 2⁻⁶.
-    Non-finite error measurements (diverged rows) are recorded as +inf.
+    resets and the MSPBE.  The adaptive rows are read and written through
+    one slice when they form one block, as ``run_experiment``'s cell-major
+    order makes them when the learners that read emphasis are listed
+    together, and through their index array otherwise; both touch the same
+    values.  ``steps`` and ``eval_every`` are nonnegative integers (a bool
+    is none); ``eval_every`` 0 records no curve.  Non-finite error
+    measurements (diverged rows) are recorded as +inf.
     """
     steps = checked_int("steps", steps, least=0)
     eval_every = checked_int("eval_every", eval_every, least=0)

@@ -24,8 +24,10 @@ from discerning_td import (
     stationary_distribution,
     true_value,
 )
+from discerning_td.analysis import mspbe_rows
 from discerning_td.checks import random_ergodic_mrp, \
     scale_emphasis_to_contract
+from discerning_td.harness import resolve_task
 
 
 class TestProjection:
@@ -97,6 +99,21 @@ class TestMspbe:
         assert got == pytest.approx(oracle, abs=1e-12)
         assert got > 0.0
 
+    @pytest.mark.parametrize("task", ["BOYAN13", "NOISY10:1",
+                                      "RW5_DEPENDENT"])
+    def test_one_weight_vector_matches_its_row_in_a_batch(self, task):
+        # numpy multiplies a lone row by its matrix-vector product, which
+        # can round unlike the matrix-matrix one of a batch
+        mrp, fm = resolve_task(task)
+        d = mrp.stationary
+        proj_t = projection(fm, d).T
+        thetas = np.random.default_rng(4).normal(0.0, 5.0,
+                                                 (200, fm.n_features))
+        batch = mspbe_rows(thetas, mrp, fm.phi, d, proj_t)
+        alone = [mspbe(theta, mrp, fm) for theta in thetas]
+        one_row = [mspbe_rows(theta[None, :], mrp, fm.phi, d, proj_t)[0]
+                   for theta in thetas]
+        assert batch.tolist() == alone == one_row
 
     def test_continuing_undiscounted_chain(self):
         # gamma 1 and no exit: no value solve, but d is still defined

@@ -232,11 +232,8 @@ class TestRowWise:
         thetas = np.random.default_rng(9).normal(0.0, 5.0, (6, 4))
         rows = emphasis_abs_expected_td(mrp, fm, thetas, epsilon_floor=0.01)
         for row, theta in zip(rows, thetas):
-            # matrix-matrix and matrix-vector products may differ in the
-            # last bit
-            np.testing.assert_allclose(
-                row, emphasis_abs_expected_td(mrp, fm, theta, 0.01),
-                rtol=1e-13, atol=0.0)
+            np.testing.assert_array_equal(
+                row, emphasis_abs_expected_td(mrp, fm, theta, 0.01))
 
     def test_diverged_row_gets_uniform_weight(self):
         mrp, fm = make_random_walk(5, "middle")
@@ -318,7 +315,7 @@ class TestAdaptiveVisited:
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 12),
-           st.integers(2, 6))
+           st.integers(1, 6))
     def test_matches_whole_rows(self, seed, n, rows):
         rng = np.random.default_rng(seed)
         mrp = random_ergodic_mrp(rng, n)

@@ -449,6 +449,22 @@ class TestCellBatching:
         assert np.all(np.isfinite(out.curves[[0, 1, 4, 5]]))
         assert_cells_match(out, "BOYAN13", cells, 2, 2000, 500, skip=(1,))
 
+    @pytest.mark.parametrize("task", ["BOYAN13", "NOISY10:1",
+                                      "RW5_DEPENDENT"])
+    @pytest.mark.parametrize("kind", ["abs_expected_td", "noise_prior"])
+    def test_one_row_call_matches_its_row_in_any_batch(self, task, kind):
+        # adaptive emphasis feeds a last-bit difference back through θ: on
+        # BOYAN13 it once grew to 0.138 between a one-row and a two-row call
+        mrp, fm = resolve_task(task)
+        config = AlgoConfig(Algorithm.DTD, lam=0.9, alpha=2 ** -4,
+                            emphasis=EmphasisSpec(kind))
+        seqs = run_seed_sequences(task, config, 0, 50)
+        alone, *wider = [simulate_curves(mrp, fm, config, seqs[:rows], 5000,
+                                         100) for rows in (1, 2, 50)]
+        for out in wider:
+            assert out.final_theta[0].tobytes() == alone.final_theta.tobytes()
+            assert out.curves[0].tobytes() == alone.curves.tobytes()
+
     def test_config_count_must_match_seeds(self):
         mrp, fm = resolve_task("RW5_LEFT")
         config = AlgoConfig(Algorithm.TD, lam=0.5, alpha=0.1)
