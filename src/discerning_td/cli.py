@@ -4,6 +4,7 @@ points."""
 import argparse
 import json
 import os
+import re
 import sys
 from functools import cache
 
@@ -27,18 +28,31 @@ def parse_emphasis(text: str, epsilon_floor: float) -> EmphasisSpec:
     ``count_inverse``, ``noise_prior`` or ``abs_expected_td``."""
     head, colon, param = str(text).partition(":")
     kind = EmphasisKind(head.strip().lower())
+
+    def number(value: str) -> float:
+        try:
+            return float(value)
+        except ValueError:
+            raise ValueError(f"--emphasis {kind.value}: {value!r} is not a "
+                             f"number") from None
+
     if kind is EmphasisKind.CONSTANT:
-        value = float(param) if param else 1.0
+        value = number(param) if param else 1.0
         return EmphasisSpec(kind, constant=value, epsilon_floor=epsilon_floor)
     if kind is EmphasisKind.TABLE:
         if not param:
             raise ValueError("table emphasis needs comma-separated values")
-        table = np.array([float(x) for x in param.split(",")])
+        table = np.array([number(x) for x in param.split(",")])
         return EmphasisSpec(kind, table=table, epsilon_floor=epsilon_floor)
     if colon:
         raise ValueError(f"{kind.value} emphasis takes no parameter, not "
                          f"{param!r}")
     return EmphasisSpec(kind, epsilon_floor=epsilon_floor)
+
+
+# argparse's own pattern has no exponent, so it read -1e-05 as a flag
+NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf$",
+                             re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,6 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
                     default=DEFAULT_EPSILON_FLOOR)
     fp.add_argument("--lambda", dest="lam", type=float, required=True)
     fp.add_argument("--kappa", type=float, default=None)
+    for each in (parser, run, fp):  # values such as -1e-05 are no flags
+        each._negative_number_matcher = NEGATIVE_NUMBER
     return parser
 
 

@@ -303,11 +303,15 @@ def emphasis_label(config: AlgoConfig) -> str:
 
 
 def cell_key(task: str, config: AlgoConfig) -> int:
-    """Stable 32-bit identifier of a hyperparameter cell for seed spawning."""
+    """Stable 32-bit identifier of a hyperparameter cell for seed spawning.
+    A ``DecayingAlpha``'s ``a`` and ``b`` are read as floats, so schedules
+    that compare equal draw the same streams."""
+    alpha = config.alpha
+    if isinstance(alpha, DecayingAlpha):
+        alpha = DecayingAlpha(float(alpha.a), float(alpha.b))
     text = "|".join([
-        str(task), config.algorithm.value, repr(config.lam),
-        repr(config.alpha), emphasis_label(config),
-        repr(config.emphasis.epsilon_floor),
+        str(task), config.algorithm.value, repr(config.lam), repr(alpha),
+        emphasis_label(config), repr(config.emphasis.epsilon_floor),
     ])
     return zlib.crc32(text.encode("utf-8"))
 

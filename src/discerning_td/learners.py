@@ -37,8 +37,8 @@ class Algorithm(str, enum.Enum):
 @dataclass(frozen=True)
 class DecayingAlpha:
     """Step sizes a / (1 + t/b): square-summable but not summable.  ``a``
-    and ``b`` are real numbers (a bool is none), kept as given, since
-    ``harness.cell_key`` seeds runs from the schedule's repr."""
+    and ``b`` are real numbers (a bool is none), kept as given;
+    ``harness.cell_key`` reads them as floats."""
 
     a: float
     b: float

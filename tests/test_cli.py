@@ -107,6 +107,31 @@ class TestRunCommand:
             f"error: {kind} emphasis takes no parameter, not {param!r}\n"))
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("emphasis, value", [
+        ("constant:abc", "abc"), ("table:1,x", "x"), ("table:1,,2", "")])
+    def test_emphasis_value_that_is_not_a_number(self, tmp_path, capsys,
+                                                 emphasis, value):
+        argv = run_args(tmp_path, **{"--algo": ["DTD"],
+                                     "--emphasis": emphasis})
+        assert main(argv) == 2
+        kind = emphasis.partition(":")[0]
+        assert capsys.readouterr() == ("", (
+            f"error: --emphasis {kind}: {value!r} is not a number\n"))
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--alpha", "-1e-05", "alpha must be positive and finite"),
+        ("--alpha", "-2.5E+1", "alpha must be positive and finite"),
+        ("--alpha", "-inf", "alpha must be positive and finite"),
+        ("--lambda", "-1e-05", "lam must lie in [0, 1]"),
+        ("--lambda", "-.5e-3", "lam must lie in [0, 1]")])
+    def test_negative_number_with_an_exponent_is_a_value(
+            self, tmp_path, capsys, option, value, message):
+        # argparse's own negative-number pattern reads -1e-05 as a flag
+        assert main(run_args(tmp_path, **{option: [value]})) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "out.csv").exists()
+
     def test_noisy_level_that_is_not_a_number(self, tmp_path, capsys):
         assert main(run_args(tmp_path, **{"--task": "NOISY10:abc"})) == 2
         assert capsys.readouterr() == ("", (
@@ -789,6 +814,16 @@ class TestFixedPointCommand:
         assert capsys.readouterr() == ("", (
             f"error: {kind} emphasis takes no parameter, not {param!r}\n"))
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--lambda", "-1e-05"], "lam must lie in [0, 1]"),
+        (["--lambda", "0.5", "--kappa", "-1e-3"],
+         "kappa must be nonnegative"),
+        (["--lambda", "0.5", "--emphasis", "constant:1e"],
+         "--emphasis constant: '1e' is not a number")])
+    def test_number_faults_reach_their_refusal(self, capsys, argv, message):
+        assert main(["fixed-point", "--task", "BOYAN13", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("task, level", [("NOISY10:abc", "abc"),
                                              ("noisy10:", "")])
     def test_noisy_level_that_is_not_a_number(self, capsys, task, level):
@@ -1079,10 +1114,11 @@ class TestRepeatedCalls:
 # Most drawn values are valid, so that most examples simulate; the rest
 # probe a refusal.
 _UNIT = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
-                  st.sampled_from([0.0, 1.0, -0.5, 1.5, float("nan")]))
+                  st.sampled_from([0.0, 1.0, -0.5, 1.5, -1e-05,
+                                   float("nan")]))
 _STEP = st.one_of(st.floats(1e-3, 1.0), st.floats(1e-3, 1.0),
-                  st.sampled_from([0.5, 4.0, 1e300, 0.0, -0.5,
-                                   float("inf")]))
+                  st.sampled_from([0.5, 4.0, 1e300, 0.0, -0.5, -1e-05,
+                                   float("inf"), float("-inf")]))
 _WEIGHT = st.one_of(st.floats(0.1, 2.0),
                     st.sampled_from([1.0, 0.0, -1.0, float("nan")]))
 _LEARNERS = ["TD", "DTD", "ETD", "PTD", "TDW"]

@@ -123,6 +123,15 @@ class TestConfigValidation:
     def test_cell_key_is_pinned(self, task, config, key):
         assert cell_key(task, config) == key
 
+    def test_equal_schedules_share_a_key(self):
+        schedules = [DecayingAlpha(0.2, 50), DecayingAlpha(0.2, 50.0),
+                     DecayingAlpha(np.float64(0.2), np.int64(50))]
+        assert schedules[0] == schedules[1] == schedules[2]
+        keys = {cell_key("RW5_LEFT", AlgoConfig(Algorithm.TD, 0.5, alpha))
+                for alpha in schedules}
+        assert keys == {cell_key("RW5_LEFT", AlgoConfig(
+            Algorithm.TD, 0.5, DecayingAlpha(0.2, 50.0)))}
+
     @pytest.mark.parametrize("value", [True, 2.0, "2"])
     @pytest.mark.parametrize("field", ["runs", "steps", "eval_every",
                                        "base_seed"])
@@ -536,15 +545,16 @@ class TestThetaBytes:
 
     @pytest.mark.parametrize("algo, emphasis, digests", [
         (Algorithm.DTD, EmphasisSpec("count_inverse"),
-         ["5068eae44155947c478dd0229b8265ce2765758751609bb5d62542858b1d7e4b",
-          "79b63727a1752e4cd7d1d2dd395cf868e8890d9971eef5a6591f448e8b01438a"]),
+         ["6608b7671396cd9becebcfb13707804a534dd6683f86b8fb8f14f11affe97753",
+          "e7254d66344def38f7a5b28875cb1de61b218b9fe3b8ee713e83253a6ee10f3f"]),
         (Algorithm.ETD, EmphasisSpec("constant"),
-         ["93aca085f1bd7246eae136c1f9497ffff7f091220cd7091fba531c84b72e14cf",
-          "777cca0c3a56bc9b822fd4c91e51da52fa5c2704ee4e1783dbe55e1afd85fe42"]),
+         ["7d28a68386cd74b30c1956f1112b55bbb1080d4524534e478ff20854cbce02c6",
+          "e46030b1c78b92446c724f0ca4b5e816437bc337fcf2a020e1f35a77a13d0572"]),
         (Algorithm.PTD, EmphasisSpec("abs_expected_td"),
-         ["0e363bb9252e91486100ca458627eb034319d86829f080fb122643eadfff3478",
-          "0fbd7a6770d351d3ace3fcd9b46911d6d1e726811154648b3b74cb6a66517ea4"])])
+         ["6aea6da212ecb33bd1dde6c9c6730d5d7691c37e44dacb66d7d687d732357abf",
+          "8685549df53f00e68d8cc1298dcc88c21a4b0de6634a5014f2c2b568bf83fdb4"])])
     def test_decaying_step_size(self, algo, emphasis, digests):
+        # re-pinned when cell_key began to read the schedule's b as 50.0
         mrp, fm = resolve_task("RW5_LEFT")
         config = AlgoConfig(algo, lam=0.9, alpha=DecayingAlpha(0.2, 50),
                             emphasis=emphasis)
