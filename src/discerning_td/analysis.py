@@ -121,14 +121,21 @@ def _operator_emphasis(mrp: MarkovRewardProcess, f_values,
 
 def dtd_operator(v, mrp: MarkovRewardProcess, f_values, lam: float,
                  series_cap: int = 100_000) -> np.ndarray:
-    """Apply the emphasis-weighted multi-step operator to a value vector.
+    """Apply the emphasis-weighted multi-step operator to a value vector,
+    or to each column of an ``(n, m)`` block of value vectors.
 
     Evaluates F^{-1} * sum_n lam^n (P^n (I - lam P) f) o (sum_{t<=n}
     (gamma P)^t r + (gamma P)^{n+1} v), truncating once the weight sequence
-    falls below ``SERIES_TOL``; o is the elementwise product.
+    falls below ``SERIES_TOL``; o is the elementwise product.  On a block,
+    the per-state weight, reward sum and f broadcast over the columns, so
+    one series serves them all.
     """
     f = _operator_emphasis(mrp, f_values, lam)
     v = np.asarray(v, dtype=np.float64)
+    if v.ndim not in (1, 2) or v.shape[0] != mrp.n_states:
+        raise ValueError("v must be a value vector or an (n, m) block of "
+                         "them, n the state count")
+    col = (slice(None),) + (None,) * (v.ndim - 1)  # per-state arrays
     gamma = mrp.discount
     p = mrp.transition
     r = mrp.expected_reward
@@ -136,19 +143,19 @@ def dtd_operator(v, mrp: MarkovRewardProcess, f_values, lam: float,
     cum_r = r.copy()                  # sum_{t<=n} (gamma P)^t r
     r_pow = r.copy()                  # (gamma P)^n r
     v_pow = gamma * (p @ v)           # (gamma P)^{n+1} v
-    acc = weight * (cum_r + v_pow)
+    acc = weight[col] * (cum_r[col] + v_pow)
     scale = 1.0
     for n in range(1, series_cap + 1):
         scale *= lam
         if scale * np.max(np.abs(weight)) < SERIES_TOL:
-            return acc / f
+            return acc / f[col]
         weight = p @ weight
         r_pow = gamma * (p @ r_pow)
         cum_r = cum_r + r_pow
         v_pow = gamma * (p @ v_pow)
-        acc = acc + scale * (weight * (cum_r + v_pow))
+        acc = acc + scale * (weight[col] * (cum_r[col] + v_pow))
     if scale * np.max(np.abs(weight)) < SERIES_TOL:
-        return acc / f
+        return acc / f[col]
     raise ConvergenceError("operator series hit the cap before tolerance")
 
 

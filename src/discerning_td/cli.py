@@ -244,7 +244,11 @@ def cmd_verify(args) -> int:
     else:
         print(text)
     n_pass = sum(res.passed for res in results)
-    print(f"{n_pass}/{len(results)} checks passed", file=sys.stderr)
+    slowest = sorted(results, key=lambda res: -res.seconds)[:3]
+    print(f"{n_pass}/{len(results)} checks passed in "
+          f"{sum(res.seconds for res in results):.1f} s; slowest: "
+          + ", ".join(f"{res.check} {res.seconds:.2f} s" for res in slowest),
+          file=sys.stderr)
     return 0 if n_pass == len(results) else 1
 
 

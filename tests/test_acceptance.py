@@ -62,6 +62,25 @@ def report(num, passed, detail):
     return passed
 
 
+def final_runs(by_cell_step, best):
+    """The final-step MSPBE of each run of a best cell, from a table's
+    ``by_cell_step()``."""
+    by_step = by_cell_step[(best.task, best.algorithm, best.lam, best.alpha,
+                            best.emphasis_kind)]
+    return by_step[max(by_step)]
+
+
+def se_gap(a, b):
+    """Mean of ``a`` minus mean of ``b``, in standard errors of that
+    difference (sample deviations, independent runs), to one decimal."""
+    se = np.sqrt(np.var(a, ddof=1) / len(a) + np.var(b, ddof=1) / len(b))
+    return round(float((np.mean(a) - np.mean(b)) / se), 1)
+
+
+PICKED_ON_SCORED_RUNS = ("each best cell is picked on the runs it is "
+                         "scored on")
+
+
 def random_episode(rng, n_states, max_len):
     length = int(rng.integers(1, max_len + 1))
     states = rng.integers(0, n_states, size=length + 1)
@@ -356,6 +375,7 @@ def test_11_visitation_imbalance_reproduction(fig1_outputs):
     paths, sweep_seconds = fig1_outputs
     start = time.time()
     gaps = {}
+    se_gaps = {}
     ok = True
     for task in FIG1_TASKS:
         records = load_records(paths[task])
@@ -363,12 +383,17 @@ def test_11_visitation_imbalance_reproduction(fig1_outputs):
         td = best[(task, "TD")]
         dtd = best[(task, "DTD")]
         gaps[task] = (round(dtd.score, 5), round(td.score, 5))
+        by_cell_step = records.by_cell_step()
+        se_gaps[task] = se_gap(final_runs(by_cell_step, dtd),
+                               final_runs(by_cell_step, td))
         ok = ok and dtd.score < td.score
     elapsed = sweep_seconds + time.time() - start
     ok = ok and elapsed < 600.0
     assert report(11, ok, f"best-swept final means (emphasis vs plain) "
-                          f"{gaps}; full sweep plus selection {elapsed:.0f}s "
-                          f"(budget 600s)")
+                          f"{gaps}; emphasis minus plain in standard errors "
+                          f"of the difference {se_gaps} "
+                          f"({PICKED_ON_SCORED_RUNS}); full sweep plus "
+                          f"selection {elapsed:.0f}s (budget 600s)")
 
 
 def test_12_reward_noise_reproduction():
@@ -378,12 +403,16 @@ def test_12_reward_noise_reproduction():
              for algo in (Algorithm.TD, Algorithm.DTD)
              for lam in DEFAULT_LAMBDA_GRID for alpha in DEFAULT_ALPHA_GRID]
     stats = {}
+    se_gaps = {}
     for level in ("-1", "0", "1"):
         task = f"NOISY10:{level}"
         config = ExperimentConfig(task=task, algorithms=cells, runs=50,
                                   steps=5000, eval_every=250, base_seed=0)
         records = run_experiment(config)
         best = select_best(records)
+        by_cell_step = records.by_cell_step()
+        se_gaps[level] = se_gap(final_runs(by_cell_step, best[(task, "DTD")]),
+                                final_runs(by_cell_step, best[(task, "TD")]))
         for algo in ("TD", "DTD"):
             cell = best[(task, algo)]
             final = aggregate([r for r in records
@@ -400,8 +429,10 @@ def test_12_reward_noise_reproduction():
                      f"+-{stats[(lvl, 'TD')][1]:.4f}")
                for lvl in ("-1", "0", "1")}
     report(12, mean_ok and std_ok,
-           f"final step stats {summary}; means not above plain learner: "
-           f"{mean_ok}, deviations lower at nonzero levels: {std_ok}")
+           f"final step stats {summary}; DTD minus TD in standard errors of "
+           f"the difference {se_gaps} ({PICKED_ON_SCORED_RUNS}); means not "
+           f"above plain learner: {mean_ok}, deviations lower at nonzero "
+           f"levels: {std_ok}")
     assert mean_ok, (
         "at nonzero reward levels the best-swept noise-prior cells finish "
         "slightly above the plain learner under the pinned grids "
@@ -423,20 +454,30 @@ def test_13_adaptive_emphasis_reproduction():
              for lam in DEFAULT_LAMBDA_GRID for alpha in DEFAULT_ALPHA_GRID]
     wins = {}
     scores = {}
+    se_gaps = {}
     for task in ("RW5_TABULAR", "RW5_INVERTED", "RW5_DEPENDENT", "BOYAN13"):
         config = ExperimentConfig(task=task, algorithms=cells, runs=50,
                                   steps=5000, eval_every=500, base_seed=0)
-        best = select_best(run_experiment(config))
+        records = run_experiment(config)
+        best = select_best(records)
         finals = {algo.value: best[(task, algo.value)].score
                   for algo in algos}
         scores[task] = {k: round(v, 4) for k, v in finals.items()}
         wins[task] = all(finals["DTD"] <= finals[name]
                          for name in ("TD", "ETD", "PTD", "TDW"))
+        by_cell_step = records.by_cell_step()
+        dtd = final_runs(by_cell_step, best[(task, "DTD")])
+        se_gaps[task] = {name: se_gap(dtd, final_runs(by_cell_step,
+                                                      best[(task, name)]))
+                         for name in ("TD", "ETD", "PTD", "TDW")}
     n_wins = sum(wins.values())
     elapsed = time.time() - start
     ok = n_wins >= 3
     assert report(13, ok, f"adaptive emphasis best on {n_wins}/4 tasks "
-                          f"(need 3); finals {scores}; {elapsed:.0f}s")
+                          f"(need 3); finals {scores}; DTD minus each "
+                          f"baseline in standard errors of the difference "
+                          f"{se_gaps} ({PICKED_ON_SCORED_RUNS}); "
+                          f"{elapsed:.0f}s")
 
 
 def test_14_byte_identical_csv(fig1_outputs, tmp_path):

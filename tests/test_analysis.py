@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -195,6 +196,44 @@ class TestOperator:
                     np.testing.assert_allclose(
                         offset + linear @ v, dtd_operator(v, mrp, f, lam),
                         atol=1e-11)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 0.7, 0.95])
+    def test_block_matches_its_columns(self, lam):
+        # a block's products are matrix products, so its last bits may
+        # differ from the column calls' matrix-vector products; the gap is
+        # measured against each column's largest entry, as an entry that
+        # nearly cancels has no relative precision to keep
+        rng = np.random.default_rng(int(lam * 100))
+        for _ in range(20):
+            mrp = random_ergodic_mrp(rng)
+            f = rng.uniform(0.3, 1.5, mrp.n_states)
+            block = rng.normal(0.0, 1.0, (mrp.n_states, 31))
+            got = dtd_operator(block, mrp, f, lam)
+            want = np.column_stack([dtd_operator(v, mrp, f, lam)
+                                    for v in block.T])
+            gap = np.max(np.abs(got - want), axis=0)
+            assert np.all(gap <= 1e-14 * np.max(np.abs(want), axis=0))
+
+    def test_vector_keeps_its_bytes(self):
+        """sha256 of 40 vector calls, pinned before the block form was
+        added: the vector path keeps its operations."""
+        rng = np.random.default_rng(41)
+        digest = hashlib.sha256()
+        for lam in (0.0, 0.3, 0.7, 0.95):
+            for _ in range(10):
+                mrp = random_ergodic_mrp(rng)
+                f = rng.uniform(0.3, 1.5, mrp.n_states)
+                v = rng.normal(0.0, 1.0, mrp.n_states)
+                digest.update(dtd_operator(v, mrp, f, lam).tobytes())
+        assert digest.hexdigest() == (
+            "a7923f71c3aa0a9a7eaba371404dd5fd88255083606d569f259a546d5c4ffb82")
+
+    @pytest.mark.parametrize("shape", [(), (4,), (4, 2), (5, 2, 2)])
+    def test_rejects_a_value_array_of_another_shape(self, shape):
+        mrp, _ = make_random_walk(5, "middle")
+        with pytest.raises(ValueError, match="v must be a value vector or "
+                                             "an \\(n, m\\) block"):
+            dtd_operator(np.zeros(shape), mrp, np.ones(5), 0.5)
 
     def test_contraction_below_exact_modulus(self):
         # the sampled modulus can never exceed the weighted norm of the

@@ -42,6 +42,25 @@ class TestVerifyAll:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "1590ca5ef027335ec4b691589c2e240cdc8921644d2f900efaff11b7255eb5bb")
 
+    def test_sampling_checks_keep_their_bytes(self):
+        """sha256 of the Monte Carlo oracle checks and the sampled
+        contraction checks, serialized as ``dtd verify`` writes them,
+        pinned when their oracles took 200 and 100 chains and their
+        operator images were taken as one block per instance: a change to
+        the streams, the oracles or the operator series fails here."""
+        names = ("stationary-empirical", "expected-update-monte-carlo",
+                 "operator-contraction-sampled", "composition-contraction")
+        results = [r for name in names for r in verify_all(name)]
+        assert [r.check for r in results] == list(names)
+        text = json.dumps([r.to_dict() for r in results], indent=1,
+                          default=str)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "c70473d6093ff0502971316e7d7032540df2719c71d110d78a2cf13c73e02a66")
+
+    def test_each_result_is_timed(self):
+        [result] = verify_all("telescoping")
+        assert result.seconds > 0.0 and "seconds" not in result.to_dict()
+
     def test_raising_check_becomes_a_failed_result(self, monkeypatch):
         from discerning_td import checks
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -703,6 +704,17 @@ class TestVerifyCommand:
         assert payload[0]["check"] == "telescoping-identity"
         assert payload[0]["pass"] is True
         assert "margin" in payload[0] and "inputs" in payload[0]
+
+    def test_summary_gives_seconds_and_the_slowest_checks(self, tmp_path,
+                                                           capsys):
+        assert main(["verify", "--filter", "projection",
+                     "--out", str(tmp_path / "report.json")]) == 0
+        err = capsys.readouterr().err
+        slow = r"projection-[a-z]+ \d+\.\d\d s"
+        assert re.fullmatch(rf"3/3 checks passed in \d+\.\d s; slowest: "
+                            rf"{slow}, {slow}, {slow}\n", err)
+        seconds = [float(x) for x in re.findall(r"(\d+\.\d\d) s", err)]
+        assert seconds == sorted(seconds, reverse=True)
 
     def test_out_directory(self, tmp_path, capsys):
         assert main(["verify", "--filter", "telescoping",
