@@ -332,8 +332,8 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     one per seed stream, so that the rows of many hyperparameter cells step
     together in one loop.  Each step is one ``learners.TraceKernel`` step,
     whose docstring holds the per-learner coefficients.  Rows never mix: a
-    row's weights and curve are the same in any batch.  A ``DecayingAlpha``
-    step size is accepted for a single config only.
+    row's weights and curve are the same in any batch.  Step sizes are per
+    row: any row's ``alpha`` may be a ``DecayingAlpha``.
 
     Episodes restart from the initial distribution whenever the chain exits;
     the step budget counts transitions across episodes.  Each seed stream
@@ -369,17 +369,10 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     steps = checked_int("steps", steps, least=0)
     eval_every = checked_int("eval_every", eval_every, least=0)
     n_rows = len(seed_seqs)
-    if isinstance(config, AlgoConfig):
-        configs = [config] * n_rows
-        schedule = config.alpha if isinstance(config.alpha, DecayingAlpha) \
-            else None
-    else:
-        configs = list(config)
-        if len(configs) != n_rows:
-            raise ValueError("need one config per seed stream")
-        if any(isinstance(c.alpha, DecayingAlpha) for c in configs):
-            raise ValueError("decaying step sizes need a single config")
-        schedule = None
+    configs = [config] * n_rows if isinstance(config, AlgoConfig) \
+        else list(config)
+    if len(configs) != n_rows:
+        raise ValueError("need one config per seed stream")
     n = mrp.n_states
     k = feature_map.n_features
     kernel = TraceKernel(configs, mrp.discount)
@@ -442,10 +435,14 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     counts = np.zeros((n, count_rows.size),
                       np.int32 if steps < 2 ** 31 else np.int64)
 
-    if schedule is not None:
-        alphas = schedule.value(np.arange(steps, dtype=np.float64))
-    else:
-        alphas = np.broadcast_to([c.alpha for c in configs], (steps, n_rows))
+    # each chunk step's step sizes; a schedule's row is written per chunk
+    alphas = np.empty((chunk, n_rows))
+    schedules = []
+    for row, algo in enumerate(configs):
+        if isinstance(algo.alpha, DecayingAlpha):
+            schedules.append((row, algo.alpha))
+        else:
+            alphas[:, row] = algo.alpha
 
     curves = np.full((n_rows, len(eval_steps)), np.inf)
     theta_hist = np.empty((steps, n_rows, k)) if record_theta else None
@@ -455,7 +452,6 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     theta = np.zeros((n_rows, k))
     trace = np.zeros((n_rows, k))
     followon = np.zeros(n_rows)
-    eval_idx = 0
 
     with np.errstate(all="ignore"):
         for t in range(steps):
@@ -473,6 +469,9 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
                     codes.append(np.broadcast_to(fixed_start, (n_rows, width)))
                 for i, draw in enumerate(noise_gens):
                     draw(out=z_noise[i, :width])
+                for row, schedule in schedules:
+                    alphas[:width, row] = schedule.value(
+                        np.arange(t, t + width, dtype=np.float64))
                 states, nexts, s_end = restart_path(mrp, s_end, *codes)
                 exits = nexts == n
                 exit_steps = exits.any(axis=1)
@@ -499,7 +498,7 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
             else:
                 step_coeffs = [a[c] for a in coeffs]
             kernel.advance(theta, trace, phi.take(s, axis=0),
-                           phi_pad.take(nxt, axis=0), rewards[c], alphas[t],
+                           phi_pad.take(nxt, axis=0), rewards[c], alphas[c],
                            step_coeffs)
 
             if record_theta:
@@ -508,10 +507,10 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
             if exit_steps[c]:
                 trace[exits[c]] = 0.0
 
-            if eval_idx < len(eval_steps) and t + 1 == eval_steps[eval_idx]:
+            if eval_every and (t + 1) % eval_every == 0:
                 vals = mspbe_rows(theta, mrp, phi, d, proj_t)
-                curves[:, eval_idx] = np.where(np.isfinite(vals), vals, np.inf)
-                eval_idx += 1
+                curves[:, t // eval_every] = np.where(np.isfinite(vals), vals,
+                                                      np.inf)
 
     return SimulationOutput(eval_steps=eval_steps, curves=curves,
                             final_theta=theta.copy(),

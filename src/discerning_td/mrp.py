@@ -352,13 +352,12 @@ def _count_at_most(coder, u, dtype):
     """``np.searchsorted(cuts, u, side="right")`` in ``dtype`` for the
     ``(cuts, distinct)`` of :func:`_uniform_coder`: the number of cuts at
     most each ``u`` (all of them for NaN), a numpy scalar for a scalar
-    ``u``.  For an array ``u`` and with ``distinct``, it subtracts, from
-    the number of cuts, the multiplicity of each distinct cut that ``u``
-    lies below: one comparison per distinct cut, which is faster than a
-    search when they are few.  A scalar ``u`` is searched."""
+    ``u``.  With ``distinct``, it subtracts, from the number of cuts, the
+    multiplicity of each distinct cut that ``u`` lies below: one comparison
+    per distinct cut, which is faster than a search when they are few."""
     cuts, distinct = coder
     u = np.asarray(u)
-    if distinct is None or not u.ndim:
+    if distinct is None:
         return np.searchsorted(cuts, u, side="right").astype(dtype)
     out = np.full(u.shape, len(cuts), dtype)
     below = np.empty(u.shape, bool)

@@ -237,6 +237,19 @@ class TestSimulateCurves:
         assert len(out.eval_steps) == 50
         assert out.eval_steps[0] == 100 and out.eval_steps[-1] == 5000
 
+    def test_eval_every_that_does_not_divide_steps(self):
+        # 7 of 20: points at steps 7 and 14, none at the end
+        mrp, fm = resolve_task("RW5_MIDDLE")
+        config = AlgoConfig(Algorithm.TD, lam=0.5, alpha=0.1)
+        seqs = run_seed_sequences("RW5_MIDDLE", config, 0, 2)
+        out = simulate_curves(mrp, fm, config, seqs, 20, eval_every=7,
+                              record_theta=True)
+        assert out.eval_steps.tolist() == [7, 14]
+        for j, step in enumerate(out.eval_steps):
+            for row, theta in enumerate(out.theta_history[step - 1]):
+                assert out.curves[row, j] == pytest.approx(
+                    mspbe(theta, mrp, fm), rel=1e-12)
+
     def test_evaluation_does_not_consume_randomness(self):
         mrp, fm = resolve_task("RW5_MIDDLE")
         config = AlgoConfig(Algorithm.TD, lam=0.5, alpha=0.1)
@@ -457,6 +470,34 @@ class TestCellBatching:
         assert np.all(np.isinf(out.curves[2:4, -1]))
         assert np.all(np.isfinite(out.curves[[0, 1, 4, 5]]))
         assert_cells_match(out, "BOYAN13", cells, 2, 2000, 500, skip=(1,))
+
+    def test_decaying_and_constant_step_sizes_in_one_batch(self,
+                                                            monkeypatch):
+        # two schedules and a constant step for DTD, TD and PTD under
+        # adaptive and count emphasis, the adaptive rows not one block; the
+        # batch takes five chunks, the last partial, and each cell's own
+        # call one
+        task, runs, steps = "BOYAN13", 2, 300
+        cells = [AlgoConfig(algo, lam=0.9, alpha=alpha,
+                            emphasis=EmphasisSpec(kind))
+                 for algo in (Algorithm.DTD, Algorithm.TD, Algorithm.PTD)
+                 for kind in ("abs_expected_td", "count_inverse")
+                 for alpha in (DecayingAlpha(0.2, 50),
+                               DecayingAlpha(0.5, 1000.0), 0.05)]
+        configs, seqs = batched(task, cells, runs)
+        mrp, fm = resolve_task(task)
+        monkeypatch.setattr(harness, "CHUNK_FLOOR", 8)
+        monkeypatch.setattr(harness, "DRAW_BUDGET", 70 * len(configs))
+        out = simulate_curves(mrp, fm, configs, seqs, steps, 50,
+                              record_theta=True)
+        for i, cell in enumerate(cells):
+            rows = slice(i * runs, (i + 1) * runs)
+            solo = simulate_curves(mrp, fm, cell,
+                                   run_seed_sequences(task, cell, 0, runs),
+                                   steps, 50, record_theta=True)
+            assert out.theta_history[:, rows].tobytes() == \
+                solo.theta_history.tobytes()
+            assert out.curves[rows].tobytes() == solo.curves.tobytes()
 
     @pytest.mark.parametrize("task", ["BOYAN13", "NOISY10:1",
                                       "RW5_DEPENDENT"])

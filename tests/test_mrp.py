@@ -603,6 +603,24 @@ class TestUniformCoders:
             self.assert_chain_codes(mrp, np.random.default_rng(seed))
         assert (mrp.transition_coder[1] is None) == (coder == "searchsorted")
 
+    @given(mrp=sub_stochastic_chains())
+    @settings(max_examples=40, deadline=None)
+    def test_scalars_are_compared_like_arrays(self, mrp):
+        # 0.0, 1.0, NaN and every CDF value and its neighbours, one scalar
+        # at a time through the comparing coder
+        for code, coder, cdf, dtype in (
+                (transition_ranks, mrp.transition_coder, mrp.transition_cdf,
+                 np.min_scalar_type(len(mrp.step_table[0]))),
+                (start_states, mrp.start_coder, mrp.initial_cdf,
+                 np.min_scalar_type(mrp.n_states))):
+            assert coder[1] is not None
+            values = np.unique(cdf)
+            for x in [0.0, 1.0, np.nan, *values, *np.nextafter(
+                    values, -np.inf), *np.nextafter(values, np.inf)]:
+                got = code(mrp, x)
+                assert isinstance(got, np.generic) and got.dtype == dtype
+                assert got == np.searchsorted(coder[0], x, side="right")
+
     def test_dense_chain_past_the_crossover(self):
         # 20 states with every move possible: about 400 distinct CDF values
         mrp = random_ergodic_mrp(np.random.default_rng(10), 20)
