@@ -16,8 +16,8 @@ from .checks import verify_all
 from .emphasis import DEFAULT_EPSILON_FLOOR, EmphasisKind, EmphasisSpec, \
     emphasis_abs_expected_td, init_emphasis_state, long_run_count_inverse
 from .harness import DEFAULT_ALPHA_GRID, DEFAULT_LAMBDA_GRID, \
-    ExperimentConfig, aggregate_all, check_csv_cells, emit, resolve_task, \
-    run_experiment, select_best
+    ExperimentConfig, aggregate_all, check_csv_cells, emit, record_format, \
+    resolve_task, run_experiment, select_best
 from .learners import Algorithm, AlgoConfig
 from .mrp import ChainStructureError, ConvergenceError, load_environment, \
     read_json
@@ -124,12 +124,17 @@ def _cells(groups):
 
 def _run_and_emit(config, out, fmt, aggregated, environment=None):
     """Simulate ``config`` and write its curves or aggregates to ``out``.
-    A CSV field that would break its line, or an output path that is a
-    directory, is refused before simulating; a run that ends with a
-    non-finite MSPBE draws a warning."""
+    An output path that is a directory or whose name the loaders would
+    read in another format, or a CSV field that would break its line, is
+    refused before simulating; a run that ends with a non-finite MSPBE
+    draws a warning."""
     if os.path.isdir(out):
         raise IsADirectoryError(f"output path {out!r} is a directory")
-    if str(fmt).lower() == "csv":
+    fmt, named = str(fmt).lower(), record_format(out)
+    if fmt != named:
+        raise ValueError(f"output {out!r} would be read back as {named}, not "
+                         f"{fmt}: only a name ending in .json is read as json")
+    if fmt == "csv":
         check_csv_cells(config.cells())
     table = run_experiment(config, environment=environment)
     diverged = table.diverged_runs()

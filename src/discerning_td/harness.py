@@ -13,7 +13,7 @@ import enum
 import json
 import zlib
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain
 from operator import itemgetter
@@ -51,13 +51,21 @@ DRAW_BUDGET = 65_536
 CHUNK_FLOOR = 64
 
 
+def canonical_task(name) -> str:
+    """A task name as :func:`resolve_task` reads it, and as a run of a
+    named task labels and seeds its records: stripped, and upper case up
+    to any ``:``; a NOISY10 level's text is kept as given."""
+    head, colon, level = str(name).strip().partition(":")
+    return head.upper() + colon + level
+
+
 def resolve_task(name: str):
     """Map a task name to its environment; NOISY10 takes an optional
     reward level suffix, e.g. ``NOISY10:-1``."""
-    key = str(name).strip().upper()
-    head, colon, _ = key.partition(":")
+    key = canonical_task(name)
+    head, colon, text = key.partition(":")
     if head == "NOISY10":
-        text = str(name).strip().partition(":")[2] if colon else "0"
+        text = text if colon else "0"
         try:
             level = float(text)
         except ValueError:
@@ -523,10 +531,14 @@ def run_experiment(config: ExperimentConfig, environment=None):
     All cells step together in one ``simulate_curves`` call, their rows in
     cell-major order, so the records come out cell by cell and run by run.
     ``environment`` overrides the named task with an explicit
-    (mrp, feature_map) pair; the task string still labels the records.
-    Deterministic for a fixed config and base seed.
+    (mrp, feature_map) pair; the task string still labels the records, as
+    given.  Without it, the task's ``canonical_task`` name labels and seeds
+    them.  Deterministic for a fixed config and base seed.
     """
-    mrp, fm = environment if environment is not None else resolve_task(config.task)
+    if environment is None:
+        environment = resolve_task(config.task)
+        config = replace(config, task=canonical_task(config.task))
+    mrp, fm = environment
     if any(isinstance(algo.alpha, DecayingAlpha) for algo in config.algorithms):
         raise ValueError("experiment records require constant step sizes")
     runs = config.runs
@@ -696,12 +708,19 @@ def emit(rows, path, fmt: str = "csv", kind: str | None = None) -> None:
                 handle.write(",".join(map(_format_field, row)) + "\n")
 
 
+def record_format(path) -> str:
+    """The format the loaders read ``path`` in: "json" if its name ends in
+    ``.json``, "csv" otherwise."""
+    return "json" if str(path).endswith(".json") else "csv"
+
+
 def _columns_from_file(path, columns):
-    """The columns of a file written by :func:`emit` (JSON if its name ends
-    in ``.json``): its distinct cells, parsed, in order of first appearance,
-    each row's index into them, then the remaining columns as arrays.
-    Raises ``ValueError``, naming the file, unless every row has them."""
-    fmt = "json" if str(path).endswith(".json") else "csv"
+    """The columns of a file written by :func:`emit`, in its
+    :func:`record_format`: its distinct cells, parsed, in order of first
+    appearance, each row's index into them, then the remaining columns as
+    arrays.  Raises ``ValueError``, naming the file, unless every row has
+    them."""
+    fmt = record_format(path)
     rest = columns[len(CELL_COLUMNS):]
     if fmt == "json":
         rows = read_json(path)

@@ -83,6 +83,47 @@ class TestRunCommand:
         assert main(argv) == 0
         assert len(load_records(tmp_path / "out.json")) == 4
 
+    @pytest.mark.parametrize("name, fmt", [("x.csv", "json"),
+                                           ("y.json", "csv"),
+                                           ("z.out", "json")])
+    def test_format_the_name_would_not_read_back_is_refused(
+            self, tmp_path, capsys, monkeypatch, name, fmt):
+        def never(*args, **kwargs):
+            raise AssertionError("simulated before refusing the format")
+
+        monkeypatch.setattr(harness, "simulate_curves", never)
+        out = tmp_path / name
+        assert main(run_args(tmp_path, name=name) + ["--format", fmt]) == 2
+        named = "csv" if fmt == "json" else "json"
+        assert capsys.readouterr() == ("", (
+            f"error: output {str(out)!r} would be read back as {named}, not "
+            f"{fmt}: only a name ending in .json is read as json\n"))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spelled, canonical", [
+        ("rw5_left", "RW5_LEFT"), (" RW5_LEFT ", "RW5_LEFT"),
+        ("noisy10:1", "NOISY10:1")])
+    def test_task_spelling_keeps_the_canonical_bytes(self, tmp_path, capsys,
+                                                     spelled, canonical):
+        outputs = []
+        for name, task in (("canonical.csv", canonical),
+                           ("spelled.csv", spelled)):
+            assert main(run_args(tmp_path, name, **{"--task": task})) == 0
+            outputs.append(((tmp_path / name).read_bytes(),
+                            capsys.readouterr().out.replace(name, "")))
+        assert outputs[0] == outputs[1]
+        assert {r.task for r in load_records(tmp_path / "spelled.csv")} == \
+            {canonical}
+
+    @pytest.mark.parametrize("task", ["custom", "rw5_left"])
+    def test_env_file_label_is_kept_as_given(self, tmp_path, task):
+        mrp, fm = make_random_walk(5, "left")
+        env_path = tmp_path / "env.json"
+        save_environment(env_path, mrp, fm)
+        assert main(run_args(tmp_path, **{"--task": task})
+                    + ["--env-file", str(env_path)]) == 0
+        assert {r.task for r in load_records(tmp_path / "out.csv")} == {task}
+
     def test_aggregate_output(self, tmp_path):
         from discerning_td import load_aggregates
         argv = run_args(tmp_path, name="agg.csv") + ["--aggregate"]
@@ -571,6 +612,35 @@ class TestSweepCommand:
         assert self._run(tmp_path, config) == 0
         load = load_aggregates if aggregate else load_records
         assert len(load(tmp_path / "sweep.json")) == (2 if aggregate else 4)
+
+    @pytest.mark.parametrize("name, fmt", [("sweep.csv", "json"),
+                                           ("sweep.json", "CSV")])
+    def test_format_the_name_would_not_read_back_is_refused(
+            self, tmp_path, capsys, monkeypatch, name, fmt):
+        def never(*args, **kwargs):
+            raise AssertionError("simulated before refusing the format")
+
+        monkeypatch.setattr(harness, "simulate_curves", never)
+        out = tmp_path / name
+        config = dict(self._config(tmp_path), format=fmt, out=str(out))
+        assert self._run(tmp_path, config) == 2
+        named = "csv" if fmt == "json" else "json"
+        assert capsys.readouterr() == ("", (
+            f"error: output {str(out)!r} would be read back as {named}, not "
+            f"{fmt.lower()}: only a name ending in .json is read as json\n"))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spelled", ["rw5_left", " RW5_LEFT "])
+    def test_task_spelling_keeps_the_canonical_bytes(self, tmp_path,
+                                                     spelled):
+        outputs = []
+        for name, task in (("canonical.csv", "RW5_LEFT"),
+                           ("spelled.csv", spelled)):
+            config = dict(self._config(tmp_path), task=task,
+                          out=str(tmp_path / name))
+            assert self._run(tmp_path, config) == 0
+            outputs.append((tmp_path / name).read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_config_that_is_not_json(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -1265,7 +1335,7 @@ class TestFuzz:
                    fault):
         config = {"task": task, "algorithms": entries, "runs": 2,
                   "steps": 6, "eval_every": 3, "base_seed": 0,
-                  "out": str(tmp_path / "sweep.out"), "format": fmt,
+                  "out": str(tmp_path / f"sweep.{fmt}"), "format": fmt,
                   "aggregate": aggregate}
         if fault is not None:
             entry, key, value = fault

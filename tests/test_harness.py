@@ -53,6 +53,21 @@ def small_config(task="RW5_MIDDLE", algorithms=None, runs=3, steps=200,
 
 
 class TestResolveTask:
+    @pytest.mark.parametrize("name, canonical", [
+        ("RW5_LEFT", "RW5_LEFT"), (" rw5_left\n", "RW5_LEFT"),
+        ("noisy10", "NOISY10"), (" Noisy10:1e-1 ", "NOISY10:1e-1"),
+        ("boyan13:x", "BOYAN13:x")])
+    def test_canonical_name(self, name, canonical):
+        assert harness.canonical_task(name) == canonical
+
+    def test_named_task_labels_and_seeds_by_its_canonical_name(self):
+        table = run_experiment(small_config(task="RW5_MIDDLE"))
+        assert run_experiment(small_config(task=" rw5_middle ")) == table
+        mrp, fm = resolve_task("RW5_MIDDLE")
+        given = run_experiment(small_config(task=" rw5_middle "),
+                               environment=(mrp, fm))
+        assert {r.task for r in given} == {" rw5_middle "}
+
     def test_known_tasks(self):
         for name in ("RW5_LEFT", "RW5_MIDDLE", "RW5_RIGHT", "RW5_TABULAR",
                      "RW5_INVERTED", "RW5_DEPENDENT", "BOYAN13", "NOISY10"):
