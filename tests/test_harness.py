@@ -1378,6 +1378,114 @@ class TestLoaderFaults:
         assert isinstance(table, CurveTable) and table == [CURVE]
 
 
+def assert_columns(table, cells, cell, seed, step, mspbe):
+    """``table`` holds exactly these cells and columns, dtype and bytes."""
+    assert table.cells == tuple(cells)
+    for got, want in ((table.cell, np.array(cell, dtype=np.intp)),
+                      (table.seed, np.array(seed, dtype=np.int64)),
+                      (table.step, np.array(step, dtype=np.int64)),
+                      (table.mspbe, np.array(mspbe, dtype=np.float64))):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def long_curve_text():
+    """The CSV text of a 1,200-line file: 50 runs of two interleaved cells,
+    12 points each."""
+    return CURVE_HEADER + "".join(
+        f"{task},TD,0.5,{alpha!r},none,{seed},{step},{step / 7e3!r}\n"
+        for seed in range(50) for task, alpha in (("T", 0.1), ("U", 2.0 ** -6))
+        for step in range(50, 601, 50))
+
+
+class TestCsvReaderParity:
+    """The CSV reader's tables and messages on text that ``emit`` does not
+    write, pinned as the line-by-line reader gave them."""
+
+    RECORDS = (["T", "TD", 0.5, 0.1, "none", 0, 50, 0.25],
+               ["T", "TD", 0.5, 0.1, "none", 0, 100, 0.125],
+               ["U", "DTD", 0.9, 0.0625, "count_inverse", 7, 50, INF])
+
+    def text(self, end="\n"):
+        return end.join([CURVE_HEADER.rstrip("\n")] + [
+            ",".join(map(str, r)) for r in self.RECORDS]) + end
+
+    def assert_records(self, table):
+        assert_columns(table, [("T", "TD", 0.5, 0.1, "none"),
+                               ("U", "DTD", 0.9, 0.0625, "count_inverse")],
+                       [0, 0, 1], [0, 0, 7], [50, 100, 50],
+                       [0.25, 0.125, INF])
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_line_endings(self, tmp_path, end):
+        path = tmp_path / "c.csv"
+        path.write_bytes(self.text(end).encode())
+        self.assert_records(load_records(path))
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_no_final_line_break(self, tmp_path, end):
+        path = tmp_path / "c.csv"
+        path.write_bytes(self.text(end)[:-len(end)].encode())
+        self.assert_records(load_records(path))
+
+    def test_blank_and_whitespace_lines(self, tmp_path):
+        lines = self.text().splitlines(keepends=True)
+        path = tmp_path / "c.csv"
+        path.write_bytes((" \n\t\r\n\n" + lines[0] + "\n   \n" + lines[1]
+                          + "\r\n" + lines[2] + " \t \n" + lines[3]
+                          + "\n\n").encode())
+        self.assert_records(load_records(path))
+
+    def test_spaces_around_numbers(self, tmp_path):
+        # a cell's text is kept as written; its numbers parse as floats, so
+        # "T,TD, 0.5 ,0.1,none" is the cell of "T,TD,0.5,0.1,none"
+        path = tmp_path / "c.csv"
+        path.write_text(CURVE_HEADER + "T,TD,0.5,0.1,none, 3 ,50 , 0.25\n"
+                        + "T,TD, 0.5 ,0.1 ,none,+4, 100,1e-3 \n"
+                        + " T,TD,0.5,0.1,none,5,150, inf\n")
+        assert_columns(load_records(path),
+                       [("T", "TD", 0.5, 0.1, "none"),
+                        (" T", "TD", 0.5, 0.1, "none")],
+                       [0, 0, 1], [3, 4, 5], [50, 100, 150],
+                       [0.25, 1e-3, INF])
+
+    def test_aggregates_with_other_line_endings(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_bytes((AGG_HEADER + AGG_LINE).replace("\n", "\r\n")
+                         .encode()[:-2])
+        assert load_aggregates(path) == [AGG]
+        assert type(load_aggregates(path)[0].n_runs) is int
+
+    def test_long_file_loads_whole(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text(long_curve_text())
+        table = load_records(path)
+        assert len(table) == 1200
+        assert table.cells == (("T", "TD", 0.5, 0.1, "none"),
+                               ("U", "TD", 0.5, 2.0 ** -6, "none"))
+        assert hashlib.sha256(b"".join(
+            col.tobytes() for col in (table.cell, table.seed, table.step,
+                                      table.mspbe))).hexdigest() == \
+            "57ecf0704233afada2cd27495c9b7e3b471835fe17b4eb5190906d9df05b3658"
+
+    @pytest.mark.parametrize("line, message", [
+        ("T,TD,0.5\n", "3 fields where the header names 8"),
+        ("T,TD,0.5,0.1,none,0,50\n", "7 fields where the header names 8"),
+        ("T,TD,0.5,0.1,none,0,50,0.25,9\n",
+         "9 fields where the header names 8"),
+        ("T,TD,0.5,0.1,none,0,50,0.25,\n",
+         "9 fields where the header names 8"),
+        ("T,TD,0.5,0.1,none,0,x,0.25\n", "step 'x' is not a number"),
+    ])
+    def test_bad_line_in_a_long_file(self, tmp_path, line, message):
+        lines = long_curve_text().splitlines(keepends=True)
+        path = tmp_path / "c.csv"
+        path.write_text("".join(lines[:600] + ["\r\n", line] + lines[600:]))
+        with pytest.raises(ValueError) as exc:
+            load_records(path)
+        assert str(exc.value) == f"{path}, line 602: {message}"
+
+
 # Record fields that the file formats carry exactly: text without commas
 # or line breaks, floats that are not NaN (inf included), and 64-bit
 # integers, each number a Python one or a numpy scalar.
