@@ -16,8 +16,8 @@ from .checks import verify_all
 from .emphasis import DEFAULT_EPSILON_FLOOR, EmphasisKind, EmphasisSpec, \
     emphasis_abs_expected_td, init_emphasis_state, long_run_count_inverse
 from .harness import DEFAULT_ALPHA_GRID, DEFAULT_LAMBDA_GRID, \
-    ExperimentConfig, aggregate_all, check_csv_cells, emit, record_format, \
-    resolve_task, run_experiment, select_best
+    ExperimentConfig, aggregate_all, check_csv_cells, check_record_format, \
+    emit, record_config, resolve_task, run_experiment, select_best
 from .learners import Algorithm, AlgoConfig
 from .mrp import ChainStructureError, ConvergenceError, load_environment, \
     read_json
@@ -125,17 +125,16 @@ def _cells(groups):
 def _run_and_emit(config, out, fmt, aggregated, environment=None):
     """Simulate ``config`` and write its curves or aggregates to ``out``.
     An output path that is a directory or whose name the loaders would
-    read in another format, or a CSV field that would break its line, is
+    read in another format, or a CSV field of the records' cells (labelled
+    as ``run_experiment`` labels them) that would break its line, is
     refused before simulating; a run that ends with a non-finite MSPBE
     draws a warning."""
     if os.path.isdir(out):
         raise IsADirectoryError(f"output path {out!r} is a directory")
-    fmt, named = str(fmt).lower(), record_format(out)
-    if fmt != named:
-        raise ValueError(f"output {out!r} would be read back as {named}, not "
-                         f"{fmt}: only a name ending in .json is read as json")
+    fmt = str(fmt).lower()
+    check_record_format(out, fmt)
     if fmt == "csv":
-        check_csv_cells(config.cells())
+        check_csv_cells(record_config(config, environment).cells())
     table = run_experiment(config, environment=environment)
     diverged = table.diverged_runs()
     if diverged:

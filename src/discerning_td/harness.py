@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain
-from operator import itemgetter
+from operator import add, itemgetter, methodcaller
 from typing import NamedTuple
 
 import numpy as np
@@ -237,11 +237,12 @@ class CurveTable(Sequence):
         return map(partial(tuple.__new__, CurveRecord), self.rows())
 
     def rows(self):
-        """Each record's fields as a tuple, in ``CURVE_COLUMNS`` order."""
-        cells = self.cells
-        return ((*cells[c], seed, step, value) for c, seed, step, value in zip(
-            self.cell.tolist(), self.seed.tolist(), self.step.tolist(),
-            self.mspbe.tolist()))
+        """Each record's fields as a tuple, in ``CURVE_COLUMNS`` order: its
+        cell's tuple joined to its (seed, step, mspbe), with no Python
+        frame per record."""
+        return map(add, map(self.cells.__getitem__, self.cell.tolist()),
+                   zip(self.seed.tolist(), self.step.tolist(),
+                       self.mspbe.tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, Sequence) or isinstance(other, str):
@@ -525,6 +526,15 @@ def simulate_curves(mrp: MarkovRewardProcess, feature_map: FeatureMap,
                             theta_history=theta_hist)
 
 
+def record_config(config: ExperimentConfig, environment=None):
+    """``config`` with the task label :func:`run_experiment` gives its
+    records: a named task's :func:`canonical_task` name, or, with an
+    explicit ``environment``, the task as given."""
+    if environment is not None:
+        return config
+    return replace(config, task=canonical_task(config.task))
+
+
 def run_experiment(config: ExperimentConfig, environment=None):
     """Simulate every configured cell and return its ``CurveTable``.
 
@@ -535,10 +545,9 @@ def run_experiment(config: ExperimentConfig, environment=None):
     given.  Without it, the task's ``canonical_task`` name labels and seeds
     them.  Deterministic for a fixed config and base seed.
     """
-    if environment is None:
-        environment = resolve_task(config.task)
-        config = replace(config, task=canonical_task(config.task))
-    mrp, fm = environment
+    mrp, fm = resolve_task(config.task) if environment is None \
+        else environment
+    config = record_config(config, environment)
     if any(isinstance(algo.alpha, DecayingAlpha) for algo in config.algorithms):
         raise ValueError("experiment records require constant step sizes")
     runs = config.runs
@@ -676,7 +685,8 @@ def _write_curve_csv(handle, table: CurveTable) -> None:
 def emit(rows, path, fmt: str = "csv", kind: str | None = None) -> None:
     """Write records to ``path`` as CSV (fixed column order, one header row,
     line-feed endings) or as a JSON array of flat objects.  Curve records
-    come as a ``CurveTable`` or any sequence of ``CurveRecord``."""
+    come as a ``CurveTable`` or any sequence of ``CurveRecord``.  A format
+    that ``path``'s name would not be read back in is refused."""
     if not isinstance(rows, CurveTable):
         rows = list(rows)
     if kind is None:
@@ -687,6 +697,7 @@ def emit(rows, path, fmt: str = "csv", kind: str | None = None) -> None:
     fmt = str(fmt).lower()
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
+    check_record_format(path, fmt)
     if kind == "curve":
         table = CurveTable.from_records(rows)
         columns, cells, rows = CURVE_COLUMNS, table.cells, table.rows()
@@ -714,12 +725,28 @@ def record_format(path) -> str:
     return "json" if str(path).endswith(".json") else "csv"
 
 
+def check_record_format(path, fmt: str) -> None:
+    """Raise ``ValueError`` if the loaders would read ``path`` in another
+    format than ``fmt``."""
+    named = record_format(path)
+    if fmt != named:
+        raise ValueError(f"output {str(path)!r} would be read back as "
+                         f"{named}, not {fmt}: only a name ending in .json "
+                         f"is read as json")
+
+
 def _columns_from_file(path, columns):
     """The columns of a file written by :func:`emit`, in its
     :func:`record_format`: its distinct cells, parsed, in order of first
     appearance, each row's index into them, then the remaining columns as
     arrays.  Raises ``ValueError``, naming the file, unless every row has
-    them."""
+    them.
+
+    A CSV file is read as one text and split once per line, from the right,
+    into one flat list of fields: strings only, so the cyclic collector has
+    nothing to track, and no per-line list outlives its line.  Each
+    distinct cell text is parsed once and each number column by one
+    ``np.array`` call; the JSON records are taken a column at a time."""
     fmt = record_format(path)
     rest = columns[len(CELL_COLUMNS):]
     if fmt == "json":
@@ -737,12 +764,19 @@ def _columns_from_file(path, columns):
                              f"object") from None
     else:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = [line.rstrip("\n") for line in handle if line.strip()]
-        if not lines or lines[0] != ",".join(columns):
+            body = list(filter(str.strip, handle.read().split("\n")))
+        if body[:1] != [",".join(columns)]:
             raise ValueError(f"{path} does not start with the header "
                              f"{','.join(columns)}")
-        # A short line stops zip, but its first field never parses as a cell.
-        cols = list(zip(*(line.rsplit(",", len(rest)) for line in lines[1:])))
+        del body[0]
+        width = len(rest) + 1
+        flat = list(chain.from_iterable(map(
+            methodcaller("rsplit", ",", len(rest)), body)))
+        if len(flat) != width * len(body):
+            raise _fault(path, fmt, columns, "has a line without one field "
+                         "per column")
+        del body  # the lines' text, before the columns are sliced out
+        cols = [flat[j::width] for j in range(width)]
     raw_cells, *rest_cols = cols or [()] * (1 + len(rest))
     try:
         distinct = dict.fromkeys(raw_cells)  # in order of appearance
@@ -771,7 +805,8 @@ def _columns_from_file(path, columns):
         except (TypeError, ValueError, OverflowError):
             raise _fault(path, fmt, columns, f"has a record whose {name} "
                          f"is not a number") from None
-    return (list(index), [of_raw[raw] for raw in raw_cells], *numbers)
+    return (list(index), list(map(of_raw.__getitem__, raw_cells)),
+            *numbers)
 
 
 def _fault(path, fmt, columns, message) -> ValueError:

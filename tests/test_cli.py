@@ -102,7 +102,8 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("spelled, canonical", [
         ("rw5_left", "RW5_LEFT"), (" RW5_LEFT ", "RW5_LEFT"),
-        ("noisy10:1", "NOISY10:1")])
+        ("noisy10:1", "NOISY10:1"), ("RW5_LEFT\n", "RW5_LEFT"),
+        ("\trw5_left\r\n", "RW5_LEFT")])
     def test_task_spelling_keeps_the_canonical_bytes(self, tmp_path, capsys,
                                                      spelled, canonical):
         outputs = []
@@ -114,6 +115,20 @@ class TestRunCommand:
         assert outputs[0] == outputs[1]
         assert {r.task for r in load_records(tmp_path / "spelled.csv")} == \
             {canonical}
+
+    def test_env_file_label_with_a_line_break_is_refused(self, tmp_path,
+                                                         capsys):
+        # with an explicit environment the label is kept as given, so a
+        # line break in it cannot be written to CSV
+        mrp, fm = make_random_walk(5, "left")
+        env_path = tmp_path / "env.json"
+        save_environment(env_path, mrp, fm)
+        assert main(run_args(tmp_path, **{"--task": "RW5_LEFT\n"})
+                    + ["--env-file", str(env_path)]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: CSV column 'task' cannot hold 'RW5_LEFT\\n': it has a "
+            "comma or line break\n"))
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("task", ["custom", "rw5_left"])
     def test_env_file_label_is_kept_as_given(self, tmp_path, task):
@@ -630,7 +645,8 @@ class TestSweepCommand:
             f"{fmt.lower()}: only a name ending in .json is read as json\n"))
         assert not out.exists()
 
-    @pytest.mark.parametrize("spelled", ["rw5_left", " RW5_LEFT "])
+    @pytest.mark.parametrize("spelled", ["rw5_left", " RW5_LEFT ",
+                                         "RW5_LEFT\n"])
     def test_task_spelling_keeps_the_canonical_bytes(self, tmp_path,
                                                      spelled):
         outputs = []
