@@ -1507,8 +1507,9 @@ class TestCsvReaderParity:
         finally:
             tracemalloc.stop()
         assert back == table and len(back) == 60_000
-        # the line-by-line reader's peak was 31.5 MiB, this one's 23.0 MiB
-        assert peak < 27 * 2 ** 20
+        # the line-by-line reader's peak was 31.5 MiB, this one's 23.0 MiB;
+        # holding the lines while the columns are sliced reads 26.7 MiB
+        assert peak < 26 * 2 ** 20
 
     @pytest.mark.parametrize("line, message", [
         ("T,TD,0.5\n", "3 fields where the header names 8"),
