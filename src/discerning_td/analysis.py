@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mrp import ConvergenceError, FeatureMap, MarkovRewardProcess, \
-    checked_int, checked_real, checked_unit
+    checked_real, checked_state, checked_unit, checked_weights
 
 
 @dataclass(frozen=True)
@@ -46,17 +46,8 @@ class EmphasizedGeometry:
     lam_diag: np.ndarray
 
 
-def _emphasis_vector(mrp: MarkovRewardProcess, f_values) -> np.ndarray:
-    """``f_values`` as an array of one positive, finite weight per state."""
-    f = np.asarray(f_values, dtype=np.float64)
-    if f.shape != (mrp.n_states,) or np.any(f <= 0.0) or np.any(~np.isfinite(f)):
-        raise ValueError("emphasis vector must be positive, finite and match "
-                         "the state count")
-    return f
-
-
 def emphasized_geometry(mrp: MarkovRewardProcess, f_values) -> EmphasizedGeometry:
-    f = _emphasis_vector(mrp, f_values)
+    f = checked_weights("emphasis vector", f_values, mrp.n_states)
     d = mrp.stationary
     return EmphasizedGeometry(f=f, d=d, lam_diag=f * d * f)
 
@@ -64,12 +55,8 @@ def emphasized_geometry(mrp: MarkovRewardProcess, f_values) -> EmphasizedGeometr
 def projection(feature_map: FeatureMap, weight_diag) -> np.ndarray:
     """Weighted projection onto the feature span:
     Phi (Phi^T W Phi)^{-1} Phi^T W for a positive diagonal W."""
-    w = np.asarray(weight_diag, dtype=np.float64)
     phi = feature_map.phi
-    if w.shape != (phi.shape[0],):
-        raise ValueError("weight vector must have one entry per state")
-    if np.any(w <= 0.0):
-        raise ValueError("projection weights must be positive")
+    w = checked_weights("projection weights", weight_diag, len(phi))
     gram = phi.T @ (w[:, None] * phi)
     sv = np.linalg.svd(gram, compute_uv=False)
     if sv[-1] <= 1e-12 * sv[0]:
@@ -116,7 +103,7 @@ def _operator_emphasis(mrp: MarkovRewardProcess, f_values,
     checked_unit("lam", lam)
     if mrp.discount * lam >= 1.0:
         raise ValueError("gamma * lam must be below 1")
-    return _emphasis_vector(mrp, f_values)
+    return checked_weights("emphasis vector", f_values, mrp.n_states)
 
 
 def dtd_operator(v, mrp: MarkovRewardProcess, f_values, lam: float,
@@ -218,7 +205,7 @@ def system_builder(mrp: MarkovRewardProcess, feature_map: FeatureMap,
     drift = (mrp.discount * mrp.transition - np.eye(mrp.n_states)) @ phi
 
     def build(f_values) -> LinearSystem:
-        f = _emphasis_vector(mrp, f_values)
+        f = checked_weights("emphasis vector", f_values, mrp.n_states)
         solved = _resolvent_solve(resolvent, np.column_stack([
             f[:, None] * drift, f * mrp.expected_reward]))
         weighted = (f * d)[:, None] * solved
@@ -234,7 +221,7 @@ def compute_A_b(mrp: MarkovRewardProcess, feature_map: FeatureMap, f_values,
     A = Phi^T F D (I - gamma*lam*P)^{-1} F (gamma*P - I) Phi and the matching
     offset b with r in place of (gamma*P - I) Phi.  The emphasis is checked
     before lam."""
-    _emphasis_vector(mrp, f_values)
+    checked_weights("emphasis vector", f_values, mrp.n_states)
     return system_builder(mrp, feature_map, lam)(f_values)
 
 
@@ -272,7 +259,7 @@ def fixed_point(system: LinearSystem) -> np.ndarray:
 def lambda_weighted_norm(x, lam_diag) -> float:
     """Vector norm induced by a positive diagonal: sqrt(sum lam_i x_i^2)."""
     x = np.asarray(x, dtype=np.float64)
-    lam_diag = np.asarray(lam_diag, dtype=np.float64)
+    lam_diag = checked_weights("lam_diag", lam_diag, x.size)
     return float(np.sqrt(np.sum(lam_diag * x * x)))
 
 
@@ -280,9 +267,7 @@ def induced_norm(m, lam_diag) -> float:
     """Matrix norm induced by the weighted vector norm: the largest singular
     value of S M S^{-1} with S = sqrt(diag weights)."""
     m = np.asarray(m, dtype=np.float64)
-    lam_diag = np.asarray(lam_diag, dtype=np.float64)
-    if np.any(lam_diag <= 0.0):
-        raise ValueError("weights must be positive")
+    lam_diag = checked_weights("lam_diag", lam_diag, len(m))
     s = np.sqrt(lam_diag)
     return float(np.linalg.norm((s[:, None] * m) / s[None, :], 2))
 
@@ -413,20 +398,17 @@ def per_equivalence(dataset, f_values) -> PerEquivalenceResult:
     """Uniform sampling of the emphasis-squared loss equals priority
     sampling of the plain loss scaled by the mean squared emphasis.
 
-    ``dataset`` is a sequence of (state, target, value) triples; the
-    priority of a sample is proportional to its squared emphasis.
+    ``dataset`` is a sequence of (state, target, value) triples, each state
+    an index of ``f_values``, one positive, finite weight per state (also
+    at states the dataset does not visit); the priority of a sample is
+    proportional to its squared emphasis.
     """
     rows = list(dataset)
     if not rows:
         raise ValueError("dataset must be nonempty")
-    f = np.asarray(f_values, dtype=np.float64)
-    if f.ndim != 1:
-        raise ValueError("f_values must be a vector")
-    states = np.array([checked_int("dataset state", s) for s, _, _ in rows])
-    if np.any(states < 0) or np.any(states >= len(f)):
-        raise ValueError("dataset state outside the emphasis vector")
-    if np.any(f[states] <= 0.0):
-        raise ValueError("emphasis must be positive on dataset states")
+    f = checked_weights("f_values", f_values)
+    states = np.array([checked_state("dataset state", s, len(f))
+                       for s, _, _ in rows])
     errors = np.array([float(t) - float(v) for _, t, v in rows])
     fsq = f[states] ** 2
     n = len(rows)

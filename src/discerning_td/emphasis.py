@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import backed_up_values
-from .mrp import FeatureMap, MarkovRewardProcess, checked_int, \
-    checked_real
+from .mrp import FeatureMap, MarkovRewardProcess, checked_real, \
+    checked_state, checked_weights
 
 DEFAULT_EPSILON_FLOOR = 1e-3
 PATH_BUDGET = 1 << 20  # running counts held at once by count_inverse_path
@@ -71,10 +71,7 @@ class EmphasisSpec:
                 raise ValueError("table emphasis requires a table")
             for entry in np.ravel(np.asarray(self.table, dtype=object)):
                 checked_real("'table' entry", entry)
-            table = np.asarray(self.table, dtype=np.float64)
-            if table.ndim != 1 or not np.all((table > 0) & (table < np.inf)):
-                raise ValueError("table entries must be positive and finite")
-            table = table.copy()
+            table = checked_weights("table", self.table).copy()
             table.flags.writeable = False
             object.__setattr__(self, "table", table)
 
@@ -152,8 +149,8 @@ def emphasis_from_counts(counts, epsilon_floor: float = DEFAULT_EPSILON_FLOOR):
     counts = np.asarray(counts, dtype=np.float64)
     if counts.ndim not in (1, 2) or counts.size == 0:
         raise ValueError("counts must be a nonempty vector or matrix")
-    if np.any(counts < 0.0):
-        raise ValueError("counts must be nonnegative")
+    if not np.all((counts >= 0.0) & (counts < np.inf)):
+        raise ValueError("counts must be nonnegative and finite")
     imputed = np.where(counts > 0.0, counts, 1.0)
     share = imputed / imputed.sum(axis=-1, keepdims=True)
     return _scale_sqrt_floor(1.0 / share, checked_floor(epsilon_floor))
@@ -163,8 +160,8 @@ def emphasis_from_noise(sigma, epsilon_floor: float = DEFAULT_EPSILON_FLOOR):
     """Negative exponential of per-state noise levels, scaled and
     square-rooted: noisier states receive less weight."""
     sigma = np.asarray(sigma, dtype=np.float64)
-    if np.any(sigma < 0.0):
-        raise ValueError("noise levels must be nonnegative")
+    if not np.all((sigma >= 0.0) & (sigma < np.inf)):
+        raise ValueError("noise levels must be nonnegative and finite")
     return _scale_sqrt_floor(np.exp(-sigma), checked_floor(epsilon_floor))
 
 
@@ -236,8 +233,8 @@ def update_counts(state_index: int, state: EmphasisState) -> EmphasisState:
     """Record a visit and refresh the count-inverse values in place."""
     if state.kind is not EmphasisKind.COUNT_INVERSE:
         raise ValueError("update_counts applies to count_inverse emphasis only")
-    if not 0 <= checked_int("state", state_index) < len(state.visit_counts):
-        raise ValueError(f"state {state_index} out of range")
+    state_index = checked_state("state", state_index,
+                                len(state.visit_counts))
     state.visit_counts[state_index] += 1
     state.values = emphasis_from_counts(state.visit_counts, state.epsilon_floor)
     return state

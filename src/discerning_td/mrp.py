@@ -62,6 +62,31 @@ def checked_unit(name, value) -> float:
     return value
 
 
+def checked_weights(name, values, length=None) -> np.ndarray:
+    """``values`` as a float array; ValueError unless it is a nonempty
+    vector (of ``length`` entries, when given) of positive, finite numbers:
+    the rule of every emphasis and weight vector."""
+    weights = np.asarray(values, dtype=np.float64)
+    if weights.ndim != 1 or not weights.size \
+            or length not in (None, len(weights)) \
+            or not (0.0 < weights.min() and weights.max() < np.inf):
+        if length is None:
+            raise ValueError(f"{name} must be a vector of positive and "
+                             "finite numbers")
+        raise ValueError(f"{name} must be positive, finite and match the "
+                         "state count")
+    return weights
+
+
+def checked_state(name, value, n_states) -> int:
+    """``checked_int(name, value)``; ValueError unless it is a state index
+    of a chain of ``n_states`` states, 0 <= value < n_states."""
+    value = checked_int(name, value)
+    if not 0 <= value < n_states:
+        raise ValueError(f"{name} {value} out of range for {n_states} states")
+    return value
+
+
 def _as_array(name, value, shape, allow_none=False):
     if value is None:
         if allow_none:
@@ -246,7 +271,7 @@ class FeatureMap:
         """Feature vector of ``state``; the zero vector at TERMINAL."""
         if state == TERMINAL:
             return np.zeros(self.n_features)
-        return self.phi[state]
+        return self.phi[checked_state("state", state, self.n_states)]
 
 
 @dataclass(frozen=True)
@@ -329,8 +354,7 @@ def sample_transition(mrp: MarkovRewardProcess, state: int, rng):
     the chain exits.  Consumes exactly one uniform and one normal draw from
     ``rng`` regardless of the outcome.
     """
-    if not 0 <= state < mrp.n_states:
-        raise ValueError(f"state {state} out of range")
+    state = checked_state("state", state, mrp.n_states)
     nxt = int(np.searchsorted(mrp.transition_cdf[state], rng.random(),
                               side="right"))
     reward = mrp.move_rewards[state, nxt] \

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mrp import TERMINAL, FeatureMap, MarkovRewardProcess, checked_int, \
-    checked_real, checked_unit, sample_transition, start_states
+    checked_real, checked_unit, checked_weights, sample_transition, \
+    start_states
 
 __all__ = [
     "Trajectory", "ReturnParams", "simulate_trajectory", "n_step_return",
@@ -78,10 +79,7 @@ class ReturnParams:
         for name in ("lam", "gamma"):
             object.__setattr__(self, name,
                                checked_unit(name, getattr(self, name)))
-        f = np.asarray(self.f_values, dtype=np.float64)
-        if f.ndim != 1 or np.any(~np.isfinite(f)) or np.any(f <= 0.0):
-            raise ValueError("f_values must be positive and finite")
-        f = f.copy()
+        f = checked_weights("f_values", self.f_values).copy()
         f.flags.writeable = False
         object.__setattr__(self, "f_values", f)
 
@@ -89,9 +87,7 @@ class ReturnParams:
     def from_state_values(cls, f_state, traj: Trajectory, lam: float,
                           gamma: float) -> "ReturnParams":
         """Align a per-state emphasis vector with a trajectory."""
-        f_state = np.asarray(f_state, dtype=np.float64)
-        if f_state.ndim != 1:
-            raise ValueError("f_state must be a vector")
+        f_state = checked_weights("f_state", f_state)
         _check_states(traj, len(f_state))
         return cls(lam=lam, gamma=gamma,
                    f_values=f_state[traj.states[:-1]])
@@ -204,9 +200,7 @@ def identity_check(f_seq, lam: float) -> float:
     The sequence is constant-extended past its end, so the geometric tail
     sums to lam**(L-1) times the final value.  Requires lam < 1.
     """
-    f = np.asarray(f_seq, dtype=np.float64)
-    if f.ndim != 1 or f.size == 0 or np.any(f <= 0.0) or np.any(~np.isfinite(f)):
-        raise ValueError("f_seq must be a nonempty positive vector")
+    f = checked_weights("f_seq", f_seq)
     lam = checked_real("lam", lam)
     if not 0.0 <= lam < 1.0:
         raise ValueError("lam must lie in [0, 1)")
