@@ -17,7 +17,8 @@ from .emphasis import DEFAULT_EPSILON_FLOOR, EmphasisKind, EmphasisSpec, \
     emphasis_abs_expected_td, init_emphasis_state, long_run_count_inverse
 from .harness import DEFAULT_ALPHA_GRID, DEFAULT_LAMBDA_GRID, \
     ExperimentConfig, aggregate_all, check_csv_cells, check_record_format, \
-    emit, record_config, resolve_task, run_experiment, select_best
+    emit, record_config, record_format, resolve_task, run_experiment, \
+    select_best
 from .learners import Algorithm, AlgoConfig
 from .mrp import ChainStructureError, ConvergenceError, load_environment, \
     read_json
@@ -80,7 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--eval-every", type=int, default=50)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--out", required=True)
-    run.add_argument("--format", choices=["csv", "json"], default="csv")
+    run.add_argument("--format", choices=["csv", "json"], default=None,
+                     help="record format (default: json if --out ends in "
+                          ".json, csv otherwise)")
     run.add_argument("--env-file", default=None,
                      help="JSON environment overriding the named task")
     run.add_argument("--aggregate", action="store_true",
@@ -128,10 +131,11 @@ def _run_and_emit(config, out, fmt, aggregated, environment=None):
     read in another format, or a CSV field of the records' cells (labelled
     as ``run_experiment`` labels them) that would break its line, is
     refused before simulating; a run that ends with a non-finite MSPBE
-    draws a warning."""
+    draws a warning.  A ``fmt`` of None is the :func:`record_format` of
+    ``out``."""
     if os.path.isdir(out):
         raise IsADirectoryError(f"output path {out!r} is a directory")
-    fmt = str(fmt).lower()
+    fmt = record_format(out) if fmt is None else str(fmt).lower()
     check_record_format(out, fmt)
     if fmt == "csv":
         check_csv_cells(record_config(config, environment).cells())
@@ -201,7 +205,7 @@ def _require_keys(mapping, keys, where: str, optional=()) -> None:
 def cmd_sweep(args) -> int:
     spec = read_json(args.config)
     _require_keys(spec, SWEEP_KEYS, "sweep config", ("format", "aggregate"))
-    spec = {"format": "csv", "aggregate": False, **spec}
+    spec = {"format": record_format(spec["out"]), "aggregate": False, **spec}
     for key, kind in {**SWEEP_KEYS, "format": "a string",
                       "aggregate": "true or false"}.items():
         _checked(spec[key], kind, f"sweep config {key!r}")

@@ -682,11 +682,13 @@ def _write_curve_csv(handle, table: CurveTable) -> None:
                               in zip(steps[start:end], values[start:end])]))
 
 
-def emit(rows, path, fmt: str = "csv", kind: str | None = None) -> None:
+def emit(rows, path, fmt: str | None = None,
+         kind: str | None = None) -> None:
     """Write records to ``path`` as CSV (fixed column order, one header row,
-    line-feed endings) or as a JSON array of flat objects.  Curve records
-    come as a ``CurveTable`` or any sequence of ``CurveRecord``.  A format
-    that ``path``'s name would not be read back in is refused."""
+    line-feed endings) or as a JSON array of flat objects, by default in
+    the :func:`record_format` of ``path``.  Curve records come as a
+    ``CurveTable`` or any sequence of ``CurveRecord``.  A format that
+    ``path``'s name would not be read back in is refused."""
     if not isinstance(rows, CurveTable):
         rows = list(rows)
     if kind is None:
@@ -694,7 +696,7 @@ def emit(rows, path, fmt: str = "csv", kind: str | None = None) -> None:
             else "curve"
     if kind not in ("curve", "aggregate"):
         raise ValueError(f"unknown record kind {kind!r}")
-    fmt = str(fmt).lower()
+    fmt = record_format(path) if fmt is None else str(fmt).lower()
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
     check_record_format(path, fmt)

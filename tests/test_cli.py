@@ -83,6 +83,13 @@ class TestRunCommand:
         assert main(argv) == 0
         assert len(load_records(tmp_path / "out.json")) == 4
 
+    @pytest.mark.parametrize("name", ["out.json", "out.csv", "out.txt"])
+    def test_format_defaults_to_the_out_name(self, tmp_path, name):
+        assert main(run_args(tmp_path, name=name)) == 0
+        text = (tmp_path / name).read_text()
+        assert text.startswith("[") == name.endswith(".json")
+        assert len(load_records(tmp_path / name)) == 4
+
     @pytest.mark.parametrize("name, fmt", [("x.csv", "json"),
                                            ("y.json", "csv"),
                                            ("z.out", "json")])
@@ -627,6 +634,17 @@ class TestSweepCommand:
         assert self._run(tmp_path, config) == 0
         load = load_aggregates if aggregate else load_records
         assert len(load(tmp_path / "sweep.json")) == (2 if aggregate else 4)
+
+    @pytest.mark.parametrize("aggregate", [True, False])
+    def test_format_defaults_to_the_out_name(self, tmp_path, aggregate):
+        from discerning_td import load_aggregates
+        out = tmp_path / "sweep.json"
+        config = dict(self._config(tmp_path), aggregate=aggregate,
+                      out=str(out))
+        assert self._run(tmp_path, config) == 0
+        load = load_aggregates if aggregate else load_records
+        assert len(load(out)) == len(json.loads(out.read_text())) == (
+            2 if aggregate else 4)
 
     @pytest.mark.parametrize("name, fmt", [("sweep.csv", "json"),
                                            ("sweep.json", "CSV")])

@@ -831,6 +831,16 @@ class TestEmit:
         emit(run_experiment(small_config()), b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("name", ["x.json", "x.csv", "x"])
+    def test_format_defaults_to_the_name(self, tmp_path, name):
+        records = run_experiment(small_config())
+        emit(records, tmp_path / name)
+        text = (tmp_path / name).read_text()
+        assert text.startswith("[") == name.endswith(".json")
+        assert load_records(tmp_path / name) == records
+        emit(aggregate_all(records), tmp_path / name)
+        assert load_aggregates(tmp_path / name) == aggregate_all(records)
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit([], tmp_path / "x.parquet", fmt="parquet")
