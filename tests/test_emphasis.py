@@ -148,9 +148,12 @@ class TestCountInverse:
         np.testing.assert_array_equal(emphasis_from_counts([0, 0, 0]),
                                       [1.0, 1.0, 1.0])
 
-    def test_rejects_negative_counts(self):
-        with pytest.raises(ValueError):
-            emphasis_from_counts([-1, 2])
+    @pytest.mark.parametrize("counts", [
+        [-1, 2], [np.nan, 1, 2], [np.inf, 1, 2], [[1, 1, 1], [1, np.nan, 1]]])
+    def test_rejects_negative_counts(self, counts):
+        with pytest.raises(ValueError,
+                           match="^counts must be nonnegative and finite$"):
+            emphasis_from_counts(counts)
 
     def test_rare_state_gets_max_weight(self):
         f = emphasis_from_counts([100, 1, 50])
@@ -176,9 +179,12 @@ class TestNoisePrior:
         assert f[0] == 1.0
         assert np.all(np.diff(f) < 0)
 
-    def test_rejects_negative_noise(self):
-        with pytest.raises(ValueError):
-            emphasis_from_noise([-0.1])
+    @pytest.mark.parametrize("sigma", [[-0.1], [np.nan, 1, 2],
+                                       [np.inf, 1, 2]])
+    def test_rejects_negative_noise(self, sigma):
+        with pytest.raises(ValueError, match="^noise levels must be "
+                                             "nonnegative and finite$"):
+            emphasis_from_noise(sigma)
 
 
 class TestAdaptive:

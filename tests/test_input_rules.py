@@ -16,8 +16,6 @@ from discerning_td import (
     contraction_condition,
     discerning_return_interp,
     dtd_operator,
-    emphasis_from_counts,
-    emphasis_from_noise,
     emphasized_geometry,
     identity_check,
     induced_norm,
@@ -173,18 +171,3 @@ class TestCheckedState:
                     f"s {value} out of range for {n} states")):
                 checked_state("s", value, n)
 
-
-@pytest.mark.parametrize("counts", [[np.nan, 1, 2], [np.inf, 1, 2],
-                                    [[1, 1, 1], [1, np.nan, 1]], [-1, 1, 2]])
-def test_counts_must_be_nonnegative_and_finite(counts):
-    with pytest.raises(ValueError,
-                       match="^counts must be nonnegative and finite$"):
-        emphasis_from_counts(counts)
-
-
-@pytest.mark.parametrize("sigma", [[np.nan, 1, 2], [np.inf, 1, 2],
-                                   [-1, 1, 2]])
-def test_noise_levels_must_be_nonnegative_and_finite(sigma):
-    with pytest.raises(ValueError,
-                       match="^noise levels must be nonnegative and finite$"):
-        emphasis_from_noise(sigma)
